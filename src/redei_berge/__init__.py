@@ -11,16 +11,12 @@ integers.
 
 from .core import (
     ArcWeights,
-    d_cycle_excess,
-    d_cycle_permutations,
     deformed_by_definition,
     deformed_powersum,
     descent_distribution,
     descent_set,
     in_doubled_odd_cone,
-    is_risky,
     major_index,
-    mixed_cycle_permutations,
     redei_berge_by_definition,
     redei_berge_powersum,
     redei_berge_tournament,
@@ -60,11 +56,15 @@ from .oracles import (
     count_friendly_listings,
     count_listings_containing,
     count_perms_containing,
+    d_cycle_excess,
+    d_cycle_permutations,
     friendly_product,
     functional_graph,
     is_arc_set_of_path_cover,
     is_linear,
+    is_risky,
     level_subdigraph,
+    mixed_cycle_permutations,
     path_cover_of,
     polya_sum,
     signed_linear_sum,

@@ -385,7 +385,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "max_n": args.max_n,
             "seed": args.seed,
         }
-    jobs = args.jobs or os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))  # the CPUs this process may use
+    else:
+        cpus = os.cpu_count() or 1
+    jobs = min(args.jobs or cpus, cpus)
     checked, failures = _run_sweep(
         args.target, instances, jobs, args.keep_going, args.vars
     )
@@ -497,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=5, help="max vertices for --random")
     p.add_argument("--seed", type=int, default=0, help="seed for --random")
     p.add_argument("--vars", type=int, help="expansion variables (default: n)")
-    p.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
+    p.add_argument("--jobs", type=int, help="workers (default and cap: usable CPUs)")
     p.add_argument(
         "--keep-going",
         action="store_true",

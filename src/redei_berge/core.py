@@ -16,9 +16,12 @@ Routes implemented here:
 - ``deformed_powersum`` / ``deformed_by_definition``: the multiparameter
   deformation driven by a rational weight per ordered vertex pair.
 
-Permutation sweeps enumerate all n! permutations and filter by cycle
-predicates; per-n tables of cycle data (as bitmasks) are cached so that
-exhaustive sweeps over many digraphs stay fast.
+The definition routes enumerate all n! listings.  Each power-sum route
+sums a product of per-cycle weights over the permutations, which by the
+exponential formula is a sum over set partitions of the product of block
+weights W(B) (the cycle weights summed over the cyclic orderings of B)
+times p_{block sizes}.  A route only builds its W from the cycle-sum table
+of :mod:`hamilton` and hands it to the shared set-partition sum.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Sequence
 
 from .digraph import Digraph
-from .kernel import CycleClass, DescentSet, Permutation
+from .hamilton import _cycle_sums, _indicator, _partition_sum
+from .kernel import DescentSet
 from .limits import FACTORIAL_CAP, CapExceededError
 from .polynomials import (
     FundamentalQSym,
@@ -49,10 +52,10 @@ def _check_listing(d: Digraph, listing: Sequence[int]) -> tuple[int, ...]:
     return listing
 
 
-def _check_factorial_cap(n: int) -> None:
+def _check_cap(n: int, route: str) -> None:
     if n > FACTORIAL_CAP:
         raise CapExceededError(
-            f"{n}! listings/permutations exceeds the cap of {FACTORIAL_CAP}!"
+            f"{n} vertices exceeds the {route} cap of {FACTORIAL_CAP}"
         )
 
 
@@ -84,7 +87,7 @@ def descent_distribution(d: Digraph) -> FundamentalQSym:
     This is the Redei--Berge function written in the fundamental basis; the
     coefficient of a descent set counts the listings attaining it.
     """
-    _check_factorial_cap(d.n)
+    _check_cap(d.n, "listing-sum")
     counts: dict[DescentSet, int] = {}
     for listing in itertools.permutations(range(d.n)):
         key = descent_set(d, listing)
@@ -99,117 +102,23 @@ def redei_berge_by_definition(d: Digraph, num_vars: int) -> MonomialPolynomial:
     return descent_distribution(d).expand(num_vars)
 
 
-class _CycleData(NamedTuple):
-    length: int
-    mask: int  # cyclic arcs packed as bits u*n+v
-    rev_mask: int  # same for the reversed class
-    pairs: tuple[tuple[int, int], ...]
-
-
-class _PermData(NamedTuple):
-    images: tuple[int, ...]
-    ptype: tuple[int, ...]
-    cycles: tuple[_CycleData, ...]
-
-
-def _perm_data(images: tuple[int, ...], n: int) -> _PermData:
-    perm = Permutation(images)
-    cycles = []
-    for cyc in perm.cycles:
-        mask = 0
-        for u, v in cyc.carcs():
-            mask |= 1 << (u * n + v)
-        rev_mask = 0
-        for u, v in cyc.reversal().carcs():
-            rev_mask |= 1 << (u * n + v)
-        cycles.append(_CycleData(len(cyc), mask, rev_mask, tuple(cyc.carcs())))
-    return _PermData(images, perm.cycle_type, tuple(cycles))
-
-
-_PROFILE_CACHE_MAX = 7
-
-
-@lru_cache(maxsize=None)
-def _perm_table(n: int) -> tuple[_PermData, ...]:
-    return tuple(
-        _perm_data(images, n) for images in itertools.permutations(range(n))
-    )
-
-
-def _iter_perm_data(n: int) -> Iterator[_PermData]:
-    _check_factorial_cap(n)
-    if n <= _PROFILE_CACHE_MAX:
-        yield from _perm_table(n)
-    else:
-        for images in itertools.permutations(range(n)):
-            yield _perm_data(images, n)
-
-
-def _mixed_phi(data: _PermData, arc_mask: int) -> int | None:
-    """If every cycle is a cycle of the digraph or of its complement, the
-    total of (length - 1) over the digraph's cycles; otherwise None."""
-    phi = 0
-    for length, mask, _rev, _pairs in data.cycles:
-        inside = mask & arc_mask
-        if inside == mask:
-            phi += length - 1
-        elif inside:
-            return None
-    return phi
-
-
-def mixed_cycle_permutations(d: Digraph) -> list[Permutation]:
-    """Permutations whose every cycle is a cycle of ``d`` or of its
-    complement (a length-1 cycle always is one of the two)."""
-    arc_mask = d.arc_mask
-    return [
-        Permutation(data.images)
-        for data in _iter_perm_data(d.n)
-        if _mixed_phi(data, arc_mask) is not None
-    ]
-
-
-def d_cycle_permutations(d: Digraph) -> list[Permutation]:
-    """Permutations whose every nontrivial cycle is a cycle of ``d``."""
-    arc_mask = d.arc_mask
-    out = []
-    for data in _iter_perm_data(d.n):
-        if all(
-            length == 1 or mask & arc_mask == mask
-            for length, mask, _rev, _pairs in data.cycles
-        ):
-            out.append(Permutation(data.images))
-    return out
-
-
-def d_cycle_excess(d: Digraph, sigma: Permutation) -> int:
-    """Sum of (length - 1) over the cycles of sigma that are cycles of d.
-
-    This is the exponent of -1 attached to sigma in the signed power-sum
-    formula.  Length-1 cycles contribute 0 whether or not the loop is
-    present, so the value is insensitive to loops.
-    """
-    if sigma.n != d.n:
-        raise ValueError(f"permutation on {sigma.n} vertices, digraph on {d.n}")
-    return sum(len(c) - 1 for c in sigma.cycles if d.is_cycle(c))
-
-
 def redei_berge_powersum(d: Digraph) -> PowerSumPolynomial:
     """The Redei--Berge function in the power-sum basis, via the signed
     formula over permutations whose cycles split between ``d`` and its
-    complement.
+    complement: a cycle of length k in ``d`` weighs (-1)^(k-1), one in the
+    complement weighs 1.
 
     >>> redei_berge_powersum(Digraph(3, [(0, 1), (1, 1), (2, 2)])).to_text()
     'p[3] + 2*p[2,1] + p[1,1,1]'
     """
-    arc_mask = d.arc_mask
-    terms: dict[tuple[int, ...], int] = {}
-    for data in _iter_perm_data(d.n):
-        phi = _mixed_phi(data, arc_mask)
-        if phi is None:
-            continue
-        terms[data.ptype] = terms.get(data.ptype, 0) + (-1) ** phi
-    return PowerSumPolynomial(terms)
+    _check_cap(d.n, "power-sum")
+    here = _cycle_sums(d.n, _indicator(d))
+    there = _cycle_sums(d.n, _indicator(d.complement()))
+    block_weight = [
+        there[S] + here[S] if S.bit_count() % 2 else there[S] - here[S]
+        for S in range(1 << d.n)
+    ]
+    return PowerSumPolynomial(_partition_sum(d.n, block_weight))
 
 
 def redei_berge_tournament(d: Digraph) -> PowerSumPolynomial:
@@ -218,55 +127,28 @@ def redei_berge_tournament(d: Digraph) -> PowerSumPolynomial:
     in the tournament."""
     if not d.is_tournament():
         raise ValueError("input digraph is not a tournament")
-    arc_mask = d.arc_mask
-    terms: dict[tuple[int, ...], int] = {}
-    for data in _iter_perm_data(d.n):
-        psi = 0
-        ok = True
-        for length, mask, _rev, _pairs in data.cycles:
-            if length % 2 == 0:
-                ok = False
-                break
-            if length > 1:
-                if mask & arc_mask != mask:
-                    ok = False
-                    break
-                psi += 1
-        if ok:
-            terms[data.ptype] = terms.get(data.ptype, 0) + (1 << psi)
-    return PowerSumPolynomial(terms)
-
-
-def is_risky(d: Digraph, cycle: CycleClass) -> bool:
-    """Even length, and the class or its reversal is a cycle of ``d``."""
-    if len(cycle) % 2 != 0:
-        return False
-    return d.is_cycle(cycle) or d.is_cycle(cycle.reversal())
+    _check_cap(d.n, "power-sum")
+    here = _cycle_sums(d.n, _indicator(d))
+    block_weight = [
+        1 if S.bit_count() == 1 else 2 * here[S] if S.bit_count() % 2 else 0
+        for S in range(1 << d.n)
+    ]
+    return PowerSumPolynomial(_partition_sum(d.n, block_weight))
 
 
 def redei_berge_two_cycle_free(d: Digraph) -> PowerSumPolynomial:
     """Subtraction-free form for digraphs without 2-cycles: p_{type sigma}
     over permutations whose cycles split between ``d`` and its complement
-    and none of which is risky."""
+    and none of which is risky (of even length, with the cycle or its
+    reversal in ``d``).
+
+    Reversal maps the even cycles of ``d`` onto the risky cycles of the
+    complement, so a vertex set of size k admits hc_Dc + hc_D cycles for
+    odd k and hc_Dc - hc_D for even k: exactly the block weights of the
+    signed formula, whose partition sum this returns."""
     if not d.is_two_cycle_free():
         raise ValueError("input digraph has a 2-cycle")
-    arc_mask = d.arc_mask
-    terms: dict[tuple[int, ...], int] = {}
-    for data in _iter_perm_data(d.n):
-        ok = True
-        for length, mask, rev_mask, _pairs in data.cycles:
-            inside = mask & arc_mask
-            if inside not in (0, mask):
-                ok = False
-                break
-            if length % 2 == 0 and (
-                inside == mask or rev_mask & arc_mask == rev_mask
-            ):
-                ok = False  # risky cycle
-                break
-        if ok:
-            terms[data.ptype] = terms.get(data.ptype, 0) + 1
-    return PowerSumPolynomial(terms)
+    return redei_berge_powersum(d)
 
 
 def in_doubled_odd_cone(f: PowerSumPolynomial) -> bool:
@@ -345,20 +227,32 @@ class ArcWeights:
     @classmethod
     def from_json(cls, text: str) -> "ArcWeights":
         """Parse ``{"n": 2, "t": {"0,1": "-1", "1,0": "1/2"}}``; omitted
-        pairs default to 0."""
+        pairs default to 0.  Weights are JSON integers or rational strings;
+        JSON floats and booleans are refused, since they are not exact."""
         data = json.loads(text)
         if not isinstance(data, dict) or "n" not in data:
             raise ValueError("expected a JSON object with an 'n' field")
         n = data["n"]
-        if not isinstance(n, int):
-            raise ValueError("'n' must be an integer")
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"'n' must be an integer, got {json.dumps(n)}")
+        pairs = data.get("t", {})
+        if not isinstance(pairs, dict):
+            raise ValueError("'t' must be a JSON object mapping 'u,v' to weights")
         table: dict[tuple[int, int], Fraction] = {}
-        for key, value in data.get("t", {}).items():
+        for key, value in pairs.items():
             parts = key.split(",")
             if len(parts) != 2:
                 raise ValueError(f"bad pair key {key!r}, expected 'u,v'")
+            if isinstance(value, bool) or not isinstance(value, (int, str)):
+                raise ValueError(
+                    f"weight of {key!r} must be an integer or a rational "
+                    f"string such as \"-1/2\", got {json.dumps(value)}"
+                )
             u, v = int(parts[0]), int(parts[1])
-            table[(u, v)] = Fraction(str(value))
+            try:
+                table[(u, v)] = Fraction(value)
+            except ZeroDivisionError:
+                raise ValueError(f"weight of {key!r} has a zero denominator") from None
         return cls(n, table)
 
     def to_json(self) -> str:
@@ -384,7 +278,7 @@ def deformed_by_definition(weights: ArcWeights, num_vars: int) -> MonomialPolyno
     weakly increasing index sequence, the monomial weighted by the product
     of s(w_k, w_{k+1}) over the positions where the sequence stalls."""
     n = weights.n
-    _check_factorial_cap(n)
+    _check_cap(n, "listing-sum")
     terms: dict[tuple[int, ...], Fraction] = {}
     sequences = []
     for seq in itertools.combinations_with_replacement(range(1, num_vars + 1), n):
@@ -413,18 +307,10 @@ def deformed_powersum(weights: ArcWeights) -> PowerSumPolynomial:
     True
     """
     n = weights.n
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for data in _iter_perm_data(n):
-        coeff = Fraction(1)
-        for _length, _mask, _rev, pairs in data.cycles:
-            s_product = Fraction(1)
-            t_product = Fraction(1)
-            for u, v in pairs:
-                s_product *= weights.s(u, v)
-                t_product *= weights.t(u, v)
-            coeff *= s_product - t_product
-            if not coeff:
-                break
-        if coeff:
-            terms[data.ptype] = terms.get(data.ptype, Fraction(0)) + coeff
-    return PowerSumPolynomial(terms)
+    _check_cap(n, "power-sum")
+    t = [[weights.t(u, v) for v in range(n)] for u in range(n)]
+    s = [[value + 1 for value in row] for row in t]
+    s_sums, t_sums = _cycle_sums(n, s), _cycle_sums(n, t)
+    return PowerSumPolynomial(
+        _partition_sum(n, [a - b for a, b in zip(s_sums, t_sums)])
+    )

@@ -2,14 +2,19 @@
 congruence checks (parity of tournament path counts, the mod-4 refinement,
 and the parity link between a digraph and its complement).
 
-Loops never matter here: a path visits distinct vertices, so diagonal arcs
-are dropped before counting.  The zero-vertex digraph has exactly one
+Loops never matter to paths: a path visits distinct vertices, so diagonal
+arcs are dropped before counting.  The zero-vertex digraph has exactly one
 Hamiltonian path (the empty list) by convention.
+
+The cycle-sum table (weighted Hamiltonian cycles of every vertex subset,
+where a single vertex reads its diagonal weight) and the set-partition sum
+over it are the engine behind every power-sum formula in :mod:`core`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .digraph import Digraph
 from .limits import CYCLE_ENUM_CAP, DP_VERTEX_CAP, CapExceededError
@@ -101,34 +106,81 @@ def _count_backtracking(d: Digraph) -> int:
     return total
 
 
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _cycle_sums(n: int, w: Sequence[Sequence]) -> list:
+    """For every vertex bitmask S, the sum over the cyclic orderings of S of
+    the product of ``w[u][v]`` over the cyclic arcs; a single vertex v
+    gives ``w[v][v]``.  Each ordering is a path from the minimal vertex of
+    S through larger vertices, closed back onto it: O(2^n n^2).
+    """
+    sums = [0] * (1 << n)
+    support = [sum(1 << v for v in range(n) if row[v]) for row in w]
+    for s in range(n):
+        sums[1 << s] = w[s][s]
+        above = -(2 << s)
+        paths = [0] * (n << n)  # [mask * n + v]: s -> ... -> v through mask, or 0
+        for v in _bits(support[s] & above):
+            paths[(1 << s | 1 << v) * n + v] = w[s][v]
+        for mask in range(3 << s, 1 << n, 2 << s):  # s and larger vertices
+            closed = 0
+            for v in range(s + 1, n):
+                value = paths[mask * n + v]
+                if value:
+                    closed += value * w[v][s]
+                    for u in _bits(support[v] & above & ~mask):
+                        paths[(mask | 1 << u) * n + u] += value * w[v][u]
+            sums[mask] = closed
+    return sums
+
+
+def _partition_sum(n: int, block_weight: Sequence) -> dict[tuple[int, ...], object]:
+    """Sum, over the set partitions of 0..n-1, of the product of
+    ``block_weight[B]`` over the blocks B (bitmasks), keyed by the partition
+    of block sizes.  The next block always holds the lowest uncovered
+    vertex, so each set partition is built once: O(3^n) block choices.
+    """
+    full = (1 << n) - 1
+    states: dict[int, dict[tuple[int, ...], object]] = {0: {(): 1}}
+    for covered in range(full):
+        terms = states.pop(covered, None)
+        if not terms:
+            continue
+        low = ~covered & (covered + 1)  # the lowest uncovered vertex
+        rest = full & ~covered & ~low
+        sub = rest
+        while True:
+            block = sub | low
+            if block_weight[block]:
+                target = states.setdefault(covered | block, {})
+                for parts, coeff in terms.items():
+                    key = tuple(sorted((*parts, block.bit_count()), reverse=True))
+                    target[key] = target.get(key, 0) + coeff * block_weight[block]
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+    return {parts: c for parts, c in states.get(full, {}).items() if c}
+
+
+def _indicator(d: Digraph) -> list[list[int]]:
+    return [[row >> v & 1 for v in range(d.n)] for row in d.rows]
+
+
 def count_nontrivial_odd_cycles(d: Digraph) -> int:
     """Number of rotation classes of odd length > 1 all of whose cyclic
-    arcs are present.
-
-    Each class is counted once: the search roots every cycle at its minimal
-    vertex and only walks through larger vertices.
-    """
+    arcs are present, summed from the cycle-sum table over the odd vertex
+    sets of size at least 3."""
     if d.n > CYCLE_ENUM_CAP:
         raise CapExceededError(
             f"{d.n} vertices exceeds the cycle-enumeration cap of {CYCLE_ENUM_CAP}"
         )
-    rows = d.rows
-    total = 0
-    for s in range(d.n):
-        larger = -(1 << (s + 1))
-
-        def walk(u: int, visited: int, length: int) -> None:
-            nonlocal total
-            if length >= 3 and length % 2 == 1 and rows[u] >> s & 1:
-                total += 1
-            nbrs = rows[u] & larger & ~visited
-            while nbrs:
-                bit = nbrs & -nbrs
-                nbrs ^= bit
-                walk(bit.bit_length() - 1, visited | bit, length + 1)
-
-        walk(s, 1 << s, 1)
-    return total
+    sums = _cycle_sums(d.n, _indicator(d))
+    return sum(c for S, c in enumerate(sums) if S.bit_count() in range(3, d.n + 1, 2))
 
 
 def verify_redei(d: Digraph) -> dict:

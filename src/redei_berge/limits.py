@@ -7,14 +7,14 @@ of silently running forever.  The caps are generous for desk-scale work.
 
 from __future__ import annotations
 
-# Listing / permutation sweeps (n! instances).
+# Listing sweeps (n! instances) and the power-sum routes.
 FACTORIAL_CAP = 9
 
 # Bitmask DP over (subset, last vertex) states.  Above ~18 vertices the
 # flat DP table dominates memory; 22 is the hard refusal point.
 DP_VERTEX_CAP = 22
 
-# Simple-cycle enumeration by DFS from each minimal vertex.
+# Odd-cycle counting from the per-subset cycle-sum table (2^n entries).
 CYCLE_ENUM_CAP = 12
 
 # Signed sums over subsets of a finite set.

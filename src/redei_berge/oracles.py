@@ -1,7 +1,9 @@
 """Counting machinery behind the power-sum formulas, exposed as
 independently testable identities: linear arc sets and path covers, the
 functional graph of a permutation, signed inclusion-exclusion sums,
-level-respecting listings, and the cycle-type monomial sum.
+level-respecting listings, the cycle-type monomial sum, permutations
+filtered by their cycles, and the literal per-cycle weight sum over all
+permutations.
 
 The routines here deliberately favour direct enumeration over cleverness;
 they are the oracles the rest of the package is checked against.
@@ -12,18 +14,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .digraph import Digraph
 from .hamilton import count_hamiltonian_paths
-from .kernel import Permutation
+from .kernel import CycleClass, Permutation, all_permutations
 from .limits import (
     ENUMERATION_CAP,
     FACTORIAL_CAP,
     SUBSET_CAP,
     CapExceededError,
 )
-from .polynomials import MonomialPolynomial
+from .polynomials import MonomialPolynomial, PowerSumPolynomial
 
 
 @dataclass(frozen=True)
@@ -298,3 +300,57 @@ def signed_subset_sum(size: int) -> int:
     for index in range(1 << size):
         total += -1 if index.bit_count() & 1 else 1
     return total
+
+
+def _permutations_whose_cycles(n: int, admits: Callable) -> Iterator[Permutation]:
+    if n > FACTORIAL_CAP:
+        raise CapExceededError(f"{n}! permutations exceeds the enumeration cap")
+    return (sigma for sigma in all_permutations(n) if all(map(admits, sigma.cycles)))
+
+
+def mixed_cycle_permutations(d: Digraph) -> list[Permutation]:
+    """Permutations whose every cycle is a cycle of ``d`` or of its
+    complement (a length-1 cycle always is one of the two)."""
+    complement = d.complement()
+    return list(
+        _permutations_whose_cycles(
+            d.n, lambda c: d.is_cycle(c) or complement.is_cycle(c)
+        )
+    )
+
+
+def d_cycle_permutations(d: Digraph) -> list[Permutation]:
+    """Permutations whose every nontrivial cycle is a cycle of ``d``."""
+    return list(
+        _permutations_whose_cycles(d.n, lambda c: not c.is_nontrivial or d.is_cycle(c))
+    )
+
+
+def d_cycle_excess(d: Digraph, sigma: Permutation) -> int:
+    """Sum of (length - 1) over the cycles of sigma that are cycles of d.
+
+    This is the exponent of -1 attached to sigma in the signed power-sum
+    formula.  Length-1 cycles contribute 0 whether or not the loop is
+    present, so the value is insensitive to loops.
+    """
+    if sigma.n != d.n:
+        raise ValueError(f"permutation on {sigma.n} vertices, digraph on {d.n}")
+    return sum(len(c) - 1 for c in sigma.cycles if d.is_cycle(c))
+
+
+def is_risky(d: Digraph, cycle: CycleClass) -> bool:
+    """Even length, and the class or its reversal is a cycle of ``d``."""
+    if len(cycle) % 2 != 0:
+        return False
+    return d.is_cycle(cycle) or d.is_cycle(cycle.reversal())
+
+
+def cycle_weight_sum(n: int, weight: Callable) -> PowerSumPolynomial:
+    """Sum over all n! permutations sigma of the product of ``weight(c)``
+    over the cycles c of sigma, times p_{type sigma}: the literal form that
+    every power-sum formula specializes."""
+    terms: dict[tuple[int, ...], object] = {}
+    for sigma in _permutations_whose_cycles(n, weight):
+        key = sigma.cycle_type
+        terms[key] = terms.get(key, 0) + math.prod(map(weight, sigma.cycles))
+    return PowerSumPolynomial(terms)

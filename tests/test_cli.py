@@ -97,6 +97,22 @@ class TestDeformed:
         code, _, err = run(capsys, "deformed", "--input", "-")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"n": 2, "t": [1]}', "'t' must be a JSON object"),
+            ('{"n": true, "t": {"0,0": "1"}}', "'n' must be an integer, got true"),
+            ('{"n": 1, "t": {"0,0": 0.1}}', "must be an integer or a rational string"),
+            ('{"n": 2, "t": {"0,1": "1/0"}}', "weight of '0,1' has a zero denominator"),
+        ],
+    )
+    def test_mistyped_weight_json_is_exit_2(self, capsys, monkeypatch, text, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "deformed", "--input", "-")
+        assert code == 2
+        assert out == ""
+        assert message in err and "Traceback" not in err
+
 
 class TestHamps:
     def test_tournament_report(self, capsys):
@@ -186,6 +202,33 @@ class TestVerify:
         _, serial, _ = run(capsys, *args, "--jobs", "1")
         _, parallel, _ = run(capsys, *args, "--jobs", "4")
         assert serial == parallel
+
+    def test_jobs_clamped_to_available_cpus(self, capsys, monkeypatch):
+        # a stand-in pool that records its size and runs chunks inline, so
+        # no process is started whatever --jobs says
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                result = fn(*args)
+                return type("Done", (), {"result": lambda self: result})()
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        args = ["verify", "zeta", "--exhaustive", "2"]
+        for jobs in (["--jobs", "1000"], []):
+            code, out, _ = run(capsys, *args, *jobs)
+            assert code == 0 and "16/16 pass" in out
+        assert sizes == [2, 2]
 
     def test_json_report(self, capsys):
         code, out, _ = run(

@@ -28,6 +28,7 @@ from redei_berge import (
     major_index,
     mixed_cycle_permutations,
     random_digraph,
+    random_tournament,
     redei_berge_by_definition,
     redei_berge_powersum,
     redei_berge_tournament,
@@ -214,7 +215,8 @@ class TestPowerSumRoutes:
                 )
 
     def test_matches_definition_beyond_the_profile_cache(self):
-        # n = 6 stays under the cached-table threshold; n = 8 streams
+        # n = 6 is checked against the listing sum; at n = 8 the
+        # zeta value is checked against the complete complement's n! paths
         d = random_digraph(6, 0.5, seed=99)
         assert redei_berge_powersum(d).expand(6) == redei_berge_by_definition(d, 6)
         arcless = Digraph(8)
@@ -422,8 +424,35 @@ class TestDeformation:
         assert parsed.t(0, 1) == -1
         assert parsed.t(1, 0) == 0  # omitted entries default to 0
 
+    def test_weights_json_rejects_inexact_and_mistyped_fields(self):
+        with pytest.raises(ValueError, match="'t' must be a JSON object"):
+            ArcWeights.from_json('{"n": 2, "t": [1]}')
+        with pytest.raises(ValueError, match="'n' must be an integer"):
+            ArcWeights.from_json('{"n": true, "t": {}}')
+        with pytest.raises(ValueError, match="rational string"):
+            ArcWeights.from_json('{"n": 1, "t": {"0,0": 0.1}}')
+        with pytest.raises(ValueError, match="rational string"):
+            ArcWeights.from_json('{"n": 1, "t": {"0,0": false}}')
+        assert ArcWeights.from_json('{"n": 1, "t": {"0,0": 3}}').t(0, 0) == 3
+
     def test_weights_json_rejects_garbage(self):
         with pytest.raises(ValueError):
             ArcWeights.from_json('{"t": {}}')
         with pytest.raises(ValueError):
             ArcWeights.from_json('{"n": 2, "t": {"0": "1"}}')
+
+
+class TestCapsBeforeWork:
+    def test_power_sum_routes_refuse_before_building_tables(self, monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("cycle-sum table built above the cap")
+
+        monkeypatch.setattr("redei_berge.core._cycle_sums", no_tables)
+        for route, arg in (
+            (redei_berge_powersum, random_digraph(10, 0.5, seed=1)),
+            (redei_berge_tournament, random_tournament(10, seed=2)),
+            (redei_berge_two_cycle_free, Digraph(10, [(0, 1), (1, 2)])),
+            (deformed_powersum, ArcWeights.random(10, seed=3)),
+        ):
+            with pytest.raises(CapExceededError, match="power-sum cap of 9"):
+                route(arg)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from redei_berge import (
     verify_mod4,
     verify_redei,
 )
+from redei_berge.hamilton import _cycle_sums, _partition_sum
 
 
 def brute_force_odd_cycles(d: Digraph) -> int:
@@ -118,9 +120,29 @@ class TestOddCycleCounting:
             d = random_digraph(n, 0.5, seed=rng.getrandbits(32))
             assert count_nontrivial_odd_cycles(d) == brute_force_odd_cycles(d)
 
+    def test_matches_brute_force_tournaments_n9(self):
+        for n, seed in ((8, 1), (9, 2)):
+            d = random_tournament(n, seed=seed)
+            assert count_nontrivial_odd_cycles(d) == brute_force_odd_cycles(d)
+
     def test_cap(self):
         with pytest.raises(CapExceededError):
             count_nontrivial_odd_cycles(Digraph(13))
+
+
+class TestCycleSumEngine:
+    def test_partition_sum_of_unit_weights_counts_set_partitions(self):
+        terms = _partition_sum(4, [1] * 16)
+        assert terms == {(4,): 1, (3, 1): 4, (2, 2): 3, (2, 1, 1): 6, (1, 1, 1, 1): 1}
+        assert _partition_sum(0, [1]) == {(): 1}
+
+    def test_cycle_sums_of_complete_digraph(self):
+        # (k-1)! cyclic orderings on every k-set; singletons read the diagonal
+        n = 5
+        sums = _cycle_sums(n, [[1 + (u == v) for v in range(n)] for u in range(n)])
+        for subset in range(1, 1 << n):
+            k = subset.bit_count()
+            assert sums[subset] == (2 if k == 1 else math.factorial(k - 1))
 
 
 class TestRedei:

@@ -7,6 +7,7 @@ import pytest
 from conftest import THREE_LOOP
 from redei_berge import (
     ArcSet,
+    ArcWeights,
     CapExceededError,
     Digraph,
     Permutation,
@@ -15,20 +16,26 @@ from redei_berge import (
     count_hamiltonian_paths,
     count_listings_containing,
     count_perms_containing,
+    deformed_powersum,
     enumerate_digraphs,
+    enumerate_tournaments,
     friendly_product,
     functional_graph,
     is_arc_set_of_path_cover,
     is_linear,
+    is_risky,
     level_subdigraph,
     path_cover_of,
     polya_sum,
     random_digraph,
     redei_berge_powersum,
+    redei_berge_tournament,
+    redei_berge_two_cycle_free,
     signed_linear_sum,
     signed_subset_sum,
     signed_sum_per_perm,
 )
+from redei_berge.oracles import cycle_weight_sum
 
 # the 8-vertex example: a 4-path cover {(0,3,2), (1,7), (4), (6,5)}
 COVER_EXAMPLE = ArcSet.of(8, [(0, 3), (3, 2), (1, 7), (6, 5)])
@@ -314,3 +321,91 @@ class TestArcSetValidation:
     def test_out_of_range_pair(self):
         with pytest.raises(ValueError):
             ArcSet.of(2, [(0, 2)])
+
+
+def signed_weight(d):
+    """(-1)^(len-1) on the cycles of d, 1 on those of its complement."""
+    comp = d.complement()
+    return lambda c: (-1) ** (len(c) - 1) if d.is_cycle(c) else int(comp.is_cycle(c))
+
+
+def tournament_weight(d):
+    """2 on the odd nontrivial cycles of d, 1 on fixed points."""
+    return lambda c: 1 if len(c) == 1 else 2 * (len(c) % 2 == 1 and d.is_cycle(c))
+
+
+def two_cycle_free_weight(d):
+    """1 on the cycles of d or its complement that are not risky."""
+    comp = d.complement()
+    return lambda c: int(not is_risky(d, c) and (d.is_cycle(c) or comp.is_cycle(c)))
+
+
+def deformed_weight(w):
+    """Product of s minus product of t over the cyclic arcs."""
+
+    def weight(c):
+        s_product = t_product = 1
+        for u, v in c.carcs():
+            s_product *= w.s(u, v)
+            t_product *= w.t(u, v)
+        return s_product - t_product
+
+    return weight
+
+
+def random_two_cycle_free(rng, n):
+    arcs = [(u, u) for u in range(n) if rng.random() < 0.5]
+    for u, v in itertools.combinations(range(n), 2):
+        arcs += rng.choice([[], [(u, v)], [(v, u)]])
+    return Digraph(n, arcs)
+
+
+class TestCycleWeightSum:
+    """Every power-sum route against the literal per-cycle weights of its
+    formula, summed over all n! permutations."""
+
+    def test_identity_weight_counts_permutations_by_type(self):
+        f = cycle_weight_sum(4, lambda c: 1)
+        assert f == PowerSumPolynomial(
+            {(4,): 6, (3, 1): 8, (2, 2): 3, (2, 1, 1): 6, (1, 1, 1, 1): 1}
+        )
+
+    def test_cap(self):
+        with pytest.raises(CapExceededError):
+            cycle_weight_sum(10, lambda c: 1)
+
+    def test_signed_and_two_cycle_free_forms_exhaustive_n3(self):
+        for n in range(4):
+            for d in enumerate_digraphs(n):
+                assert redei_berge_powersum(d) == cycle_weight_sum(n, signed_weight(d))
+                if d.is_two_cycle_free():
+                    assert redei_berge_two_cycle_free(d) == cycle_weight_sum(
+                        n, two_cycle_free_weight(d)
+                    )
+
+    def test_tournament_form_exhaustive_n5(self):
+        for n in range(6):
+            for d in enumerate_tournaments(n):
+                assert redei_berge_tournament(d) == cycle_weight_sum(
+                    n, tournament_weight(d)
+                )
+                if n <= 4:
+                    assert redei_berge_two_cycle_free(d) == cycle_weight_sum(
+                        n, two_cycle_free_weight(d)
+                    )
+
+    def test_signed_and_two_cycle_free_forms_random_n7(self):
+        rng = random.Random(61)
+        for n in (4, 5, 6, 6, 7, 7):
+            d = random_digraph(n, 0.5, seed=rng.getrandbits(32))
+            assert redei_berge_powersum(d) == cycle_weight_sum(n, signed_weight(d))
+            f = random_two_cycle_free(rng, n)
+            assert redei_berge_two_cycle_free(f) == cycle_weight_sum(
+                n, two_cycle_free_weight(f)
+            )
+
+    def test_deformed_form_random_weights_n5(self):
+        rng = random.Random(67)
+        for n in (0, 1, 2, 3, 4, 4, 5, 5):
+            w = ArcWeights.random(n, seed=rng.getrandbits(32))
+            assert deformed_powersum(w) == cycle_weight_sum(n, deformed_weight(w))
