@@ -13,7 +13,6 @@ from .core import (
     ArcWeights,
     deformed_by_definition,
     deformed_powersum,
-    descent_distribution,
     descent_set,
     in_doubled_odd_cone,
     major_index,
@@ -73,9 +72,7 @@ from .oracles import (
 )
 from .polynomials import (
     FundamentalQSym,
-    MonomialPolynomial,
     PowerSumPolynomial,
-    expand_fundamental,
 )
 
 __version__ = "0.1.0"
@@ -90,7 +87,6 @@ __all__ = [
     "DigraphFormatError",
     "FundamentalQSym",
     "HampCount",
-    "MonomialPolynomial",
     "Permutation",
     "PowerSumPolynomial",
     "all_descent_sets",
@@ -104,11 +100,9 @@ __all__ = [
     "d_cycle_permutations",
     "deformed_by_definition",
     "deformed_powersum",
-    "descent_distribution",
     "descent_set",
     "enumerate_digraphs",
     "enumerate_tournaments",
-    "expand_fundamental",
     "format_digraph",
     "friendly_product",
     "functional_graph",

@@ -52,7 +52,7 @@ from .hamilton import (
     verify_redei,
 )
 from .kernel import Permutation
-from .limits import CapExceededError
+from .limits import CYCLE_ENUM_CAP, DP_VERTEX_CAP, FACTORIAL_CAP, CapExceededError
 from .oracles import (
     ArcSet,
     count_friendly_listings,
@@ -95,15 +95,14 @@ def _read_weights(args: argparse.Namespace) -> ArcWeights:
 # ------------------------------------------------------------- checks
 
 
-def _check_thm1(d: Digraph, num_vars: int | None) -> tuple[bool, dict]:
-    m = num_vars or max(1, d.n)
+def _check_thm1(d: Digraph) -> tuple[bool, dict]:
     by_formula = redei_berge_powersum(d)
-    if by_formula.expand(m) == redei_berge_by_definition(d, m):
+    if by_formula.to_fundamental() == redei_berge_by_definition(d):
         return True, {}
-    return False, {"num_vars": m, "powersum": json.loads(by_formula.to_json())}
+    return False, {"powersum": json.loads(by_formula.to_json())}
 
 
-def _check_thm2(d: Digraph, num_vars: int | None) -> tuple[bool, dict]:
+def _check_thm2(d: Digraph) -> tuple[bool, dict]:
     general = redei_berge_powersum(d)
     ok = (
         redei_berge_tournament(d) == general
@@ -113,7 +112,7 @@ def _check_thm2(d: Digraph, num_vars: int | None) -> tuple[bool, dict]:
     return ok, {} if ok else {"powersum": json.loads(general.to_json())}
 
 
-def _check_thm3(d: Digraph, num_vars: int | None) -> tuple[bool, dict]:
+def _check_thm3(d: Digraph) -> tuple[bool, dict]:
     general = redei_berge_powersum(d)
     positive_form = redei_berge_two_cycle_free(d)
     ok = positive_form == general and all(
@@ -122,35 +121,35 @@ def _check_thm3(d: Digraph, num_vars: int | None) -> tuple[bool, dict]:
     return ok, {} if ok else {"powersum": json.loads(general.to_json())}
 
 
-def _check_antipode(d: Digraph, num_vars: int | None) -> tuple[bool, dict]:
+def _check_antipode(d: Digraph) -> tuple[bool, dict]:
     here = redei_berge_powersum(d)
     there = redei_berge_powersum(d.complement())
     ok = here.omega() == there and here.antipode() == there.scale((-1) ** d.n)
     return ok, {}
 
 
-def _check_zeta(d: Digraph, num_vars: int | None) -> tuple[bool, dict]:
+def _check_zeta(d: Digraph) -> tuple[bool, dict]:
     value = redei_berge_powersum(d).zeta()
     hamps = count_hamiltonian_paths(d.complement()).value
     return value == hamps, {"zeta": str(value), "hamps_complement": str(hamps)}
 
 
-def _check_redei(d: Digraph, num_vars: int | None) -> tuple[bool, dict]:
+def _check_redei(d: Digraph) -> tuple[bool, dict]:
     report = verify_redei(d)
     return report["pass"], report
 
 
-def _check_mod4(d: Digraph, num_vars: int | None) -> tuple[bool, dict]:
+def _check_mod4(d: Digraph) -> tuple[bool, dict]:
     report = verify_mod4(d)
     return report["pass"], report
 
 
-def _check_berge(d: Digraph, num_vars: int | None) -> tuple[bool, dict]:
+def _check_berge(d: Digraph) -> tuple[bool, dict]:
     report = verify_berge(d)
     return report["pass"], report
 
 
-def _check_lemmas(d: Digraph, num_vars: int | None) -> tuple[bool, dict]:
+def _check_lemmas(d: Digraph) -> tuple[bool, dict]:
     failures = []
     hamps = count_hamiltonian_paths(d.complement()).value
     if signed_linear_sum(d) != hamps:
@@ -193,24 +192,23 @@ def _lemma_preamble() -> list[str]:
                 failures.append(f"linearity criteria disagree on {sorted(subset)}")
     for images in ((0, 1, 2), (1, 2, 0), (1, 0, 2)):
         sigma = Permutation(images)
-        for m in (2, 3):
-            if polya_sum(sigma, m) != PowerSumPolynomial(
-                {sigma.cycle_type: 1}
-            ).expand(m):
-                failures.append(f"cycle-colouring sum wrong for {images}, m={m}")
+        cycle_type = PowerSumPolynomial({sigma.cycle_type: 1})
+        if polya_sum(sigma) != cycle_type.to_fundamental():
+            failures.append(f"cycle-colouring sum wrong for {images}")
     return failures
 
 
-_CHECKS: dict[str, tuple[str, Callable[[Digraph, int | None], tuple[bool, dict]]]] = {
-    "thm1": ("digraph", _check_thm1),
-    "thm2": ("tournament", _check_thm2),
-    "thm3": ("two-cycle-free", _check_thm3),
-    "antipode": ("digraph", _check_antipode),
-    "zeta": ("digraph", _check_zeta),
-    "redei": ("tournament", _check_redei),
-    "mod4": ("tournament", _check_mod4),
-    "berge": ("digraph", _check_berge),
-    "lemmas": ("digraph", _check_lemmas),
+# target: (instance kind, check, vertex cap of the routes the check calls)
+_CHECKS: dict[str, tuple[str, Callable[[Digraph], tuple[bool, dict]], int]] = {
+    "thm1": ("digraph", _check_thm1, FACTORIAL_CAP),
+    "thm2": ("tournament", _check_thm2, FACTORIAL_CAP),
+    "thm3": ("two-cycle-free", _check_thm3, FACTORIAL_CAP),
+    "antipode": ("digraph", _check_antipode, FACTORIAL_CAP),
+    "zeta": ("digraph", _check_zeta, FACTORIAL_CAP),
+    "redei": ("tournament", _check_redei, DP_VERTEX_CAP),
+    "mod4": ("tournament", _check_mod4, CYCLE_ENUM_CAP),
+    "berge": ("digraph", _check_berge, DP_VERTEX_CAP),
+    "lemmas": ("digraph", _check_lemmas, FACTORIAL_CAP),
 }
 
 
@@ -256,12 +254,11 @@ def _sweep_chunk(
     instances: list[Digraph],
     start: int,
     keep_going: bool,
-    num_vars: int | None,
 ) -> list[tuple[int, bool, dict]]:
     check = _CHECKS[target][1]
     results = []
     for offset, d in enumerate(instances):
-        ok, detail = check(d, num_vars)
+        ok, detail = check(d)
         results.append((start + offset, ok, detail))
         if not ok and not keep_going:
             break
@@ -273,7 +270,6 @@ def _run_sweep(
     instances: Sequence[Digraph],
     jobs: int,
     keep_going: bool,
-    num_vars: int | None,
 ) -> tuple[int, list[tuple[int, Digraph, dict]]]:
     """Returns (number of instances checked, failures as (index, digraph,
     detail)).  Instance-to-worker assignment is by contiguous index range,
@@ -281,7 +277,7 @@ def _run_sweep(
     instances = list(instances)
     jobs = max(1, min(jobs, len(instances) or 1))
     if jobs == 1:
-        results = _sweep_chunk(target, instances, 0, keep_going, num_vars)
+        results = _sweep_chunk(target, instances, 0, keep_going)
     else:
         bounds = [len(instances) * k // jobs for k in range(jobs + 1)]
         chunks = [
@@ -290,7 +286,7 @@ def _run_sweep(
         results = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_sweep_chunk, target, chunk, start, keep_going, num_vars)
+                pool.submit(_sweep_chunk, target, chunk, start, keep_going)
                 for chunk, start in chunks
                 if chunk
             ]
@@ -315,11 +311,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     f = redei_berge_powersum(d)
     print(f.to_json() if args.format == "json" else f.to_text())
     if args.check:
-        m = args.vars or max(1, d.n)
-        if f.expand(m) != redei_berge_by_definition(d, m):
-            print(f"definition route disagrees in {m} variables", file=sys.stderr)
+        agrees = f.to_fundamental() == redei_berge_by_definition(d)
+        verdict = "agrees" if agrees else "disagrees"
+        print(f"definition route {verdict} in the fundamental basis", file=sys.stderr)
+        if not agrees:
             return 1
-        print(f"definition route agrees in {m} variables", file=sys.stderr)
     return 0
 
 
@@ -369,8 +365,26 @@ def _cmd_hamps(args: argparse.Namespace) -> int:
     return 0 if all(r["pass"] for r in reports.values()) else 1
 
 
+def _check_sweep_size(args: argparse.Namespace, cap: int) -> None:
+    """Refuses a sweep whose sizes are negative or above the target's cap,
+    before any instance is built or checked."""
+    if args.exhaustive is not None:
+        flag, n = "--exhaustive", args.exhaustive
+    elif args.random < 0:
+        raise ValueError(f"--random must be nonnegative, got {args.random}")
+    else:
+        flag, n = "--max-n", args.max_n
+    if n < 0:
+        raise ValueError(f"{flag} must be nonnegative, got {n}")
+    if n > cap:
+        raise CapExceededError(
+            f"{flag} {n} exceeds the {args.target} cap of {cap} vertices"
+        )
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    kind, _check = _CHECKS[args.target]
+    kind, _check, cap = _CHECKS[args.target]
+    _check_sweep_size(args, cap)
     preamble_failures: list[str] = []
     if args.target == "lemmas":
         preamble_failures = _lemma_preamble()
@@ -390,9 +404,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         cpus = os.cpu_count() or 1
     jobs = min(args.jobs or cpus, cpus)
-    checked, failures = _run_sweep(
-        args.target, instances, jobs, args.keep_going, args.vars
-    )
+    checked, failures = _run_sweep(args.target, instances, jobs, args.keep_going)
     passed = checked - len(failures)
     ok = not failures and not preamble_failures
     if args.format == "json":
@@ -471,11 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="power-sum form of the function of a digraph")
     _add_digraph_input(p)
     _add_format(p)
-    p.add_argument("--vars", type=int, help="variables for the --check expansion")
     p.add_argument(
         "--check",
         action="store_true",
-        help="cross-check against the defining listing sum",
+        help="cross-check against the defining listing sum, in the fundamental basis",
     )
     p.set_defaults(fn=_cmd_compute)
 
@@ -500,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-n", type=int, default=5, help="max vertices for --random")
     p.add_argument("--seed", type=int, default=0, help="seed for --random")
-    p.add_argument("--vars", type=int, help="expansion variables (default: n)")
     p.add_argument("--jobs", type=int, help="workers (default and cap: usable CPUs)")
     p.add_argument(
         "--keep-going",

@@ -3,8 +3,8 @@
 Routes implemented here:
 
 - ``redei_berge_by_definition``: the defining sum of fundamental
-  quasisymmetric functions over all n! vertex listings, expanded into
-  monomials.
+  quasisymmetric functions over all n! vertex listings, kept in the
+  fundamental basis.
 - ``redei_berge_powersum``: the signed power-sum formula, summing
   (-1)^phi(sigma) * p_{type sigma} over the permutations whose every cycle
   lies in the digraph or in its complement.
@@ -16,8 +16,10 @@ Routes implemented here:
 - ``deformed_powersum`` / ``deformed_by_definition``: the multiparameter
   deformation driven by a rational weight per ordered vertex pair.
 
-The definition routes enumerate all n! listings.  Each power-sum route
-sums a product of per-cycle weights over the permutations, which by the
+The definition routes enumerate all n! listings and stay in the
+fundamental basis; a power-sum result meets them after
+:meth:`PowerSumPolynomial.to_fundamental`.  Each power-sum route sums a
+product of per-cycle weights over the permutations, which by the
 exponential formula is a sum over set partitions of the product of block
 weights W(B) (the cycle weights summed over the cyclic orderings of B)
 times p_{block sizes}.  A route only builds its W from the cycle-sum table
@@ -38,10 +40,10 @@ from .kernel import DescentSet
 from .limits import FACTORIAL_CAP, CapExceededError
 from .polynomials import (
     FundamentalQSym,
-    MonomialPolynomial,
     PowerSumPolynomial,
     Rational,
     _coeff,
+    _parse_rational,
 )
 
 
@@ -80,9 +82,9 @@ def major_index(d: Digraph, listing: Sequence[int]) -> int:
     return sum(descent_set(d, listing).members)
 
 
-def descent_distribution(d: Digraph) -> FundamentalQSym:
-    """The sum, over all n! listings, of the fundamental quasisymmetric
-    function indexed by the listing's descent set.
+def redei_berge_by_definition(d: Digraph) -> FundamentalQSym:
+    """The defining sum, over all n! listings, of the fundamental
+    quasisymmetric function indexed by the listing's descent set.
 
     This is the Redei--Berge function written in the fundamental basis; the
     coefficient of a descent set counts the listings attaining it.
@@ -93,13 +95,6 @@ def descent_distribution(d: Digraph) -> FundamentalQSym:
         key = descent_set(d, listing)
         counts[key] = counts.get(key, 0) + 1
     return FundamentalQSym(d.n, counts)
-
-
-def redei_berge_by_definition(d: Digraph, num_vars: int) -> MonomialPolynomial:
-    """Monomial expansion (in the given number of variables) of the defining
-    listing sum.  Homogeneous of degree n with nonnegative integer
-    coefficients."""
-    return descent_distribution(d).expand(num_vars)
 
 
 def redei_berge_powersum(d: Digraph) -> PowerSumPolynomial:
@@ -170,6 +165,15 @@ def in_doubled_odd_cone(f: PowerSumPolynomial) -> bool:
     return True
 
 
+def _unique_keys(items: list[tuple[str, object]]) -> dict:
+    data: dict = {}
+    for key, value in items:
+        if key in data:
+            raise ValueError(f"key {key!r} appears twice")
+        data[key] = value
+    return data
+
+
 class ArcWeights:
     """A rational weight t(u, v) for every ordered vertex pair; the shifted
     weight is s(u, v) = t(u, v) + 1.  Drives the deformed Redei--Berge
@@ -227,9 +231,10 @@ class ArcWeights:
     @classmethod
     def from_json(cls, text: str) -> "ArcWeights":
         """Parse ``{"n": 2, "t": {"0,1": "-1", "1,0": "1/2"}}``; omitted
-        pairs default to 0.  Weights are JSON integers or rational strings;
-        JSON floats and booleans are refused, since they are not exact."""
-        data = json.loads(text)
+        pairs default to 0.  Weights are JSON integers or strings of the form
+        ``[+-]digits`` or ``[+-]digits/digits``; anything else is refused,
+        and so is a pair named by two keys (such as "0,1" and "0,01")."""
+        data = json.loads(text, object_pairs_hook=_unique_keys)
         if not isinstance(data, dict) or "n" not in data:
             raise ValueError("expected a JSON object with an 'n' field")
         n = data["n"]
@@ -239,20 +244,18 @@ class ArcWeights:
         if not isinstance(pairs, dict):
             raise ValueError("'t' must be a JSON object mapping 'u,v' to weights")
         table: dict[tuple[int, int], Fraction] = {}
+        named: dict[tuple[int, int], str] = {}
         for key, value in pairs.items():
             parts = key.split(",")
             if len(parts) != 2:
                 raise ValueError(f"bad pair key {key!r}, expected 'u,v'")
-            if isinstance(value, bool) or not isinstance(value, (int, str)):
+            pair = (int(parts[0]), int(parts[1]))
+            if pair in named:
                 raise ValueError(
-                    f"weight of {key!r} must be an integer or a rational "
-                    f"string such as \"-1/2\", got {json.dumps(value)}"
+                    f"pair keys {named[pair]!r} and {key!r} both name {pair}"
                 )
-            u, v = int(parts[0]), int(parts[1])
-            try:
-                table[(u, v)] = Fraction(value)
-            except ZeroDivisionError:
-                raise ValueError(f"weight of {key!r} has a zero denominator") from None
+            named[pair] = key
+            table[pair] = _parse_rational(value, f"weight of {key!r}")
         return cls(n, table)
 
     def to_json(self) -> str:
@@ -273,28 +276,29 @@ class ArcWeights:
         return f"ArcWeights({self.n}, {dict(sorted(self._t.items()))!r})"
 
 
-def deformed_by_definition(weights: ArcWeights, num_vars: int) -> MonomialPolynomial:
-    """Defining sum of the deformation: over every listing w and every
-    weakly increasing index sequence, the monomial weighted by the product
-    of s(w_k, w_{k+1}) over the positions where the sequence stalls."""
+def deformed_by_definition(weights: ArcWeights) -> FundamentalQSym:
+    """Defining sum of the deformation, in the fundamental basis.
+
+    The definition sums, over every listing w and every weakly increasing
+    index sequence, the monomial weighted by the product of s(w_k, w_{k+1})
+    over the positions k where the sequence stalls.  Since 1 = s - t, the
+    listing w gives L_S the weight prod_{k in S} (-t(w_k, w_{k+1})) times
+    prod_{k not in S} s(w_k, w_{k+1}): summed over the S inside the strict
+    rises of a sequence, these weights leave the product of s over its
+    stalls."""
     n = weights.n
     _check_cap(n, "listing-sum")
-    terms: dict[tuple[int, ...], Fraction] = {}
-    sequences = []
-    for seq in itertools.combinations_with_replacement(range(1, num_vars + 1), n):
-        expo = [0] * num_vars
-        for i in seq:
-            expo[i - 1] += 1
-        stalls = tuple(k for k in range(n - 1) if seq[k] == seq[k + 1])
-        sequences.append((tuple(expo), stalls))
+    totals: dict[frozenset[int], Fraction] = {}
     for w in itertools.permutations(range(n)):
-        for expo, stalls in sequences:
-            weight = Fraction(1)
-            for k in stalls:
-                weight *= weights.s(w[k], w[k + 1])
-            if weight:
-                terms[expo] = terms.get(expo, Fraction(0)) + weight
-    return MonomialPolynomial(num_vars, terms)
+        terms = [(frozenset(), Fraction(1))]  # (descent set, weight)
+        for k in range(1, n):
+            stall, rise = weights.s(w[k - 1], w[k]), -weights.t(w[k - 1], w[k])
+            terms = [(S, c * stall) for S, c in terms if stall] + [
+                (S | {k}, c * rise) for S, c in terms if rise
+            ]
+        for S, c in terms:
+            totals[S] = totals.get(S, 0) + c
+    return FundamentalQSym(n, {DescentSet(n, S): c for S, c in totals.items()})
 
 
 def deformed_powersum(weights: ArcWeights) -> PowerSumPolynomial:

@@ -23,9 +23,6 @@ SUBSET_CAP = 24
 # Digraph / tournament enumeration streams.
 ENUMERATION_CAP = 2**24
 
-# Dense exponent vectors in monomial expansions.
-MAX_VARIABLES = 16
-
 
 class CapExceededError(ValueError):
     """Raised when an exhaustive routine is asked for an instance above its cap."""

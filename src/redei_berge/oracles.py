@@ -1,7 +1,7 @@
 """Counting machinery behind the power-sum formulas, exposed as
 independently testable identities: linear arc sets and path covers, the
 functional graph of a permutation, signed inclusion-exclusion sums,
-level-respecting listings, the cycle-type monomial sum, permutations
+level-respecting listings, the cycle-colouring sum, permutations
 filtered by their cycles, and the literal per-cycle weight sum over all
 permutations.
 
@@ -18,14 +18,14 @@ from typing import Callable, Iterator, Sequence
 
 from .digraph import Digraph
 from .hamilton import count_hamiltonian_paths
-from .kernel import CycleClass, Permutation, all_permutations
+from .kernel import CycleClass, DescentSet, Permutation, all_permutations
 from .limits import (
     ENUMERATION_CAP,
     FACTORIAL_CAP,
     SUBSET_CAP,
     CapExceededError,
 )
-from .polynomials import MonomialPolynomial, PowerSumPolynomial
+from .polynomials import FundamentalQSym, PowerSumPolynomial
 
 
 @dataclass(frozen=True)
@@ -268,25 +268,38 @@ def friendly_product(d: Digraph, levels: Sequence[int]) -> int:
     return product
 
 
-def polya_sum(sigma: Permutation, num_vars: int) -> MonomialPolynomial:
-    """Sum of the monomials x_{f(0)} * ... * x_{f(n-1)} over the maps f
-    into {1..m} that are constant on every cycle of sigma.
+def polya_sum(sigma: Permutation) -> FundamentalQSym:
+    """p_{type sigma} in the fundamental basis, by brute force.
 
-    Equals the monomial expansion of p_{type sigma} in m variables.
+    The monomials x_{f(0)} * ... * x_{f(n-1)} over the maps f constant on
+    every cycle of sigma, grouped by the variables f uses, are the
+    colourings of the cycles onto {1..k}: each contributes M_alpha, where
+    alpha_i is the total length of the cycles coloured i.  Each M_T is then
+    rewritten as the sum of (-1)^|S - T| L_S over the descent sets S
+    containing T.
     """
     cycles = sigma.cycles
-    if num_vars ** max(len(cycles), 1) > ENUMERATION_CAP:
-        raise CapExceededError(
-            f"{num_vars}^{len(cycles)} cycle colourings exceeds the cap"
-        )
-    terms: dict[tuple[int, ...], int] = {}
-    for values in itertools.product(range(1, num_vars + 1), repeat=len(cycles)):
-        expo = [0] * num_vars
-        for cyc, value in zip(cycles, values):
-            expo[value - 1] += len(cyc)
-        key = tuple(expo)
-        terms[key] = terms.get(key, 0) + 1
-    return MonomialPolynomial(num_vars, terms)
+    c = len(cycles)
+    if c**c > ENUMERATION_CAP:
+        raise CapExceededError(f"{c}^{c} cycle colourings exceeds the cap")
+    monomial: dict[DescentSet, int] = {}
+    for colours in itertools.product(range(c), repeat=c):
+        used = set(colours)
+        if used != set(range(len(used))):
+            continue  # not onto {0..k-1}
+        alpha = [0] * len(used)
+        for cycle, colour in zip(cycles, colours):
+            alpha[colour] += len(cycle)
+        key = DescentSet.from_composition(alpha)
+        monomial[key] = monomial.get(key, 0) + 1
+    terms: dict[DescentSet, int] = {}
+    for cut, count in monomial.items():
+        free = [i for i in range(1, sigma.n) if i not in cut]
+        for r in range(len(free) + 1):
+            for extra in itertools.combinations(free, r):
+                key = DescentSet(sigma.n, cut.members | frozenset(extra))
+                terms[key] = terms.get(key, 0) + (-1) ** r * count
+    return FundamentalQSym(sigma.n, terms)
 
 
 def signed_subset_sum(size: int) -> int:

@@ -1,26 +1,23 @@
-"""Exact sparse polynomials: monomial expansions, power-sum symmetric
-functions, and fundamental quasisymmetric functions.
+"""Exact sparse functions in two canonical bases: power sums for the
+symmetric functions, Gessel's fundamental basis for the quasisymmetric ones.
 
 All coefficients are arbitrary-precision rationals (``fractions.Fraction``);
 no floating point appears anywhere.  Zero coefficients are never stored, so
-equality is plain dictionary equality on canonical keys.
-
-Equality of two homogeneous degree-n (quasi)symmetric functions is decided
-by expanding both in exactly n variables: a degree-n monomial involves at
-most n distinct variables, and (quasi)symmetry makes the restriction to n
-variables faithful.  The test suite cross-validates this at n+1 variables.
+equality in either basis is plain dictionary equality on canonical keys.  A
+power-sum result is compared with a fundamental one after the single bridge
+:meth:`PowerSumPolynomial.to_fundamental` (see Gessel, "Multipartite
+P-partitions and inner products of skew Schur functions", 1984).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .kernel import DescentSet, is_partition
-from .limits import MAX_VARIABLES
+from .kernel import DescentSet, all_descent_sets, is_partition
 
 Rational = Fraction | int
 
@@ -33,115 +30,25 @@ def _coeff(value: Rational) -> Fraction:
     raise TypeError(f"coefficient must be exact (int or Fraction), got {type(value)}")
 
 
-def _check_num_vars(m: int) -> None:
-    if m < 1:
-        raise ValueError(f"need at least one variable, got {m}")
-    if m > MAX_VARIABLES:
-        raise ValueError(f"{m} variables exceeds the dense-vector limit {MAX_VARIABLES}")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-class MonomialPolynomial:
-    """Polynomial in x_1..x_m with exact rational coefficients.
-
-    Terms map dense exponent tuples of length m to nonzero coefficients.
-
-    >>> p = MonomialPolynomial(2, {(1, 0): 1, (0, 1): 1})
-    >>> (p * p).terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
-    True
-    """
-
-    __slots__ = ("num_vars", "terms")
-
-    def __init__(
-        self, num_vars: int, terms: Mapping[tuple[int, ...], Rational] = ()
-    ):
-        _check_num_vars(num_vars)
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for expo, value in dict(terms).items():
-            expo = tuple(expo)
-            if len(expo) != num_vars or any(e < 0 for e in expo):
-                raise ValueError(f"bad exponent vector {expo!r} for {num_vars} variables")
-            coeff = _coeff(value)
-            if coeff:
-                clean[expo] = coeff
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("MonomialPolynomial is immutable")
-
-    @classmethod
-    def zero(cls, num_vars: int) -> "MonomialPolynomial":
-        return cls(num_vars, {})
-
-    @classmethod
-    def one(cls, num_vars: int) -> "MonomialPolynomial":
-        return cls(num_vars, {(0,) * num_vars: 1})
-
-    def _require_same_vars(self, other: "MonomialPolynomial") -> None:
-        if self.num_vars != other.num_vars:
-            raise ValueError(
-                f"variable counts differ: {self.num_vars} vs {other.num_vars}"
-            )
-
-    def __add__(self, other: "MonomialPolynomial") -> "MonomialPolynomial":
-        self._require_same_vars(other)
-        terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            terms[expo] = terms.get(expo, Fraction(0)) + coeff
-        return MonomialPolynomial(self.num_vars, terms)
-
-    def __neg__(self) -> "MonomialPolynomial":
-        return self.scale(-1)
-
-    def __sub__(self, other: "MonomialPolynomial") -> "MonomialPolynomial":
-        return self + (-other)
-
-    def scale(self, value: Rational) -> "MonomialPolynomial":
-        c = _coeff(value)
-        return MonomialPolynomial(
-            self.num_vars, {e: c * v for e, v in self.terms.items()}
+def _parse_rational(value: object, what: str) -> Fraction:
+    """An exact rational from a JSON value: an integer, or a string of the
+    form ``[+-]digits`` or ``[+-]digits/digits``.  Floats, booleans,
+    decimal points and exponents are refused: they are inexact, or (like
+    "1e1000000000") ask for an integer far longer than their text."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
+        raise ValueError(
+            f"{what} must be an integer or a rational string such as "
+            f"\"-1/2\", got {json.dumps(value)}"
         )
-
-    def __mul__(self, other: "MonomialPolynomial") -> "MonomialPolynomial":
-        self._require_same_vars(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return MonomialPolynomial(self.num_vars, terms)
-
-    def coefficient(self, expo: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(expo), Fraction(0))
-
-    def evaluate(self, point: Iterable[Rational]) -> Fraction:
-        values = [_coeff(x) for x in point]
-        if len(values) != self.num_vars:
-            raise ValueError(f"expected {self.num_vars} values, got {len(values)}")
-        total = Fraction(0)
-        for expo, coeff in self.terms.items():
-            term = coeff
-            for x, e in zip(values, expo):
-                term *= x**e
-            total += term
-        return total
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MonomialPolynomial)
-            and self.num_vars == other.num_vars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.num_vars, frozenset(self.terms.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __repr__(self) -> str:
-        return f"MonomialPolynomial({self.num_vars}, {self.terms!r})"
+    numerator, _, denominator = value.partition("/")
+    if denominator and not int(denominator):
+        raise ValueError(f"{what} has a zero denominator")
+    return Fraction(int(numerator), int(denominator or 1))
 
 
 def _partition_sort_key(parts: tuple[int, ...]) -> tuple:
@@ -219,9 +126,6 @@ class PowerSumPolynomial:
     def coefficient(self, parts: Iterable[int]) -> Fraction:
         return self.terms.get(tuple(parts), Fraction(0))
 
-    def is_homogeneous(self) -> bool:
-        return len({sum(p) for p in self.terms}) <= 1
-
     @property
     def degree(self) -> int:
         """Common size of the partitions; 0 for the zero polynomial."""
@@ -255,14 +159,31 @@ class PowerSumPolynomial:
         """
         return sum(self.terms.values(), Fraction(0))
 
-    def expand(self, num_vars: int) -> MonomialPolynomial:
-        """Exact monomial expansion in x_1..x_m, replacing each p_k by
-        x_1^k + ... + x_m^k."""
-        _check_num_vars(num_vars)
-        total = MonomialPolynomial.zero(num_vars)
-        for parts, coeff in self.terms.items():
-            total = total + _expand_partition(parts, num_vars).scale(coeff)
-        return total
+    def to_fundamental(self) -> "FundamentalQSym":
+        """The same homogeneous function in the fundamental basis.
+
+        The coefficient of M_alpha in p_lambda counts the ways to send the
+        parts of lambda into the blocks of alpha so that every block is
+        filled exactly; since L_S is the sum of M_T over the cut sets T
+        containing S, the fundamental coefficient of S is the signed sum
+        of the M_T coefficients over the T inside S.
+
+        >>> f = PowerSumPolynomial({(2,): 1}).to_fundamental()
+        >>> sorted((sorted(s), int(c)) for s, c in f.terms.items())
+        [([], 1), ([1], -1)]
+        """
+        n = self.degree
+        coeffs = {}  # M coefficients by cut set, then L coefficients
+        for key in all_descent_sets(n):
+            blocks = key.composition()
+            coeffs[key.members] = sum(
+                c * _fillings(parts, blocks) for parts, c in self.terms.items()
+            )
+        for k in range(1, n):  # Moebius pass, one cut position at a time
+            for cuts in coeffs:
+                if k in cuts:
+                    coeffs[cuts] -= coeffs[cuts - {k}]
+        return FundamentalQSym(n, {DescentSet(n, S): c for S, c in coeffs.items()})
 
     def to_text(self) -> str:
         """Canonical rendering, e.g. ``p[3] + 2*p[2,1] + p[1,1,1]``."""
@@ -303,7 +224,7 @@ class PowerSumPolynomial:
         terms: dict[tuple[int, ...], Fraction] = {}
         for key, value in data.items():
             parts = tuple(int(p) for p in key.split(",")) if key else ()
-            terms[parts] = Fraction(value)
+            terms[parts] = _parse_rational(value, f"coefficient of {key!r}")
         return cls(terms)
 
     def __eq__(self, other: object) -> bool:
@@ -319,55 +240,19 @@ class PowerSumPolynomial:
         return f"PowerSumPolynomial({self.terms!r})"
 
 
-@lru_cache(maxsize=None)
-def _expand_power_sum(k: int, num_vars: int) -> MonomialPolynomial:
-    terms = {}
-    for i in range(num_vars):
-        expo = [0] * num_vars
-        expo[i] = k
-        terms[tuple(expo)] = 1
-    return MonomialPolynomial(num_vars, terms)
-
-
-@lru_cache(maxsize=None)
-def _expand_partition(parts: tuple[int, ...], num_vars: int) -> MonomialPolynomial:
+@lru_cache(maxsize=1 << 16)  # degree 9 needs about 18,000 entries
+def _fillings(parts: tuple[int, ...], blocks: tuple[int, ...]) -> int:
+    """Ways to send the parts (told apart by position) into the blocks so
+    that every block is filled exactly: the M_blocks coefficient of
+    p_parts."""
     if not parts:
-        return MonomialPolynomial.one(num_vars)
-    return _expand_partition(parts[1:], num_vars) * _expand_power_sum(
-        parts[0], num_vars
+        return int(not any(blocks))
+    first, rest = parts[0], parts[1:]
+    return sum(
+        _fillings(rest, (*blocks[:j], room - first, *blocks[j + 1 :]))
+        for j, room in enumerate(blocks)
+        if room >= first
     )
-
-
-def expand_fundamental(descents: DescentSet, num_vars: int) -> MonomialPolynomial:
-    """Monomial expansion of the fundamental quasisymmetric function indexed
-    by a descent set.
-
-    Sums x_{i_1}...x_{i_n} over weakly increasing sequences
-    1 <= i_1 <= ... <= i_n <= m with a strict rise i_p < i_{p+1} at every
-    position p in the descent set.  Homogeneous of degree n.
-
-    >>> L = expand_fundamental(DescentSet.of(3, {2}), 3)
-    >>> L.coefficient((1, 1, 1)), L.coefficient((2, 1, 0)), L.coefficient((3, 0, 0))
-    (Fraction(1, 1), Fraction(1, 1), Fraction(0, 1))
-    """
-    _check_num_vars(num_vars)
-    return _expand_fundamental_cached(descents.n, descents.members, num_vars)
-
-
-@lru_cache(maxsize=None)
-def _expand_fundamental_cached(
-    n: int, members: frozenset[int], num_vars: int
-) -> MonomialPolynomial:
-    terms: dict[tuple[int, ...], int] = {}
-    for seq in itertools.combinations_with_replacement(range(1, num_vars + 1), n):
-        if any(seq[p - 1] >= seq[p] for p in members):
-            continue
-        expo = [0] * num_vars
-        for i in seq:
-            expo[i - 1] += 1
-        key = tuple(expo)
-        terms[key] = terms.get(key, 0) + 1
-    return MonomialPolynomial(num_vars, terms)
 
 
 class FundamentalQSym:
@@ -422,13 +307,6 @@ class FundamentalQSym:
         """Evaluation at x_1 = 1, rest 0: the coefficient of the empty
         descent set (every other fundamental vanishes there)."""
         return self.terms.get(DescentSet.of(self.n), Fraction(0))
-
-    def expand(self, num_vars: int) -> MonomialPolynomial:
-        _check_num_vars(num_vars)
-        total = MonomialPolynomial.zero(num_vars)
-        for key, coeff in self.terms.items():
-            total = total + expand_fundamental(key, num_vars).scale(coeff)
-        return total
 
     def __eq__(self, other: object) -> bool:
         return (

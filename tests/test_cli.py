@@ -4,7 +4,13 @@ import json
 import pytest
 
 from conftest import THREE_LOOP
-from redei_berge import PowerSumPolynomial, format_digraph, parse_digraph
+from redei_berge import (
+    DescentSet,
+    FundamentalQSym,
+    PowerSumPolynomial,
+    format_digraph,
+    parse_digraph,
+)
 from redei_berge import cli
 
 
@@ -41,11 +47,29 @@ class TestCompute:
         assert PowerSumPolynomial.from_json(json_out).to_text() == text_out.strip()
 
     def test_check_flag(self, capsys):
-        code, out, err = run(
-            capsys, "compute", "--arcs", "3;0 1;1 1;2 2", "--check", "--vars", "4"
-        )
+        code, out, err = run(capsys, "compute", "--arcs", "3;0 1;1 1;2 2", "--check")
         assert code == 0
-        assert "agrees in 4 variables" in err
+        assert "definition route agrees in the fundamental basis" in err
+
+    def test_check_flag_reports_a_disagreement(self, capsys, monkeypatch):
+        # fault injection: the definition route loses one listing
+        real = cli.redei_berge_by_definition
+
+        def broken(d):
+            f = real(d)
+            return f - FundamentalQSym(d.n, {DescentSet.of(d.n): 1})
+
+        monkeypatch.setattr(cli, "redei_berge_by_definition", broken)
+        code, out, err = run(capsys, "compute", "--arcs", "3;0 1;1 1;2 2", "--check")
+        assert code == 1
+        assert "definition route disagrees" in err
+        assert out.strip() == "p[3] + 2*p[2,1] + p[1,1,1]"
+
+    def test_vars_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["compute", "--arcs", "3;0 1", "--check", "--vars", "2"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --vars 2" in capsys.readouterr().err
 
     def test_reads_file(self, capsys, tmp_path):
         path = tmp_path / "d.txt"
@@ -104,6 +128,12 @@ class TestDeformed:
             ('{"n": true, "t": {"0,0": "1"}}', "'n' must be an integer, got true"),
             ('{"n": 1, "t": {"0,0": 0.1}}', "must be an integer or a rational string"),
             ('{"n": 2, "t": {"0,1": "1/0"}}', "weight of '0,1' has a zero denominator"),
+            (
+                '{"n": 2, "t": {"0,1": "1", "0,01": "2"}}',
+                "pair keys '0,1' and '0,01' both name (0, 1)",
+            ),
+            ('{"n": 2, "t": {"0,1": "1e1000000000"}}', "weight of '0,1' must be"),
+            ('{"n": 2, "t": {"0,1": "1.5"}}', "weight of '0,1' must be"),
         ],
     )
     def test_mistyped_weight_json_is_exit_2(self, capsys, monkeypatch, text, message):
@@ -250,10 +280,10 @@ class TestVerify:
 
     def test_failure_echoes_counterexample(self, capsys, monkeypatch):
         # fault injection: a check that rejects any digraph with an arc
-        def broken(d, num_vars):
+        def broken(d):
             return d.arc_count == 0, {"note": "injected"}
 
-        monkeypatch.setitem(cli._CHECKS, "thm1", ("digraph", broken))
+        monkeypatch.setitem(cli._CHECKS, "thm1", ("digraph", broken, 9))
         code, out, _ = run(capsys, "verify", "thm1", "--exhaustive", "2", "--jobs", "1")
         assert code == 1
         assert "FAIL at instance #1" in out
@@ -262,10 +292,10 @@ class TestVerify:
         assert parse_digraph("\n".join(replay[:2])).arc_count == 1
 
     def test_keep_going_reports_all(self, capsys, monkeypatch):
-        def broken(d, num_vars):
+        def broken(d):
             return d.arc_count == 0, {}
 
-        monkeypatch.setitem(cli._CHECKS, "thm1", ("digraph", broken))
+        monkeypatch.setitem(cli._CHECKS, "thm1", ("digraph", broken, 9))
         code, out, _ = run(
             capsys,
             "verify",
@@ -284,6 +314,42 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "thm1", "--exhaustive", "6", "--jobs", "1")
         assert code == 2
         assert "cap" in err
+
+    @pytest.mark.parametrize(
+        "target, argv, message",
+        [
+            ("thm1", "--random 20 --max-n 12", "--max-n 12 exceeds the thm1 cap"),
+            ("thm1", "--exhaustive 10", "--exhaustive 10 exceeds the thm1 cap of 9"),
+            ("lemmas", "--exhaustive 10", "exceeds the lemmas cap of 9"),
+            ("mod4", "--exhaustive 13", "exceeds the mod4 cap of 12"),
+            ("berge", "--random 1 --max-n 23", "exceeds the berge cap of 22"),
+            ("zeta", "--random -3", "--random must be nonnegative, got -3"),
+            ("zeta", "--random 3 --max-n -1", "--max-n must be nonnegative"),
+            ("zeta", "--exhaustive -1", "--exhaustive must be nonnegative"),
+        ],
+    )
+    def test_sizes_refused_before_any_work(
+        self, capsys, monkeypatch, target, argv, message
+    ):
+        def no_work(*args):
+            raise AssertionError("work started before the size check")
+
+        kind, _, cap = cli._CHECKS[target]
+        monkeypatch.setitem(cli._CHECKS, target, (kind, no_work, cap))
+        monkeypatch.setattr(cli, "_lemma_preamble", no_work)
+        monkeypatch.setattr(cli, "_random_instances", no_work)
+        monkeypatch.setattr(cli, "_exhaustive_instances", no_work)
+        code, out, err = run(capsys, "verify", target, *argv.split(), "--jobs", "1")
+        assert code == 2
+        assert out == ""
+        assert message in err and "Traceback" not in err
+
+    def test_sizes_at_the_cap_are_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "mod4", "--random", "1", "--max-n", "12", "--seed", "3"
+        )
+        assert code == 0
+        assert "1/1 pass" in out
 
     def test_unknown_target_is_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:

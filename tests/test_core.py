@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FIVE_TOURNAMENT, GESSEL, REMARK, THREE_LOOP
 from redei_berge import (
@@ -11,22 +12,24 @@ from redei_berge import (
     CapExceededError,
     CycleClass,
     Digraph,
+    FundamentalQSym,
     Permutation,
     PowerSumPolynomial,
+    all_descent_sets,
     all_permutations,
+    count_hamiltonian_paths,
     d_cycle_excess,
     d_cycle_permutations,
     deformed_by_definition,
     deformed_powersum,
-    descent_distribution,
     descent_set,
     enumerate_digraphs,
     enumerate_tournaments,
-    expand_fundamental,
     in_doubled_odd_cone,
     is_risky,
     major_index,
     mixed_cycle_permutations,
+    partition_of,
     random_digraph,
     random_tournament,
     redei_berge_by_definition,
@@ -37,6 +40,10 @@ from redei_berge import (
 from redei_berge.kernel import DescentSet
 
 P = PowerSumPolynomial
+
+
+def L(n: int, *members: int) -> FundamentalQSym:
+    return FundamentalQSym(n, {DescentSet.of(n, members): 1})
 
 
 def naive_mixed(d):
@@ -109,7 +116,7 @@ class TestDescents:
 
 class TestDefinitionRoute:
     def test_descent_distribution_of_example(self):
-        dist = descent_distribution(THREE_LOOP)
+        dist = redei_berge_by_definition(THREE_LOOP)
         assert dist.terms == {
             DescentSet.of(3): 4,
             DescentSet.of(3, {1}): 1,
@@ -117,25 +124,21 @@ class TestDefinitionRoute:
         }
 
     def test_expansion_matches_fundamental_combination(self):
-        lhs = redei_berge_by_definition(THREE_LOOP, 3)
-        rhs = (
-            expand_fundamental(DescentSet.of(3), 3).scale(4)
-            + expand_fundamental(DescentSet.of(3, {1}), 3)
-            + expand_fundamental(DescentSet.of(3, {2}), 3)
-        )
-        assert lhs == rhs
+        lhs = redei_berge_by_definition(THREE_LOOP)
+        assert lhs == L(3).scale(4) + L(3, 1) + L(3, 2)
+        assert lhs == redei_berge_powersum(THREE_LOOP).to_fundamental()
 
     def test_zero_vertices_gives_constant_one(self):
-        f = redei_berge_by_definition(Digraph(0), 2)
-        assert f.coefficient((0, 0)) == 1
+        f = redei_berge_by_definition(Digraph(0))
+        assert f.coefficient(DescentSet.of(0)) == 1
         assert len(f.terms) == 1
 
     def test_one_vertex_gives_first_power_sum(self):
-        assert redei_berge_by_definition(Digraph(1), 3) == P.p(1).expand(3)
+        assert redei_berge_by_definition(Digraph(1)) == P.p(1).to_fundamental()
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
-            redei_berge_by_definition(Digraph(10), 2)
+        with pytest.raises(CapExceededError, match="listing-sum cap of 9"):
+            redei_berge_by_definition(Digraph(10))
 
 
 class TestPermutationSets:
@@ -208,17 +211,15 @@ class TestPowerSumRoutes:
 
     def test_matches_definition_exhaustive_n3(self):
         for n in range(4):
-            m = max(1, n)
             for d in enumerate_digraphs(n):
-                assert redei_berge_powersum(d).expand(m) == redei_berge_by_definition(
-                    d, m
-                )
+                f = redei_berge_powersum(d)
+                assert f.to_fundamental() == redei_berge_by_definition(d)
 
     def test_matches_definition_beyond_the_profile_cache(self):
         # n = 6 is checked against the listing sum; at n = 8 the
         # zeta value is checked against the complete complement's n! paths
         d = random_digraph(6, 0.5, seed=99)
-        assert redei_berge_powersum(d).expand(6) == redei_berge_by_definition(d, 6)
+        assert redei_berge_powersum(d).to_fundamental() == redei_berge_by_definition(d)
         arcless = Digraph(8)
         f = redei_berge_powersum(arcless)
         assert f.zeta() == math.factorial(8)  # complement is complete
@@ -230,22 +231,28 @@ class TestPowerSumRoutes:
             n = rng.randint(0, 5)
             d = random_digraph(n, 0.5, seed=rng.getrandbits(32))
             f = redei_berge_powersum(d)
-            assert f.expand(max(1, n)) == redei_berge_by_definition(d, max(1, n))
-            # one variable beyond the faithfulness threshold
-            assert f.expand(n + 1) == redei_berge_by_definition(d, n + 1)
+            g = redei_berge_by_definition(d)
+            assert f.to_fundamental() == g
+            # independently: both zeta values count the complement's paths
+            hamps = count_hamiltonian_paths(d.complement()).value
+            assert f.zeta() == g.zeta() == hamps
 
     def test_listing_sum_is_symmetric_in_the_variables(self):
+        # a quasisymmetric function is symmetric iff its M_alpha
+        # coefficients depend only on the multiset of parts of alpha; the
+        # M_T coefficient is the sum of the L_S coefficients over S inside T
         rng = random.Random(13)
         for _ in range(15):
             n = rng.randint(1, 4)
             d = random_digraph(n, 0.5, seed=rng.getrandbits(32))
-            f = redei_berge_by_definition(d, n)
-            for swap in itertools.permutations(range(n)):
-                swapped = {
-                    tuple(expo[swap[i]] for i in range(n)): coeff
-                    for expo, coeff in f.terms.items()
-                }
-                assert swapped == f.terms
+            f = redei_berge_by_definition(d)
+            by_shape: dict[tuple[int, ...], set] = {}
+            for cut in all_descent_sets(n):
+                m_coeff = sum(
+                    c for s, c in f.terms.items() if s.members <= cut.members
+                )
+                by_shape.setdefault(partition_of(cut.composition()), set()).add(m_coeff)
+            assert all(len(values) == 1 for values in by_shape.values())
 
     def test_coefficients_are_integers(self):
         rng = random.Random(9)
@@ -267,7 +274,7 @@ class TestPowerSumRoutes:
         f = redei_berge_powersum(FIVE_TOURNAMENT)
         assert redei_berge_tournament(FIVE_TOURNAMENT) == f
         assert redei_berge_two_cycle_free(FIVE_TOURNAMENT) == f
-        assert f.expand(5) == redei_berge_by_definition(FIVE_TOURNAMENT, 5)
+        assert f.to_fundamental() == redei_berge_by_definition(FIVE_TOURNAMENT)
 
     def test_all_routes_agree_on_small_tournaments(self):
         for n in range(5):
@@ -285,7 +292,7 @@ class TestPowerSumRoutes:
         d = Digraph(3, [(0, 1), (1, 2)])
         f = redei_berge_two_cycle_free(d)
         assert f == redei_berge_powersum(d)
-        assert f.expand(3) == redei_berge_by_definition(d, 3)
+        assert f.to_fundamental() == redei_berge_by_definition(d)
         assert all(c.denominator == 1 and c >= 0 for c in f.terms.values())
 
     def test_two_cycle_free_nonnegative_exhaustive(self):
@@ -386,14 +393,21 @@ class TestDeformation:
         for _ in range(10):
             n = rng.randint(0, 4)
             w = ArcWeights.random(n, seed=rng.getrandbits(32))
-            m = max(1, n)
-            assert deformed_powersum(w).expand(m) == deformed_by_definition(w, m)
+            assert deformed_powersum(w).to_fundamental() == deformed_by_definition(w)
 
     def test_zero_weights_give_factorial_times_complete_homogeneous(self):
         for n in range(5):
             w = ArcWeights(n)
-            expected = expand_fundamental(DescentSet.of(n), 3).scale(math.factorial(n))
-            assert deformed_by_definition(w, 3) == expected
+            assert deformed_by_definition(w) == L(n).scale(math.factorial(n))
+
+    def test_indicator_weights_reproduce_the_listing_sum(self):
+        # t = -1 on arcs: a listing gives weight 1 to L_Des(w) alone
+        rng = random.Random(21)
+        for _ in range(25):
+            n = rng.randint(0, 4)
+            d = random_digraph(n, 0.5, seed=rng.getrandbits(32))
+            w = ArcWeights.from_digraph(d)
+            assert deformed_by_definition(w) == redei_berge_by_definition(d)
 
     def test_indicator_specialization_reproduces_powersum_form(self):
         rng = random.Random(19)
@@ -440,6 +454,46 @@ class TestDeformation:
             ArcWeights.from_json('{"t": {}}')
         with pytest.raises(ValueError):
             ArcWeights.from_json('{"n": 2, "t": {"0": "1"}}')
+
+    def test_weights_json_refuses_a_pair_named_twice(self):
+        with pytest.raises(ValueError, match="'0,1' and '0,01' both name"):
+            ArcWeights.from_json('{"n": 2, "t": {"0,1": "1", "0,01": "2"}}')
+        with pytest.raises(ValueError, match="'0,1' appears twice"):
+            ArcWeights.from_json('{"n": 2, "t": {"0,1": "1", "0,1": "2"}}')
+
+    @pytest.mark.parametrize(
+        "weight",
+        [
+            '"1e400"',  # an exponent: refused before any digits are built
+            '"1.5"',
+            "1.5",
+            '" 1"',
+            '"1/-2"',
+            '"\u0661"',  # a non-ASCII digit
+        ],
+    )
+    def test_weights_json_accepts_only_exact_rational_forms(self, weight):
+        with pytest.raises(ValueError, match="must be an integer or a rational string"):
+            ArcWeights.from_json('{"n": 2, "t": {"0,1": %s}}' % weight)
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.dictionaries(
+                    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    st.fractions(max_denominator=50),
+                    max_size=n * n,
+                )
+                if n
+                else st.just({}),
+            )
+        )
+    )
+    def test_weights_json_round_trip_property(self, case):
+        w = ArcWeights(*case)
+        assert ArcWeights.from_json(w.to_json()) == w
 
 
 class TestCapsBeforeWork:

@@ -9,9 +9,12 @@ from redei_berge import (
     ArcSet,
     ArcWeights,
     CapExceededError,
+    DescentSet,
     Digraph,
+    FundamentalQSym,
     Permutation,
     PowerSumPolynomial,
+    all_descent_sets,
     count_friendly_listings,
     count_hamiltonian_paths,
     count_listings_containing,
@@ -280,24 +283,37 @@ class TestFriendlyListings:
 class TestPolyaSum:
     def test_identity_gives_power_of_linear_form(self):
         e = Permutation.identity(3)
-        expected = PowerSumPolynomial({(1, 1, 1): 1}).expand(2)
-        assert polya_sum(e, 2) == expected
+        expected = PowerSumPolynomial({(1, 1, 1): 1}).to_fundamental()
+        assert polya_sum(e) == expected
+        # p_1^3 counts the six permutations of 3 by descent set
+        assert expected.coefficient(DescentSet.of(3, {1})) == 2
+        assert expected.coefficient(DescentSet.of(3, {1, 2})) == 1
 
     def test_single_cycle_gives_power_sum(self):
         sigma = Permutation.from_cycles(4, [(0, 1, 2, 3)])
-        assert polya_sum(sigma, 3) == PowerSumPolynomial({(4,): 1}).expand(3)
+        assert polya_sum(sigma) == PowerSumPolynomial({(4,): 1}).to_fundamental()
+        # p_4 = M_4 = sum over S of (-1)^|S| L_S
+        assert polya_sum(sigma) == FundamentalQSym(
+            4, {s: (-1) ** len(s.members) for s in all_descent_sets(4)}
+        )
 
     def test_three_two_one_cycle_type(self):
         sigma = Permutation([1, 2, 0, 4, 3, 5])
-        assert polya_sum(sigma, 3) == PowerSumPolynomial({(3, 2, 1): 1}).expand(3)
+        expected = PowerSumPolynomial({(3, 2, 1): 1}).to_fundamental()
+        assert polya_sum(sigma) == expected
 
     def test_matches_expansion_for_all_of_s4(self):
-        for images in itertools.permutations(range(4)):
-            sigma = Permutation(images)
-            for m in range(1, 5):
-                assert polya_sum(sigma, m) == PowerSumPolynomial(
-                    {sigma.cycle_type: 1}
-                ).expand(m)
+        for n in range(5):
+            for images in itertools.permutations(range(n)):
+                sigma = Permutation(images)
+                assert (
+                    polya_sum(sigma)
+                    == PowerSumPolynomial({sigma.cycle_type: 1}).to_fundamental()
+                )
+
+    def test_colourings_capped_before_enumeration(self):
+        with pytest.raises(CapExceededError, match="colourings"):
+            polya_sum(Permutation.identity(9))  # 9^9 colourings
 
 
 class TestSignedSubsetSum:

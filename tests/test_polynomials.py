@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,14 +9,13 @@ from hypothesis import given, settings, strategies as st
 from redei_berge import (
     DescentSet,
     FundamentalQSym,
-    MonomialPolynomial,
     PowerSumPolynomial,
     all_descent_sets,
-    expand_fundamental,
     partition_of,
 )
 
 P = PowerSumPolynomial
+F = FundamentalQSym
 
 partitions = st.lists(st.integers(1, 5), min_size=0, max_size=4).map(partition_of)
 
@@ -34,69 +34,112 @@ def homogeneous_ppoly(n: int) -> st.SearchStrategy[PowerSumPolynomial]:
     ).map(P)
 
 
+def partitions_of(n: int) -> list[tuple[int, ...]]:
+    return [
+        p
+        for k in range(n + 1)
+        for p in itertools.combinations_with_replacement(range(n, 0, -1), k)
+        if sum(p) == n
+    ]
+
+
+def z(lam: tuple[int, ...]) -> int:
+    """Size of the centralizer of a permutation of cycle type lam."""
+    return math.prod(
+        k**m * math.factorial(m) for k, m in ((k, lam.count(k)) for k in set(lam))
+    )
+
+
+def L(n: int, *members: int) -> FundamentalQSym:
+    return F(n, {DescentSet.of(n, members): 1})
+
+
 class TestExpandFundamental:
+    """Known symmetric functions reach the fundamental basis through the
+    bridge from their power-sum forms."""
+
     def test_middle_descent_example(self):
-        L = expand_fundamental(DescentSet.of(3, {2}), 3)
-        assert L.coefficient((1, 1, 1)) == 1
-        assert L.coefficient((2, 1, 0)) == 1  # x1 x1 x2 admissible: 1 <= 1 < 2
-        assert L.coefficient((3, 0, 0)) == 0  # x1^3 has no strict rise
+        # the Schur function s_21 = (p_111 - p_3) / 3 is L_{1} + L_{2}, one
+        # term per standard tableau of shape (2, 1)
+        s21 = P({(1, 1, 1): Fraction(1, 3), (3,): Fraction(-1, 3)})
+        assert s21.to_fundamental() == L(3, 1) + L(3, 2)
 
     def test_empty_descents_is_complete_homogeneous(self):
-        L = expand_fundamental(DescentSet.of(4), 3)
-        assert L.coefficient((4, 0, 0)) == 1
-        assert L.coefficient((2, 1, 1)) == 1
-        # one term per weakly increasing sequence
-        assert sum(L.terms.values()) == 15  # C(4 + 3 - 1, 4)
+        # h_n = sum p_lam / z_lam is the single fundamental L_{}
+        for n in range(7):
+            h = P({lam: Fraction(1, z(lam)) for lam in partitions_of(n)})
+            assert h.to_fundamental() == L(n)
 
     def test_full_descents_is_elementary(self):
-        L = expand_fundamental(DescentSet.of(3, {1, 2}), 4)
-        assert len(L.terms) == 4  # C(4, 3) squarefree monomials
-        assert all(set(e) <= {0, 1} for e in L.terms)
-        assert all(c == 1 for c in L.terms.values())
+        # e_n = sum sign(lam) p_lam / z_lam is L_{1..n-1}
+        for n in range(7):
+            e = P(
+                {
+                    lam: Fraction((-1) ** (n - len(lam)), z(lam))
+                    for lam in partitions_of(n)
+                }
+            )
+            assert e.to_fundamental() == L(n, *range(1, n))
 
     def test_degree_zero(self):
-        L = expand_fundamental(DescentSet.of(0), 2)
-        assert L == MonomialPolynomial.one(2)
+        assert P.one().to_fundamental() == L(0)
+        assert P.zero().to_fundamental() == F.zero(0)
 
     def test_distinct_descent_sets_expand_distinctly(self):
-        # faithfulness of the n-variable truncation, degree up to 6
+        # the bridge is injective on the power-sum basis, degree up to 6
         for n in range(1, 7):
-            expansions = [expand_fundamental(s, n) for s in all_descent_sets(n)]
-            assert all(expansions)
-            assert len({hash(e) for e in expansions}) == len(expansions)
-            assert len(set(expansions)) == len(expansions)
+            images = [P({lam: 1}).to_fundamental() for lam in partitions_of(n)]
+            assert all(images)
+            assert len({hash(f) for f in images}) == len(images)
+            assert len(set(images)) == len(images)
 
 
 class TestExpandPowerSums:
     def test_one_variable(self):
-        assert P({(2, 2, 1): 1}).expand(1) == MonomialPolynomial(1, {(5,): 1})
+        # restricting to one variable keeps only L_{}: p_221 there is x^5
+        f = P({(2, 2, 1): 1}).to_fundamental()
+        assert f.zeta() == 1
 
     def test_multinomial(self):
-        assert P({(1, 1, 1): 1}).expand(2).coefficient((2, 1)) == 3
+        # p_1^3 counts the six permutations of 3 by descent set
+        f = P({(1, 1, 1): 1}).to_fundamental()
+        assert f == L(3) + (L(3, 1) + L(3, 2)).scale(2) + L(3, 1, 2)
 
     def test_two_one_by_hand(self):
-        # (x1^2 + x2^2)(x1 + x2) expanded by hand
-        expected = MonomialPolynomial(
-            2, {(3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1}
-        )
-        assert P({(2, 1): 1}).expand(2) == expected
+        # p_2 p_1 = M_3 + M_21 + M_12 = h_3 - e_3, worked by hand
+        assert P({(2, 1): 1}).to_fundamental() == L(3) - L(3, 1, 2)
+
+    @settings(max_examples=40)
+    @given(partitions, partitions)
+    def test_multiplicative_on_partition_union(self, lam, mu):
+        assert P({lam: 1}) * P({mu: 1}) == P({partition_of(lam + mu): 1})
 
     def test_empty_partition_is_one(self):
-        assert P.one().expand(3) == MonomialPolynomial.one(3)
+        assert P.one().to_fundamental() == F(0, {DescentSet.of(0): 1})
 
     @settings(max_examples=40)
-    @given(partitions, partitions, st.integers(1, 4))
-    def test_multiplicative_on_partition_union(self, lam, mu, m):
-        if sum(lam) + sum(mu) > 8:
-            return
-        union = partition_of(lam + mu)
-        assert P({union: 1}).expand(m) == P({lam: 1}).expand(m) * P({mu: 1}).expand(m)
-
-    @settings(max_examples=40)
-    @given(ppolys, st.integers(1, 3))
-    def test_linear(self, f, m):
+    @given(st.integers(0, 6).flatmap(homogeneous_ppoly))
+    def test_linear(self, f):
         g = f.scale(3)
-        assert (f + g).expand(m) == f.expand(m) + g.expand(m)
+        assert (f + g).to_fundamental() == f.to_fundamental() + g.to_fundamental()
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_power_of_p1_counts_permutations_by_descent_set(self, n):
+        counts: dict[DescentSet, int] = {}
+        for w in itertools.permutations(range(n)):
+            key = DescentSet.of(n, [i for i in range(1, n) if w[i - 1] > w[i]])
+            counts[key] = counts.get(key, 0) + 1
+        assert P({(1,) * n: 1}).to_fundamental() == F(n, counts)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_single_power_sum_is_alternating(self, n):
+        # p_n = M_(n) = sum over S of (-1)^|S| L_S
+        expected = F(n, {s: (-1) ** len(s.members) for s in all_descent_sets(n)})
+        assert P.p(n).to_fundamental() == expected
+
+    def test_inhomogeneous_refused(self):
+        with pytest.raises(ValueError):
+            P({(2,): 1, (1,): 1}).to_fundamental()
 
 
 class TestInvolutions:
@@ -149,21 +192,19 @@ class TestZeta:
         assert P.zero().zeta() == 0
 
     @settings(max_examples=40)
-    @given(ppolys)
+    @given(st.integers(0, 6).flatmap(homogeneous_ppoly))
     def test_matches_one_variable_evaluation(self, f):
-        assert f.zeta() == f.expand(1).evaluate([1])
+        # x_1 = 1, rest 0, read in the fundamental basis
+        assert f.zeta() == f.to_fundamental().zeta()
 
     @pytest.mark.parametrize("n", range(6))
     def test_fundamental_expansion_at_first_unit_vector(self, n):
-        # evaluating the expansion at x1 = 1, rest 0 detects exactly the
-        # empty descent set
-        from redei_berge import all_descent_sets
-
-        m = max(1, n)
-        point = [1] + [0] * (m - 1)
+        # at x1 = 1, rest 0, L_S is 1 for the empty descent set and 0
+        # otherwise, and every p_lam is 1
         for s in all_descent_sets(n):
-            value = expand_fundamental(s, m).evaluate(point)
-            assert value == (1 if not s.members else 0)
+            assert F(n, {s: 1}).zeta() == (1 if not s.members else 0)
+        for lam in partitions_of(n):
+            assert P({lam: 1}).to_fundamental().zeta() == 1
 
     def test_fundamental_zeta_picks_empty_set(self):
         g = FundamentalQSym(
@@ -179,35 +220,30 @@ class TestArithmetic:
             3, {DescentSet.of(3): 4, DescentSet.of(3, {1}): 1, DescentSet.of(3, {2}): 1}
         )
         f = P({(1, 1, 1): 1, (2, 1): 2, (3,): 1})
-        assert g.expand(3) == f.expand(3)
-        assert g.expand(4) == f.expand(4)  # cross-validation one variable up
+        assert f.to_fundamental() == g
 
     def test_cancellation(self):
         f = P({(2, 1): 5, (1, 1): -2})
         assert f + f.scale(-1) == P.zero()
-        g = MonomialPolynomial(2, {(1, 1): Fraction(1, 2)})
-        assert g - g == MonomialPolynomial.zero(2)
+        g = F(2, {DescentSet.of(2, {1}): Fraction(1, 2)})
+        assert g - g == F.zero(2)
 
     def test_scale_by_zero(self):
         assert P({(3,): 7}).scale(0) == P.zero()
 
     def test_zero_coefficients_dropped(self):
         assert P({(2,): 0}).terms == {}
-        assert not MonomialPolynomial(2, {(1, 0): 0})
+        assert not F(2, {DescentSet.of(2): 0})
 
-    def test_variable_count_mismatch_raises(self):
-        a = MonomialPolynomial(2, {(1, 0): 1})
-        b = MonomialPolynomial(3, {(1, 0, 0): 1})
+    def test_degree_mismatch_raises(self):
         with pytest.raises(ValueError):
-            a + b
-        with pytest.raises(ValueError):
-            a * b
+            L(2) + L(3)
 
-    def test_bad_exponent_vector_rejected(self):
+    def test_key_of_another_degree_rejected(self):
         with pytest.raises(ValueError):
-            MonomialPolynomial(2, {(1, 0, 0): 1})
+            F(2, {DescentSet.of(3): 1})
         with pytest.raises(ValueError):
-            MonomialPolynomial(2, {(-1, 0): 1})
+            F(2, {(1,): 1})
 
     def test_float_coefficients_rejected(self):
         with pytest.raises(TypeError):
@@ -246,3 +282,23 @@ class TestRendering:
     def test_json_round_trip_with_constant_and_rationals(self):
         f = P({(): Fraction(1, 2), (4, 4): -3})
         assert P.from_json(f.to_json()) == f
+
+    @settings(max_examples=60)
+    @given(st.dictionaries(partitions, st.fractions(max_denominator=50), max_size=5))
+    def test_json_round_trip_property(self, terms):
+        f = P(terms)
+        assert P.from_json(f.to_json()) == f
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"2": "1e400"}', "rational string"),  # an exponent, refused unparsed
+            ('{"2": "1.5"}', "rational string"),
+            ('{"2": 1.5}', "rational string"),
+            ('{"2": true}', "rational string"),
+            ('{"2": "1/0"}', "zero denominator"),
+        ],
+    )
+    def test_json_refuses_inexact_coefficients(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            P.from_json(text)
