@@ -46,7 +46,11 @@ from .digraph import (
     parse_digraph,
 )
 from .hamilton import (
+    _berge_report,
+    _mod4_report,
+    _redei_report,
     count_hamiltonian_paths,
+    count_nontrivial_odd_cycles,
     verify_berge,
     verify_mod4,
     verify_redei,
@@ -329,14 +333,13 @@ def _cmd_deformed(args: argparse.Namespace) -> int:
 def _cmd_hamps(args: argparse.Namespace) -> int:
     d = _read_digraph(args)
     hamps = count_hamiltonian_paths(d).value
+    hamps_complement = count_hamiltonian_paths(d.complement()).value
     is_tournament = d.is_tournament()
-    reports = {"berge": verify_berge(d)}
+    reports = {"berge": _berge_report(d.n, hamps, hamps_complement)}
     if is_tournament:
-        reports["redei"] = verify_redei(d)
-        try:
-            reports["mod4"] = verify_mod4(d)
-        except CapExceededError:
-            pass  # cycle enumeration capped below the path-counting cap
+        reports["redei"] = _redei_report(d.n, hamps)
+        if d.n <= CYCLE_ENUM_CAP:
+            reports["mod4"] = _mod4_report(d.n, hamps, count_nontrivial_odd_cycles(d))
     if args.format == "json":
         payload = {"n": d.n, "hamps": str(hamps), "tournament": is_tournament}
         payload.update(reports)
@@ -367,7 +370,8 @@ def _cmd_hamps(args: argparse.Namespace) -> int:
 
 def _check_sweep_size(args: argparse.Namespace, cap: int) -> None:
     """Refuses a sweep whose sizes are negative or above the target's cap,
-    before any instance is built or checked."""
+    or whose worker count is below 1, before any instance is built or
+    checked."""
     if args.exhaustive is not None:
         flag, n = "--exhaustive", args.exhaustive
     elif args.random < 0:
@@ -380,6 +384,8 @@ def _check_sweep_size(args: argparse.Namespace, cap: int) -> None:
         raise CapExceededError(
             f"{flag} {n} exceeds the {args.target} cap of {cap} vertices"
         )
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -511,7 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-n", type=int, default=5, help="max vertices for --random")
     p.add_argument("--seed", type=int, default=0, help="seed for --random")
-    p.add_argument("--jobs", type=int, help="workers (default and cap: usable CPUs)")
+    p.add_argument(
+        "--jobs", type=int, help="workers, at least 1 (default and cap: usable CPUs)"
+    )
     p.add_argument(
         "--keep-going",
         action="store_true",

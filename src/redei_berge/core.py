@@ -43,7 +43,9 @@ from .polynomials import (
     PowerSumPolynomial,
     Rational,
     _coeff,
+    _parse_key,
     _parse_rational,
+    _unique_keys,
 )
 
 
@@ -165,15 +167,6 @@ def in_doubled_odd_cone(f: PowerSumPolynomial) -> bool:
     return True
 
 
-def _unique_keys(items: list[tuple[str, object]]) -> dict:
-    data: dict = {}
-    for key, value in items:
-        if key in data:
-            raise ValueError(f"key {key!r} appears twice")
-        data[key] = value
-    return data
-
-
 class ArcWeights:
     """A rational weight t(u, v) for every ordered vertex pair; the shifted
     weight is s(u, v) = t(u, v) + 1.  Drives the deformed Redei--Berge
@@ -232,8 +225,9 @@ class ArcWeights:
     def from_json(cls, text: str) -> "ArcWeights":
         """Parse ``{"n": 2, "t": {"0,1": "-1", "1,0": "1/2"}}``; omitted
         pairs default to 0.  Weights are JSON integers or strings of the form
-        ``[+-]digits`` or ``[+-]digits/digits``; anything else is refused,
-        and so is a pair named by two keys (such as "0,1" and "0,01")."""
+        ``[+-]digits`` or ``[+-]digits/digits``, and a key is two ASCII-digit
+        fields ``u,v``; anything else is refused, and so is a repeated key
+        or a pair named by two keys (such as "0,1" and "0,01")."""
         data = json.loads(text, object_pairs_hook=_unique_keys)
         if not isinstance(data, dict) or "n" not in data:
             raise ValueError("expected a JSON object with an 'n' field")
@@ -246,10 +240,9 @@ class ArcWeights:
         table: dict[tuple[int, int], Fraction] = {}
         named: dict[tuple[int, int], str] = {}
         for key, value in pairs.items():
-            parts = key.split(",")
-            if len(parts) != 2:
+            pair = _parse_key(key)
+            if pair is None or len(pair) != 2:
                 raise ValueError(f"bad pair key {key!r}, expected 'u,v'")
-            pair = (int(parts[0]), int(parts[1]))
             if pair in named:
                 raise ValueError(
                     f"pair keys {named[pair]!r} and {key!r} both name {pair}"

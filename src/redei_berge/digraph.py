@@ -12,7 +12,7 @@ import random
 from typing import Iterable, Iterator, Sequence
 
 from .kernel import CycleClass
-from .limits import ENUMERATION_CAP, CapExceededError
+from .limits import DP_VERTEX_CAP, ENUMERATION_CAP, CapExceededError
 
 
 class DigraphFormatError(ValueError):
@@ -243,13 +243,27 @@ def _random_tournament(rng: random.Random, n: int) -> Digraph:
     )
 
 
+def _number(token: str) -> int | None:
+    """The value of a token of ASCII digits, or None for any other token:
+    ``int`` alone also takes signs, underscores and non-ASCII digits such
+    as "\u0662", and ``str.isdigit`` the last of these."""
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # longer than int's string-conversion limit
+            pass
+    return None
+
+
 def parse_digraph(text: str) -> Digraph:
     """Parse the edge-list format.
 
     The first non-comment line is the vertex count n; every following
-    non-comment line is an arc ``u v`` with 0 <= u, v < n.  ``#`` starts a
-    comment, blank lines are ignored, duplicate arcs and repeated headers
-    are rejected.  Errors carry the offending line number.
+    non-comment line is an arc ``u v`` with 0 <= u, v < n.  Numbers are
+    ASCII digits only.  ``#`` starts a comment, blank lines are ignored,
+    duplicate arcs and repeated headers are rejected, and so is a vertex
+    count above ``DP_VERTEX_CAP`` (the largest any route accepts), before
+    any table is built.  Errors carry the offending line number.
     """
     n: int | None = None
     seen: set[tuple[int, int]] = set()
@@ -262,26 +276,26 @@ def parse_digraph(text: str) -> Digraph:
         if n is None:
             if len(tokens) != 1:
                 raise DigraphFormatError(lineno, f"expected vertex count, got {raw!r}")
-            try:
-                n = int(tokens[0])
-            except ValueError:
+            n = _number(tokens[0])
+            if n is None:
                 raise DigraphFormatError(
-                    lineno, f"vertex count is not an integer: {tokens[0]!r}"
-                ) from None
-            if n < 0:
-                raise DigraphFormatError(lineno, f"vertex count {n} is negative")
+                    lineno, f"vertex count is not a nonnegative integer: {tokens[0]!r}"
+                )
+            if n > DP_VERTEX_CAP:
+                raise DigraphFormatError(
+                    lineno, f"vertex count {n} exceeds the cap of {DP_VERTEX_CAP}"
+                )
             continue
         if len(tokens) == 1:
             raise DigraphFormatError(lineno, "duplicate header line")
         if len(tokens) != 2:
             raise DigraphFormatError(lineno, f"expected 'u v', got {raw!r}")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
+        u, v = _number(tokens[0]), _number(tokens[1])
+        if u is None or v is None:
             raise DigraphFormatError(
-                lineno, f"arc endpoints are not integers: {raw!r}"
-            ) from None
-        if not (0 <= u < n and 0 <= v < n):
+                lineno, f"arc endpoints are not nonnegative integers: {raw!r}"
+            )
+        if not (u < n and v < n):
             raise DigraphFormatError(
                 lineno, f"arc ({u}, {v}) outside vertex range 0..{n - 1}"
             )

@@ -2,6 +2,12 @@
 congruence checks (parity of tournament path counts, the mod-4 refinement,
 and the parity link between a digraph and its complement).
 
+All three checks need only two numbers, hamps(D) and hamps(D^c), plus the
+odd-cycle count for mod 4.  Each ``verify_*`` checks its input and caps,
+counts, and hands the counts to a report builder; ``redei-berge hamps``
+counts D and its complement once each and builds all three reports from
+those two counts, skipping mod 4 above ``CYCLE_ENUM_CAP``.
+
 Loops never matter to paths: a path visits distinct vertices, so diagonal
 arcs are dropped before counting.  The zero-vertex digraph has exactly one
 Hamiltonian path (the empty list) by convention.
@@ -183,32 +189,22 @@ def count_nontrivial_odd_cycles(d: Digraph) -> int:
     return sum(c for S, c in enumerate(sums) if S.bit_count() in range(3, d.n + 1, 2))
 
 
-def verify_redei(d: Digraph) -> dict:
-    """Check that a tournament has an odd number of Hamiltonian paths."""
-    if not d.is_tournament():
-        raise ValueError("input digraph is not a tournament")
-    hamps = count_hamiltonian_paths(d).value
+def _redei_report(n: int, hamps: int) -> dict:
     return {
         "theorem": "redei",
-        "n": d.n,
+        "n": n,
         "hamps": str(hamps),
         "hamps_mod2": hamps % 2,
         "pass": hamps % 2 == 1,
     }
 
 
-def verify_mod4(d: Digraph) -> dict:
-    """Check that a tournament's Hamiltonian-path count is congruent to
-    1 + 2 * (number of nontrivial odd cycles) modulo 4."""
-    if not d.is_tournament():
-        raise ValueError("input digraph is not a tournament")
-    hamps = count_hamiltonian_paths(d).value
-    odd_cycles = count_nontrivial_odd_cycles(d)
+def _mod4_report(n: int, hamps: int, odd_cycles: int) -> dict:
     lhs = hamps % 4
     rhs = (1 + 2 * odd_cycles) % 4
     return {
         "theorem": "mod4",
-        "n": d.n,
+        "n": n,
         "hamps": str(hamps),
         "odd_cycles": odd_cycles,
         "lhs_mod4": lhs,
@@ -217,17 +213,41 @@ def verify_mod4(d: Digraph) -> dict:
     }
 
 
-def verify_berge(d: Digraph) -> dict:
-    """Check that a digraph and its complement have Hamiltonian-path counts
-    of the same parity."""
-    hamps = count_hamiltonian_paths(d).value
-    hamps_complement = count_hamiltonian_paths(d.complement()).value
+def _berge_report(n: int, hamps: int, hamps_complement: int) -> dict:
     return {
         "theorem": "berge",
-        "n": d.n,
+        "n": n,
         "hamps": str(hamps),
         "hamps_complement": str(hamps_complement),
         "lhs_mod2": hamps % 2,
         "rhs_mod2": hamps_complement % 2,
         "pass": hamps % 2 == hamps_complement % 2,
     }
+
+
+def verify_redei(d: Digraph) -> dict:
+    """Check that a tournament has an odd number of Hamiltonian paths."""
+    if not d.is_tournament():
+        raise ValueError("input digraph is not a tournament")
+    return _redei_report(d.n, count_hamiltonian_paths(d).value)
+
+
+def verify_mod4(d: Digraph) -> dict:
+    """Check that a tournament's Hamiltonian-path count is congruent to
+    1 + 2 * (number of nontrivial odd cycles) modulo 4.  The odd cycles
+    are counted first, so the cycle cap refuses before any path is
+    counted."""
+    if not d.is_tournament():
+        raise ValueError("input digraph is not a tournament")
+    odd_cycles = count_nontrivial_odd_cycles(d)
+    return _mod4_report(d.n, count_hamiltonian_paths(d).value, odd_cycles)
+
+
+def verify_berge(d: Digraph) -> dict:
+    """Check that a digraph and its complement have Hamiltonian-path counts
+    of the same parity."""
+    return _berge_report(
+        d.n,
+        count_hamiltonian_paths(d).value,
+        count_hamiltonian_paths(d.complement()).value,
+    )

@@ -51,6 +51,28 @@ def _parse_rational(value: object, what: str) -> Fraction:
     return Fraction(int(numerator), int(denominator or 1))
 
 
+_KEY_FIELDS = re.compile(r"([0-9]+(,[0-9]+)*)?")
+
+
+def _parse_key(key: str) -> tuple[int, ...] | None:
+    """The integers of a JSON key made of comma-separated ASCII-digit
+    fields ("" has none), or None for any other key: ``int`` alone would
+    also take spaces, signs, underscores and non-ASCII digits."""
+    if not _KEY_FIELDS.fullmatch(key):
+        return None
+    return tuple(int(field) for field in key.split(",")) if key else ()
+
+
+def _unique_keys(items: list[tuple[str, object]]) -> dict:
+    """A ``json.loads`` object hook that refuses a repeated key."""
+    data: dict = {}
+    for key, value in items:
+        if key in data:
+            raise ValueError(f"key {key!r} appears twice")
+        data[key] = value
+    return data
+
+
 def _partition_sort_key(parts: tuple[int, ...]) -> tuple:
     # canonical term order: descending by size, then reverse-lexicographic
     return (-sum(parts), tuple(-p for p in parts))
@@ -218,12 +240,25 @@ class PowerSumPolynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "PowerSumPolynomial":
-        data = json.loads(text)
+        """Parse the :meth:`to_json` form.  A key is the comma-joined parts
+        in ASCII digits ("" for the constant term); a repeated key, or two
+        keys naming one partition (such as "2,1" and "2,01"), are refused."""
+        data = json.loads(text, object_pairs_hook=_unique_keys)
         if not isinstance(data, dict):
             raise ValueError("expected a JSON object")
         terms: dict[tuple[int, ...], Fraction] = {}
+        named: dict[tuple[int, ...], str] = {}
         for key, value in data.items():
-            parts = tuple(int(p) for p in key.split(",")) if key else ()
+            parts = _parse_key(key)
+            if parts is None:
+                raise ValueError(
+                    f"bad partition key {key!r}, expected parts like '2,1'"
+                )
+            if parts in named:
+                raise ValueError(
+                    f"partition keys {named[parts]!r} and {key!r} both name {parts}"
+                )
+            named[parts] = key
             terms[parts] = _parse_rational(value, f"coefficient of {key!r}")
         return cls(terms)
 

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 
 import pytest
 
@@ -8,10 +9,16 @@ from redei_berge import (
     DescentSet,
     FundamentalQSym,
     PowerSumPolynomial,
+    enumerate_tournaments,
     format_digraph,
     parse_digraph,
+    random_digraph,
+    random_tournament,
+    verify_berge,
+    verify_mod4,
+    verify_redei,
 )
-from redei_berge import cli
+from redei_berge import cli, hamilton
 
 
 def run(capsys, *argv):
@@ -179,6 +186,74 @@ class TestHamps:
         assert "hamps = 1" in out
         assert "mod4: skipped" in out
 
+    @pytest.mark.parametrize(
+        "d",
+        [random_tournament(9, seed=1), random_tournament(13, seed=2), THREE_LOOP],
+        ids=["tournament-n9", "tournament-n13", "digraph"],
+    )
+    def test_counts_each_digraph_once(self, capsys, monkeypatch, d):
+        # a tournament needs hamps(D) and hamps(D^c) for all three reports,
+        # a digraph for Berge's alone: two path counts either way
+        counted = []
+        tables = []
+        count_dp = hamilton._count_dp
+        cycle_sums = hamilton._cycle_sums
+
+        def counting_dp(g):
+            counted.append(g)
+            return count_dp(g)
+
+        def recording_sums(*args):
+            tables.append(args)
+            return cycle_sums(*args)
+
+        monkeypatch.setattr(hamilton, "_count_dp", counting_dp)
+        monkeypatch.setattr(hamilton, "_cycle_sums", recording_sums)
+        spec = format_digraph(d).replace("\n", ";")
+        code, out, _ = run(capsys, "hamps", "--arcs", spec, "--format", "json")
+        assert code == 0
+        assert counted == [d, d.complement()]
+        payload = json.loads(out)
+        if d.n > 12:
+            assert tables == [] and "mod4" not in payload
+        else:
+            assert ("mod4" in payload) == d.is_tournament()
+
+    @staticmethod
+    def _reports_match_verify(capsys, d):
+        spec = format_digraph(d).replace("\n", ";")
+        code, out, _ = run(capsys, "hamps", "--arcs", spec, "--format", "json")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["berge"] == verify_berge(d)
+        if d.is_tournament():
+            assert payload["redei"] == verify_redei(d)
+            assert payload["mod4"] == verify_mod4(d)
+        else:
+            assert "redei" not in payload and "mod4" not in payload
+
+    def test_reports_match_verify_on_every_tournament_through_n5(self, capsys):
+        for n in range(6):
+            for d in enumerate_tournaments(n):
+                self._reports_match_verify(capsys, d)
+
+    def test_reports_match_verify_on_random_inputs_through_n9(self, capsys):
+        rng = random.Random(2024)
+        for i in range(60):
+            n = rng.randint(0, 9)
+            seed = rng.getrandbits(32)
+            if i % 2:
+                self._reports_match_verify(capsys, random_tournament(n, seed=seed))
+            else:
+                self._reports_match_verify(capsys, random_digraph(n, 0.5, seed=seed))
+
+    @pytest.mark.parametrize("header", ["23", "1000000"])
+    def test_vertex_count_above_the_cap_is_exit_2(self, capsys, header):
+        code, out, err = run(capsys, "hamps", "--arcs", f"{header};0 1")
+        assert code == 2
+        assert out == ""
+        assert f"line 1: vertex count {header} exceeds the cap of 22" in err
+
 
 class TestVerify:
     def test_thm1_exhaustive_3(self, capsys):
@@ -343,6 +418,20 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("jobs", ["-3", "0"])
+    def test_jobs_below_one_refused_before_any_work(self, capsys, monkeypatch, jobs):
+        def no_work(*args):
+            raise AssertionError("work started before the --jobs check")
+
+        monkeypatch.setattr(cli, "_random_instances", no_work)
+        monkeypatch.setattr(cli, "_exhaustive_instances", no_work)
+        monkeypatch.setattr(cli, "_run_sweep", no_work)
+        for argv in (["--exhaustive", "2"], ["--random", "3"]):
+            code, out, err = run(capsys, "verify", "zeta", *argv, "--jobs", jobs)
+            assert code == 2
+            assert out == ""
+            assert f"--jobs must be at least 1, got {jobs}" in err
 
     def test_sizes_at_the_cap_are_accepted(self, capsys):
         code, out, _ = run(

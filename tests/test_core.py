@@ -462,6 +462,21 @@ class TestDeformation:
             ArcWeights.from_json('{"n": 2, "t": {"0,1": "1", "0,1": "2"}}')
 
     @pytest.mark.parametrize(
+        "key",
+        [
+            " 0 ,1_0",  # int() would read the pair (0, 10)
+            "0,\u0662",  # a non-ASCII digit, which int() reads as 2
+            "-0,1",
+            "0,1,",
+            "0,1,1",
+            "",
+        ],
+    )
+    def test_weights_json_pair_keys_are_two_ascii_digit_fields(self, key):
+        with pytest.raises(ValueError, match="bad pair key"):
+            ArcWeights.from_json('{"n": 3, "t": {"%s": "1"}}' % key)
+
+    @pytest.mark.parametrize(
         "weight",
         [
             '"1e400"',  # an exponent: refused before any digits are built

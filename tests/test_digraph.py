@@ -1,7 +1,9 @@
+import argparse
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FIVE_TOURNAMENT, REMARK, THREE_LOOP
 from redei_berge import (
@@ -15,6 +17,14 @@ from redei_berge import (
     parse_digraph,
     random_digraph,
     random_tournament,
+)
+from redei_berge import cli, digraph
+
+# digraphs on at most 8 vertices, loops included
+digraphs = st.integers(0, 8).flatmap(
+    lambda n: st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)) if n else st.nothing()
+    ).map(lambda arcs: Digraph(n, arcs))
 )
 
 
@@ -204,6 +214,50 @@ class TestTextFormat:
     def test_missing_header(self):
         with pytest.raises(DigraphFormatError):
             parse_digraph("# only comments\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("2\n1_0 1\n", 2),  # int() would read 10
+            ("3\n\u0662 1\n", 2),  # a non-ASCII digit, which int() reads as 2
+            ("3\n+1 0\n", 2),
+            ("\u0663\n", 1),
+            ("-1\n", 1),
+            ("3_0\n", 1),
+        ],
+    )
+    def test_numbers_are_ascii_digits(self, text, line):
+        with pytest.raises(DigraphFormatError, match="nonnegative integer") as err:
+            parse_digraph(text)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("header", ["23", "1000000"])
+    def test_vertex_count_above_the_cap_refused_before_any_table(
+        self, monkeypatch, header
+    ):
+        def no_table(*args):
+            raise AssertionError("digraph built before the cap check")
+
+        monkeypatch.setattr(digraph, "Digraph", no_table)
+        text = f"# oversized\n{header}\n0 1\n"
+        message = f"vertex count {header} exceeds the cap of 22"
+        with pytest.raises(DigraphFormatError, match=message) as err:
+            parse_digraph(text)
+        assert err.value.line == 2
+
+    def test_vertex_count_at_the_cap_is_accepted(self):
+        assert parse_digraph("22\n0 21\n") == Digraph(22, [(0, 21)])
+
+    @settings(max_examples=80)
+    @given(digraphs)
+    def test_round_trip_property(self, d):
+        assert parse_digraph(format_digraph(d)) == d
+
+    @settings(max_examples=80)
+    @given(digraphs)
+    def test_inline_arcs_round_trip_property(self, d):
+        spec = ";".join(format_digraph(d).splitlines())
+        assert cli._read_digraph(argparse.Namespace(arcs=spec, input=None)) == d
 
 
 class TestInduced:

@@ -23,6 +23,7 @@ from redei_berge import (
     verify_mod4,
     verify_redei,
 )
+from redei_berge import hamilton
 from redei_berge.hamilton import _cycle_sums, _partition_sum
 
 
@@ -205,6 +206,17 @@ class TestMod4:
         for n in range(5):
             for d in enumerate_tournaments(n):
                 assert verify_mod4(d)["pass"]
+
+    def test_input_and_cycle_cap_checked_before_any_count(self, monkeypatch):
+        def no_count(*args):
+            raise AssertionError("counted before the checks")
+
+        monkeypatch.setattr(hamilton, "_count_dp", no_count)
+        monkeypatch.setattr(hamilton, "_cycle_sums", no_count)
+        with pytest.raises(CapExceededError, match="cycle-enumeration cap of 12"):
+            verify_mod4(random_tournament(13, seed=5))
+        with pytest.raises(ValueError, match="not a tournament"):
+            verify_mod4(THREE_LOOP)
 
 
 class TestBerge:

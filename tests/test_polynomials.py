@@ -302,3 +302,26 @@ class TestRendering:
     def test_json_refuses_inexact_coefficients(self, text, message):
         with pytest.raises(ValueError, match=message):
             P.from_json(text)
+
+    def test_json_refuses_a_partition_named_twice(self):
+        with pytest.raises(ValueError, match=r"'2,1' and '2,01' both name \(2, 1\)"):
+            P.from_json('{"2,1": "1", "2,01": "5"}')
+        with pytest.raises(ValueError, match="'3' appears twice"):
+            P.from_json('{"3": "1", "3": "2"}')
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            " 2,1",  # int() strips spaces
+            "2, 1",
+            "1_0",  # int() takes underscores
+            "+2",
+            "2,\u0661",  # a non-ASCII digit, which int() reads as 1
+            "2,",
+            ",",
+            "2;1",
+        ],
+    )
+    def test_json_keys_are_ascii_digit_fields(self, key):
+        with pytest.raises(ValueError, match="bad partition key"):
+            P.from_json('{"%s": "1"}' % key)
