@@ -1,7 +1,8 @@
 """Hamiltonian-path counting and the classical congruences.
 
 Counting uses bitmask dynamic programming over (visited set, last vertex)
-states, cross-checked by backtracking.  On tournaments the count is always
+states; the brute-force backtracking count from ``redei_berge.oracles``
+cross-checks it.  On tournaments the count is always
 odd, and modulo 4 it is determined by the number of nontrivial odd cycles;
 for any digraph the count has the same parity as the complement's.
 """
@@ -15,11 +16,12 @@ from redei_berge import (
     verify_mod4,
     verify_redei,
 )
+from redei_berge.oracles import count_hamiltonian_paths_by_backtracking
 
 cyclic = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 print("3-cycle tournament:")
-print("  dp count:          ", count_hamiltonian_paths(cyclic, "dp").value)
-print("  backtracking count:", count_hamiltonian_paths(cyclic, "backtracking").value)
+print("  dp count:          ", count_hamiltonian_paths(cyclic))
+print("  backtracking count:", count_hamiltonian_paths_by_backtracking(cyclic))
 print("  nontrivial odd cycles:", count_nontrivial_odd_cycles(cyclic))
 print("  redei report:", verify_redei(cyclic))
 print("  mod-4 report:", verify_mod4(cyclic))
@@ -27,7 +29,7 @@ print("  mod-4 report:", verify_mod4(cyclic))
 print("\nrandom tournaments on 8 vertices:")
 for seed in range(5):
     t = random_tournament(8, seed=seed)
-    hamps = count_hamiltonian_paths(t).value
+    hamps = count_hamiltonian_paths(t)
     odd = count_nontrivial_odd_cycles(t)
     print(
         f"  seed {seed}: hamps = {hamps:5d}, odd cycles = {odd:3d};"

@@ -108,21 +108,16 @@ def _check_thm1(d: Digraph) -> tuple[bool, dict]:
 
 def _check_thm2(d: Digraph) -> tuple[bool, dict]:
     general = redei_berge_powersum(d)
-    ok = (
-        redei_berge_tournament(d) == general
-        and redei_berge_two_cycle_free(d) == general
-        and in_doubled_odd_cone(general)
-    )
+    ok = redei_berge_tournament(d) == general and in_doubled_odd_cone(general)
     return ok, {} if ok else {"powersum": json.loads(general.to_json())}
 
 
 def _check_thm3(d: Digraph) -> tuple[bool, dict]:
-    general = redei_berge_powersum(d)
+    # the two-cycle-free form is the signed formula's partition sum, so
+    # comparing the two would compare one computation with itself
     positive_form = redei_berge_two_cycle_free(d)
-    ok = positive_form == general and all(
-        c.denominator == 1 and c >= 0 for c in positive_form.terms.values()
-    )
-    return ok, {} if ok else {"powersum": json.loads(general.to_json())}
+    ok = all(c.denominator == 1 and c >= 0 for c in positive_form.terms.values())
+    return ok, {} if ok else {"powersum": json.loads(positive_form.to_json())}
 
 
 def _check_antipode(d: Digraph) -> tuple[bool, dict]:
@@ -134,28 +129,23 @@ def _check_antipode(d: Digraph) -> tuple[bool, dict]:
 
 def _check_zeta(d: Digraph) -> tuple[bool, dict]:
     value = redei_berge_powersum(d).zeta()
-    hamps = count_hamiltonian_paths(d.complement()).value
+    hamps = count_hamiltonian_paths(d.complement())
     return value == hamps, {"zeta": str(value), "hamps_complement": str(hamps)}
 
 
-def _check_redei(d: Digraph) -> tuple[bool, dict]:
-    report = verify_redei(d)
-    return report["pass"], report
+def _report_check(verify: Callable[[Digraph], dict]) -> Callable:
+    """A sweep check from a congruence report: its verdict and the report."""
 
+    def check(d: Digraph) -> tuple[bool, dict]:
+        report = verify(d)
+        return report["pass"], report
 
-def _check_mod4(d: Digraph) -> tuple[bool, dict]:
-    report = verify_mod4(d)
-    return report["pass"], report
-
-
-def _check_berge(d: Digraph) -> tuple[bool, dict]:
-    report = verify_berge(d)
-    return report["pass"], report
+    return check
 
 
 def _check_lemmas(d: Digraph) -> tuple[bool, dict]:
     failures = []
-    hamps = count_hamiltonian_paths(d.complement()).value
+    hamps = count_hamiltonian_paths(d.complement())
     if signed_linear_sum(d) != hamps:
         failures.append("signed linear-subset sum != hamps of complement")
     rebuilt: dict[tuple[int, ...], int] = {}
@@ -209,9 +199,9 @@ _CHECKS: dict[str, tuple[str, Callable[[Digraph], tuple[bool, dict]], int]] = {
     "thm3": ("two-cycle-free", _check_thm3, FACTORIAL_CAP),
     "antipode": ("digraph", _check_antipode, FACTORIAL_CAP),
     "zeta": ("digraph", _check_zeta, FACTORIAL_CAP),
-    "redei": ("tournament", _check_redei, DP_VERTEX_CAP),
-    "mod4": ("tournament", _check_mod4, CYCLE_ENUM_CAP),
-    "berge": ("digraph", _check_berge, DP_VERTEX_CAP),
+    "redei": ("tournament", _report_check(verify_redei), DP_VERTEX_CAP),
+    "mod4": ("tournament", _report_check(verify_mod4), CYCLE_ENUM_CAP),
+    "berge": ("digraph", _report_check(verify_berge), DP_VERTEX_CAP),
     "lemmas": ("digraph", _check_lemmas, FACTORIAL_CAP),
 }
 
@@ -332,8 +322,8 @@ def _cmd_deformed(args: argparse.Namespace) -> int:
 
 def _cmd_hamps(args: argparse.Namespace) -> int:
     d = _read_digraph(args)
-    hamps = count_hamiltonian_paths(d).value
-    hamps_complement = count_hamiltonian_paths(d.complement()).value
+    hamps = count_hamiltonian_paths(d)
+    hamps_complement = count_hamiltonian_paths(d.complement())
     is_tournament = d.is_tournament()
     reports = {"berge": _berge_report(d.n, hamps, hamps_complement)}
     if is_tournament:

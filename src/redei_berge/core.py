@@ -51,6 +51,9 @@ from .polynomials import (
 
 def _check_listing(d: Digraph, listing: Sequence[int]) -> tuple[int, ...]:
     listing = tuple(listing)
+    for v in listing:
+        if type(v) is not int:  # bool is refused too; 1.0 would sort as 1
+            raise ValueError(f"listing entry {v!r} is not an integer")
     if sorted(listing) != list(range(d.n)):
         raise ValueError(f"not a listing of 0..{d.n - 1}: {listing!r}")
     return listing
@@ -70,18 +73,13 @@ def descent_set(d: Digraph, listing: Sequence[int]) -> DescentSet:
     >>> sorted(descent_set(d, (2, 0, 1)))
     [2]
     """
-    listing = _check_listing(d, listing)
-    return DescentSet(
-        d.n,
-        frozenset(
-            i for i in range(1, d.n) if d.has_arc(listing[i - 1], listing[i])
-        ),
+    return DescentSet(d.n, _descents(d, _check_listing(d, listing)))
+
+
+def _descents(d: Digraph, listing: Sequence[int]) -> frozenset[int]:
+    return frozenset(
+        i for i in range(1, d.n) if d.has_arc(listing[i - 1], listing[i])
     )
-
-
-def major_index(d: Digraph, listing: Sequence[int]) -> int:
-    """Sum of the descent positions of the listing."""
-    return sum(descent_set(d, listing).members)
 
 
 def redei_berge_by_definition(d: Digraph) -> FundamentalQSym:
@@ -92,11 +90,11 @@ def redei_berge_by_definition(d: Digraph) -> FundamentalQSym:
     coefficient of a descent set counts the listings attaining it.
     """
     _check_cap(d.n, "listing-sum")
-    counts: dict[DescentSet, int] = {}
-    for listing in itertools.permutations(range(d.n)):
-        key = descent_set(d, listing)
+    counts: dict[frozenset[int], int] = {}
+    for listing in itertools.permutations(range(d.n)):  # valid by construction
+        key = _descents(d, listing)
         counts[key] = counts.get(key, 0) + 1
-    return FundamentalQSym(d.n, counts)
+    return FundamentalQSym(d.n, {DescentSet(d.n, S): c for S, c in counts.items()})
 
 
 def redei_berge_powersum(d: Digraph) -> PowerSumPolynomial:

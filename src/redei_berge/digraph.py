@@ -42,6 +42,11 @@ class Digraph:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         rows = [0] * n
         for u, v in arcs:
+            if type(u) is not int or type(v) is not int:  # bool is refused too
+                bad = v if type(u) is int else u
+                raise ValueError(
+                    f"arc ({u!r}, {v!r}) has a non-integer endpoint {bad!r}"
+                )
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) outside 0..{n - 1}")
             rows[u] |= 1 << v
@@ -82,14 +87,6 @@ class Digraph:
     @property
     def arc_count(self) -> int:
         return sum(r.bit_count() for r in self.rows)
-
-    @property
-    def arc_mask(self) -> int:
-        """All arcs packed into one n*n-bit integer, bit u*n+v for arc (u, v)."""
-        mask = 0
-        for u, row in enumerate(self.rows):
-            mask |= row << (u * self.n)
-        return mask
 
     def complement(self) -> "Digraph":
         """Digraph on the same vertices whose arcs are exactly the non-arcs."""
@@ -160,22 +157,19 @@ class Digraph:
         return f"Digraph({self.n}, {sorted(self.arcs())!r})"
 
 
-def enumerate_digraphs(
-    n: int, loops: bool = True, cap: int = ENUMERATION_CAP
-) -> Iterator[Digraph]:
-    """All digraphs on n vertices, in binary counting order.
+def enumerate_digraphs(n: int) -> Iterator[Digraph]:
+    """All 2^(n^2) digraphs on n vertices, loops allowed, in binary
+    counting order.
 
     The arc positions are ordered row-major; digraph number i contains the
-    j-th position iff bit j of i is set.  Yields 2^(n^2) digraphs with
-    loops allowed, 2^(n(n-1)) without.
+    j-th position iff bit j of i is set.
     """
-    positions = [
-        (u, v) for u in range(n) for v in range(n) if loops or u != v
-    ]
+    positions = [(u, v) for u in range(n) for v in range(n)]
     total = 1 << len(positions)
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise CapExceededError(
-            f"{total} digraphs on {n} vertices exceeds the cap of {cap}"
+            f"{total} digraphs on {n} vertices exceeds the cap of "
+            f"{ENUMERATION_CAP}"
         )
     for index in range(total):
         yield Digraph(
@@ -183,7 +177,7 @@ def enumerate_digraphs(
         )
 
 
-def enumerate_tournaments(n: int, cap: int = ENUMERATION_CAP) -> Iterator[Digraph]:
+def enumerate_tournaments(n: int) -> Iterator[Digraph]:
     """All 2^(n(n-1)/2) tournaments on n vertices, in binary counting order.
 
     Unordered pairs {u, v} with u < v are ordered lexicographically; bit j
@@ -192,9 +186,10 @@ def enumerate_tournaments(n: int, cap: int = ENUMERATION_CAP) -> Iterator[Digrap
     """
     pairs = list(itertools.combinations(range(n), 2))
     total = 1 << len(pairs)
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise CapExceededError(
-            f"{total} tournaments on {n} vertices exceeds the cap of {cap}"
+            f"{total} tournaments on {n} vertices exceeds the cap of "
+            f"{ENUMERATION_CAP}"
         )
     for index in range(total):
         yield Digraph(

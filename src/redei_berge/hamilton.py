@@ -8,8 +8,11 @@ counts, and hands the counts to a report builder; ``redei-berge hamps``
 counts D and its complement once each and builds all three reports from
 those two counts, skipping mod 4 above ``CYCLE_ENUM_CAP``.
 
-Loops never matter to paths: a path visits distinct vertices, so diagonal
-arcs are dropped before counting.  The zero-vertex digraph has exactly one
+Paths are counted by one route, a bitmask DP that returns a plain ``int``;
+its brute-force check, depth-first extension of partial paths, is
+:func:`oracles.count_hamiltonian_paths_by_backtracking`.  Loops never
+matter to paths: a path visits distinct vertices, so diagonal arcs are
+dropped before counting.  The zero-vertex digraph has exactly one
 Hamiltonian path (the empty list) by convention.
 
 The cycle-sum table (weighted Hamiltonian cycles of every vertex subset,
@@ -19,53 +22,33 @@ over it are the engine behind every power-sum formula in :mod:`core`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .digraph import Digraph
 from .limits import CYCLE_ENUM_CAP, DP_VERTEX_CAP, CapExceededError
 
 
-@dataclass(frozen=True)
-class HampCount:
-    """An exact Hamiltonian-path count together with the method that
-    produced it; the two methods agree wherever both run."""
+def count_hamiltonian_paths(d: Digraph) -> int:
+    """Number of directed paths visiting every vertex exactly once, by
+    bitmask dynamic programming over (visited-set, last-vertex) states.
 
-    value: int
-    method: str
-
-
-def count_hamiltonian_paths(d: Digraph, method: str = "dp") -> HampCount:
-    """Number of directed paths visiting every vertex exactly once.
-
-    ``method`` is ``"dp"`` (bitmask dynamic programming over
-    (visited-set, last-vertex) states) or ``"backtracking"`` (depth-first
-    extension of partial paths).
-
-    >>> count_hamiltonian_paths(Digraph(3, [(0, 1), (1, 1), (2, 2)])).value
+    >>> count_hamiltonian_paths(Digraph(3, [(0, 1), (1, 1), (2, 2)]))
     0
-    >>> count_hamiltonian_paths(Digraph(3, [(0, 1), (1, 1), (2, 2)]).complement()).value
+    >>> count_hamiltonian_paths(Digraph(3, [(0, 1), (1, 1), (2, 2)]).complement())
     4
     """
-    if method not in ("dp", "backtracking"):
-        raise ValueError(f"unknown method {method!r}")
     if d.n > DP_VERTEX_CAP:
         raise CapExceededError(
             f"{d.n} vertices exceeds the counting cap of {DP_VERTEX_CAP}"
         )
-    value = _count_dp(d) if method == "dp" else _count_backtracking(d)
-    return HampCount(value, method)
-
-
-def _loopless_rows(d: Digraph) -> list[int]:
-    return [d.rows[u] & ~(1 << u) for u in range(d.n)]
+    return _count_dp(d)
 
 
 def _count_dp(d: Digraph) -> int:
     n = d.n
     if n == 0:
         return 1
-    rows = _loopless_rows(d)
+    rows = [d.rows[u] & ~(1 << u) for u in range(n)]  # loops never matter
     full = (1 << n) - 1
     dp = [0] * ((full + 1) * n)
     for v in range(n):
@@ -86,30 +69,6 @@ def _count_dp(d: Digraph) -> int:
                 avail ^= bit
                 dp[(mask | bit) * n + bit.bit_length() - 1] += count
     return sum(dp[full * n + v] for v in range(n))
-
-
-def _count_backtracking(d: Digraph) -> int:
-    n = d.n
-    if n == 0:
-        return 1
-    rows = _loopless_rows(d)
-    full = (1 << n) - 1
-    total = 0
-
-    def extend(last: int, visited: int) -> None:
-        nonlocal total
-        if visited == full:
-            total += 1
-            return
-        nbrs = rows[last] & ~visited
-        while nbrs:
-            bit = nbrs & -nbrs
-            nbrs ^= bit
-            extend(bit.bit_length() - 1, visited | bit)
-
-    for start in range(n):
-        extend(start, 1 << start)
-    return total
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -229,7 +188,7 @@ def verify_redei(d: Digraph) -> dict:
     """Check that a tournament has an odd number of Hamiltonian paths."""
     if not d.is_tournament():
         raise ValueError("input digraph is not a tournament")
-    return _redei_report(d.n, count_hamiltonian_paths(d).value)
+    return _redei_report(d.n, count_hamiltonian_paths(d))
 
 
 def verify_mod4(d: Digraph) -> dict:
@@ -240,7 +199,7 @@ def verify_mod4(d: Digraph) -> dict:
     if not d.is_tournament():
         raise ValueError("input digraph is not a tournament")
     odd_cycles = count_nontrivial_odd_cycles(d)
-    return _mod4_report(d.n, count_hamiltonian_paths(d).value, odd_cycles)
+    return _mod4_report(d.n, count_hamiltonian_paths(d), odd_cycles)
 
 
 def verify_berge(d: Digraph) -> dict:
@@ -248,6 +207,6 @@ def verify_berge(d: Digraph) -> dict:
     of the same parity."""
     return _berge_report(
         d.n,
-        count_hamiltonian_paths(d).value,
-        count_hamiltonian_paths(d.complement()).value,
+        count_hamiltonian_paths(d),
+        count_hamiltonian_paths(d.complement()),
     )

@@ -138,9 +138,6 @@ class CycleClass:
     def is_nontrivial(self) -> bool:
         return len(self.verts) > 1
 
-    def entries(self) -> frozenset[int]:
-        return frozenset(self.verts)
-
     def reversal(self) -> "CycleClass":
         """The class of the reversed tuple; an involution."""
         return CycleClass(self.verts[::-1])

@@ -1,9 +1,9 @@
 """Counting machinery behind the power-sum formulas, exposed as
-independently testable identities: linear arc sets and path covers, the
-functional graph of a permutation, signed inclusion-exclusion sums,
-level-respecting listings, the cycle-colouring sum, permutations
-filtered by their cycles, and the literal per-cycle weight sum over all
-permutations.
+independently testable identities: linear arc sets and path covers,
+signed inclusion-exclusion sums, level-respecting listings, the
+cycle-colouring sum, permutations filtered by their cycles, the literal
+per-cycle weight sum over all permutations, and Hamiltonian paths counted
+by backtracking.
 
 The routines here deliberately favour direct enumeration over cleverness;
 they are the oracles the rest of the package is checked against.
@@ -20,6 +20,7 @@ from .digraph import Digraph
 from .hamilton import count_hamiltonian_paths
 from .kernel import CycleClass, DescentSet, Permutation, all_permutations
 from .limits import (
+    DP_VERTEX_CAP,
     ENUMERATION_CAP,
     FACTORIAL_CAP,
     SUBSET_CAP,
@@ -114,12 +115,6 @@ def is_arc_set_of_path_cover(arc_set: ArcSet) -> bool:
         if arcs == target:
             return True
     return False
-
-
-def functional_graph(sigma: Permutation) -> ArcSet:
-    """The n pairs (v, sigma(v)); equals the union of the cyclic arc sets
-    of the cycles of sigma."""
-    return ArcSet.of(sigma.n, [(v, sigma(v)) for v in range(sigma.n)])
 
 
 def count_listings_containing(arc_set: ArcSet) -> int:
@@ -264,7 +259,7 @@ def friendly_product(d: Digraph, levels: Sequence[int]) -> int:
     product = 1
     for level in sorted(set(levels)):
         sub = level_subdigraph(d, levels, level)
-        product *= count_hamiltonian_paths(sub.complement()).value
+        product *= count_hamiltonian_paths(sub.complement())
     return product
 
 
@@ -367,3 +362,33 @@ def cycle_weight_sum(n: int, weight: Callable) -> PowerSumPolynomial:
         key = sigma.cycle_type
         terms[key] = terms.get(key, 0) + math.prod(map(weight, sigma.cycles))
     return PowerSumPolynomial(terms)
+
+
+def count_hamiltonian_paths_by_backtracking(d: Digraph) -> int:
+    """Number of Hamiltonian paths by depth-first extension of partial
+    paths from every start vertex: the oracle of the path-count DP."""
+    if d.n > DP_VERTEX_CAP:
+        raise CapExceededError(
+            f"{d.n} vertices exceeds the counting cap of {DP_VERTEX_CAP}"
+        )
+    n = d.n
+    if n == 0:
+        return 1
+    rows = d.without_loops().rows
+    full = (1 << n) - 1
+    total = 0
+
+    def extend(last: int, visited: int) -> None:
+        nonlocal total
+        if visited == full:
+            total += 1
+            return
+        nbrs = rows[last] & ~visited
+        while nbrs:
+            bit = nbrs & -nbrs
+            nbrs ^= bit
+            extend(bit.bit_length() - 1, visited | bit)
+
+    for start in range(n):
+        extend(start, 1 << start)
+    return total

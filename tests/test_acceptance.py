@@ -14,30 +14,32 @@ from fractions import Fraction
 
 from conftest import GESSEL, REMARK, THREE_LOOP
 from redei_berge import (
-    ArcSet,
     ArcWeights,
-    Permutation,
     PowerSumPolynomial,
     count_hamiltonian_paths,
-    count_listings_containing,
     count_nontrivial_odd_cycles,
-    count_perms_containing,
-    count_friendly_listings,
     deformed_powersum,
     enumerate_digraphs,
     enumerate_tournaments,
-    friendly_product,
     in_doubled_odd_cone,
-    is_arc_set_of_path_cover,
-    is_linear,
-    path_cover_of,
-    polya_sum,
     random_digraph,
     random_tournament,
     redei_berge_by_definition,
     redei_berge_powersum,
     redei_berge_tournament,
     redei_berge_two_cycle_free,
+)
+from redei_berge.kernel import Permutation
+from redei_berge.oracles import (
+    ArcSet,
+    count_friendly_listings,
+    count_listings_containing,
+    count_perms_containing,
+    friendly_product,
+    is_arc_set_of_path_cover,
+    is_linear,
+    path_cover_of,
+    polya_sum,
     signed_linear_sum,
     signed_subset_sum,
     signed_sum_per_perm,
@@ -109,7 +111,7 @@ def test_criterion_4_redei_and_mod4():
     instances = [d for n in range(6) for d in enumerate_tournaments(n)]
     instances += [random_tournament(8, seed=i) for i in range(50)]
     for d in instances:
-        hamps = count_hamiltonian_paths(d).value
+        hamps = count_hamiltonian_paths(d)
         if hamps % 2 != 1:
             failures.append(f"even path count: {sorted(d.arcs())}")
         elif hamps % 4 != (1 + 2 * count_nontrivial_odd_cycles(d)) % 4:
@@ -127,8 +129,8 @@ def test_criterion_5_complement_parity():
         for _ in range(200)
     ]
     for d in instances:
-        lhs = count_hamiltonian_paths(d).value
-        rhs = count_hamiltonian_paths(d.complement()).value
+        lhs = count_hamiltonian_paths(d)
+        rhs = count_hamiltonian_paths(d.complement())
         if lhs % 2 != rhs % 2:
             failures.append(f"parity mismatch: {sorted(d.arcs())}")
     finish(5, "path-count parity vs complement", 60, started, failures)
@@ -138,9 +140,8 @@ def test_criterion_6_zeta_bridge_exhaustive_n4():
     started = time.perf_counter()
     failures = []
     for d in enumerate_digraphs(4):
-        if redei_berge_powersum(d).zeta() != count_hamiltonian_paths(
-            d.complement()
-        ).value:
+        hamps = count_hamiltonian_paths(d.complement())
+        if redei_berge_powersum(d).zeta() != hamps:
             failures.append(f"zeta mismatch: {sorted(d.arcs())}")
     finish(6, "zeta bridge on all 65536 n=4 digraphs", 120, started, failures)
 
@@ -236,7 +237,7 @@ def test_criterion_9_lemma_oracles():
 
     # inclusion-exclusion over linear subsets counts complement hamps
     for d in enumerate_digraphs(3):
-        if signed_linear_sum(d) != count_hamiltonian_paths(d.complement()).value:
+        if signed_linear_sum(d) != count_hamiltonian_paths(d.complement()):
             failures.append(f"signed linear sum wrong: {sorted(d.arcs())}")
             break
 

@@ -1,0 +1,49 @@
+"""The public API is the paper's routes, the digraph model, the two bases
+and the cap error; oracles and kernel helpers are imported from their
+modules."""
+
+import redei_berge
+
+PUBLIC = [
+    "ArcWeights",
+    "CapExceededError",
+    "DescentSet",
+    "Digraph",
+    "DigraphFormatError",
+    "FundamentalQSym",
+    "PowerSumPolynomial",
+    "count_hamiltonian_paths",
+    "count_nontrivial_odd_cycles",
+    "deformed_by_definition",
+    "deformed_powersum",
+    "descent_set",
+    "enumerate_digraphs",
+    "enumerate_tournaments",
+    "format_digraph",
+    "in_doubled_odd_cone",
+    "parse_digraph",
+    "random_digraph",
+    "random_tournament",
+    "redei_berge_by_definition",
+    "redei_berge_powersum",
+    "redei_berge_tournament",
+    "redei_berge_two_cycle_free",
+    "verify_berge",
+    "verify_mod4",
+    "verify_redei",
+]
+
+
+def test_all_lists_exactly_the_public_names():
+    assert sorted(redei_berge.__all__) == PUBLIC
+
+
+def test_every_public_name_resolves():
+    for name in PUBLIC:
+        assert getattr(redei_berge, name) is not None, name
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace: dict = {}
+    exec("from redei_berge import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC

@@ -18,7 +18,7 @@ from redei_berge import (
     verify_mod4,
     verify_redei,
 )
-from redei_berge import cli, hamilton
+from redei_berge import cli, core, hamilton
 
 
 def run(capsys, *argv):
@@ -277,6 +277,43 @@ class TestVerify:
             )
             assert code == 0, target
             assert expected in out, (target, out)
+
+    @pytest.mark.parametrize(
+        "target, n, per_instance", [("thm2", "4", 2), ("thm3", "3", 1)]
+    )
+    def test_each_form_computed_once(
+        self, capsys, monkeypatch, target, n, per_instance
+    ):
+        # thm2 checks the tournament form against the signed one (their block
+        # weights are independent); thm3's two-cycle-free form is the signed
+        # formula's partition sum, so it is computed once and checked alone
+        calls = []
+        partition_sum = core._partition_sum
+
+        def counting(*args):
+            calls.append(args)
+            return partition_sum(*args)
+
+        monkeypatch.setattr(core, "_partition_sum", counting)
+        argv = ["verify", target, "--exhaustive", n, "--jobs", "1", "--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(calls) == per_instance * json.loads(out)["checked"]
+
+    def test_thm3_fails_on_a_negative_coefficient(self, capsys, monkeypatch):
+        def negative(d):
+            return PowerSumPolynomial({(1,) * d.n: -1})
+
+        monkeypatch.setattr(cli, "redei_berge_two_cycle_free", negative)
+        code, out, _ = run(capsys, "verify", "thm3", "--exhaustive", "2", "--jobs", "1")
+        assert code == 1
+        assert "FAIL at instance #0" in out
+        assert '"1,1": "-1"' in out
+
+    def test_report_check_returns_the_verdict_and_the_report(self):
+        check = cli._report_check(lambda d: {"n": d.n, "pass": d.n == 3})
+        assert check(THREE_LOOP) == (True, {"n": 3, "pass": True})
+        assert check(parse_digraph("2\n")) == (False, {"n": 2, "pass": False})
 
     def test_lemmas_random(self, capsys):
         code, out, _ = run(

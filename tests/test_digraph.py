@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import FIVE_TOURNAMENT, REMARK, THREE_LOOP
 from redei_berge import (
     CapExceededError,
-    CycleClass,
     Digraph,
     DigraphFormatError,
     enumerate_digraphs,
@@ -19,6 +18,7 @@ from redei_berge import (
     random_tournament,
 )
 from redei_berge import cli, digraph
+from redei_berge.kernel import CycleClass
 
 # digraphs on at most 8 vertices, loops included
 digraphs = st.integers(0, 8).flatmap(
@@ -26,6 +26,15 @@ digraphs = st.integers(0, 8).flatmap(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)) if n else st.nothing()
     ).map(lambda arcs: Digraph(n, arcs))
 )
+
+
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "arc, entry", [((0.0, 1), "0.0"), ((0, 1.0), "1.0"), ((True, 1), "True")]
+    )
+    def test_rejects_non_integer_endpoint(self, arc, entry):
+        with pytest.raises(ValueError, match=f"non-integer endpoint {entry}$"):
+            Digraph(2, [arc])
 
 
 class TestComplement:
@@ -128,9 +137,10 @@ class TestPredicates:
 class TestEnumeration:
     def test_counts(self):
         assert sum(1 for _ in enumerate_tournaments(3)) == 8
-        assert sum(1 for _ in enumerate_digraphs(2, loops=True)) == 16
+        assert sum(1 for _ in enumerate_digraphs(2)) == 16
         assert sum(1 for _ in enumerate_tournaments(5)) == 1024
-        assert sum(1 for _ in enumerate_digraphs(2, loops=False)) == 4
+        loopless = [d for d in enumerate_digraphs(2) if not d.has_arc(0, 0)]
+        assert sum(1 for d in loopless if not d.has_arc(1, 1)) == 4
 
     def test_duplicate_free(self):
         seen = set(enumerate_digraphs(2))
@@ -146,10 +156,14 @@ class TestEnumeration:
         assert set(second.arcs()) == {(0, 0)}
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
-            list(enumerate_digraphs(5, cap=100))
+        # the cap of 2^24 instances refuses before the first one is built
+        with pytest.raises(CapExceededError, match="cap of 16777216"):
+            next(enumerate_digraphs(5))  # 2^25 instances
         with pytest.raises(CapExceededError):
             list(enumerate_digraphs(6))  # 2^36 instances
+        with pytest.raises(CapExceededError, match="cap of 16777216"):
+            next(enumerate_tournaments(8))  # 2^28 instances
+        assert sum(1 for _ in itertools.islice(enumerate_tournaments(7), 3)) == 3
 
 
 class TestRandomGeneration:

@@ -8,14 +8,11 @@ import pytest
 from conftest import FIVE_TOURNAMENT, THREE_LOOP, transitive_tournament
 from redei_berge import (
     CapExceededError,
-    CycleClass,
     Digraph,
     count_hamiltonian_paths,
     count_nontrivial_odd_cycles,
-    d_cycle_excess,
     enumerate_digraphs,
     enumerate_tournaments,
-    mixed_cycle_permutations,
     random_digraph,
     random_tournament,
     redei_berge_powersum,
@@ -25,6 +22,12 @@ from redei_berge import (
 )
 from redei_berge import hamilton
 from redei_berge.hamilton import _cycle_sums, _partition_sum
+from redei_berge.kernel import CycleClass
+from redei_berge.oracles import (
+    count_hamiltonian_paths_by_backtracking,
+    d_cycle_excess,
+    mixed_cycle_permutations,
+)
 
 
 def brute_force_odd_cycles(d: Digraph) -> int:
@@ -42,59 +45,49 @@ def brute_force_odd_cycles(d: Digraph) -> int:
 
 class TestCounting:
     def test_arcless(self):
-        assert count_hamiltonian_paths(Digraph(4)).value == 0
-        assert count_hamiltonian_paths(Digraph(2)).value == 0
+        assert count_hamiltonian_paths(Digraph(4)) == 0
+        assert count_hamiltonian_paths(Digraph(2)) == 0
 
     def test_complete_loop_free(self):
         d = Digraph(5, [(u, v) for u in range(5) for v in range(5) if u != v])
-        assert count_hamiltonian_paths(d).value == 120
+        assert count_hamiltonian_paths(d) == 120
 
     def test_loops_do_not_matter(self):
         with_loops = Digraph(3, [(0, 1), (1, 2), (0, 0), (2, 2)])
         without = with_loops.without_loops()
         assert (
-            count_hamiltonian_paths(with_loops).value
-            == count_hamiltonian_paths(without).value
+            count_hamiltonian_paths(with_loops)
+            == count_hamiltonian_paths(without)
             == 1
         )
 
     def test_complement_of_example_has_four(self):
-        assert count_hamiltonian_paths(THREE_LOOP.complement()).value == 4
-        assert count_hamiltonian_paths(THREE_LOOP).value == 0
+        assert count_hamiltonian_paths(THREE_LOOP.complement()) == 4
+        assert count_hamiltonian_paths(THREE_LOOP) == 0
 
     def test_empty_digraph_convention(self):
-        assert count_hamiltonian_paths(Digraph(0)).value == 1
-        assert count_hamiltonian_paths(Digraph(0), "backtracking").value == 1
-
-    def test_method_tag(self):
-        assert count_hamiltonian_paths(Digraph(2), "dp").method == "dp"
-        assert count_hamiltonian_paths(Digraph(2), "backtracking").method == (
-            "backtracking"
-        )
-        with pytest.raises(ValueError):
-            count_hamiltonian_paths(Digraph(2), "guess")
+        assert count_hamiltonian_paths(Digraph(0)) == 1
+        assert count_hamiltonian_paths_by_backtracking(Digraph(0)) == 1
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
             count_hamiltonian_paths(Digraph(23))
+        with pytest.raises(CapExceededError):
+            count_hamiltonian_paths_by_backtracking(Digraph(23))
 
     def test_methods_agree_exhaustive_n3(self):
         for n in range(4):
             for d in enumerate_digraphs(n):
-                assert (
-                    count_hamiltonian_paths(d, "dp").value
-                    == count_hamiltonian_paths(d, "backtracking").value
-                )
+                by_dp = count_hamiltonian_paths(d)
+                assert by_dp == count_hamiltonian_paths_by_backtracking(d)
 
     def test_methods_agree_random_through_n10(self):
         rng = random.Random(41)
         for _ in range(500):
             n = rng.randint(0, 10)
             d = random_digraph(n, rng.choice([0.2, 0.5, 0.8]), seed=rng.getrandbits(32))
-            assert (
-                count_hamiltonian_paths(d, "dp").value
-                == count_hamiltonian_paths(d, "backtracking").value
-            )
+            by_dp = count_hamiltonian_paths(d)
+            assert by_dp == count_hamiltonian_paths_by_backtracking(d)
 
 
 class TestOddCycleCounting:
@@ -244,7 +237,7 @@ class TestSignedPermutationCount:
         for n in range(4):
             for d in enumerate_digraphs(n):
                 lhs = redei_berge_powersum(d).zeta()
-                rhs = count_hamiltonian_paths(d.complement()).value
+                rhs = count_hamiltonian_paths(d.complement())
                 assert lhs == rhs
 
     def test_signed_sum_over_split_permutations_exhaustive_n3(self):
@@ -254,7 +247,7 @@ class TestSignedPermutationCount:
                     (-1) ** d_cycle_excess(d, sigma)
                     for sigma in mixed_cycle_permutations(d)
                 )
-                assert signed == count_hamiltonian_paths(d.complement()).value
+                assert signed == count_hamiltonian_paths(d.complement())
 
     def test_signed_sum_random_n4_n5(self):
         rng = random.Random(53)
@@ -265,4 +258,4 @@ class TestSignedPermutationCount:
                 (-1) ** d_cycle_excess(d, sigma)
                 for sigma in mixed_cycle_permutations(d)
             )
-            assert signed == count_hamiltonian_paths(d.complement()).value
+            assert signed == count_hamiltonian_paths(d.complement())

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from redei_berge import (
+from redei_berge import DescentSet
+from redei_berge.kernel import (
     CycleClass,
-    DescentSet,
     Permutation,
     all_descent_sets,
     all_permutations,

@@ -6,39 +6,41 @@ import pytest
 
 from conftest import THREE_LOOP
 from redei_berge import (
-    ArcSet,
     ArcWeights,
     CapExceededError,
     DescentSet,
     Digraph,
     FundamentalQSym,
-    Permutation,
     PowerSumPolynomial,
-    all_descent_sets,
-    count_friendly_listings,
     count_hamiltonian_paths,
-    count_listings_containing,
-    count_perms_containing,
     deformed_powersum,
     enumerate_digraphs,
     enumerate_tournaments,
-    friendly_product,
-    functional_graph,
-    is_arc_set_of_path_cover,
-    is_linear,
-    is_risky,
-    level_subdigraph,
-    path_cover_of,
-    polya_sum,
     random_digraph,
     redei_berge_powersum,
     redei_berge_tournament,
     redei_berge_two_cycle_free,
+)
+from redei_berge.kernel import Permutation, all_descent_sets
+from redei_berge.oracles import (
+    ArcSet,
+    count_friendly_listings,
+    count_listings_containing,
+    count_perms_containing,
+    cycle_weight_sum,
+    d_cycle_excess,
+    friendly_product,
+    is_arc_set_of_path_cover,
+    is_linear,
+    is_risky,
+    level_subdigraph,
+    mixed_cycle_permutations,
+    path_cover_of,
+    polya_sum,
     signed_linear_sum,
     signed_subset_sum,
     signed_sum_per_perm,
 )
-from redei_berge.oracles import cycle_weight_sum
 
 # the 8-vertex example: a 4-path cover {(0,3,2), (1,7), (4), (6,5)}
 COVER_EXAMPLE = ArcSet.of(8, [(0, 3), (3, 2), (1, 7), (6, 5)])
@@ -93,30 +95,6 @@ class TestLinearity:
             assert is_linear(ArcSet.of(n, subset))
 
 
-class TestFunctionalGraph:
-    def test_example(self):
-        sigma = Permutation([1, 2, 0, 4, 3, 5])  # cycles (0,1,2)(3,4)(5)
-        assert functional_graph(sigma).pairs == frozenset(
-            {(0, 1), (1, 2), (2, 0), (3, 4), (4, 3), (5, 5)}
-        )
-
-    def test_identity_gives_all_loops(self):
-        assert functional_graph(Permutation.identity(3)).pairs == frozenset(
-            {(0, 0), (1, 1), (2, 2)}
-        )
-
-    def test_transposition(self):
-        assert functional_graph(Permutation([1, 0])).pairs == frozenset(
-            {(0, 1), (1, 0)}
-        )
-
-    def test_union_of_cycle_arcs(self):
-        for images in itertools.permutations(range(4)):
-            sigma = Permutation(images)
-            union = frozenset().union(*(c.carcs() for c in sigma.cycles))
-            assert functional_graph(sigma).pairs == union
-
-
 class TestContainmentCounts:
     def test_empty_set_counts_everything(self):
         for n in range(5):
@@ -164,7 +142,7 @@ class TestSignedLinearSum:
             for d in enumerate_digraphs(n):
                 assert (
                     signed_linear_sum(d)
-                    == count_hamiltonian_paths(d.complement()).value
+                    == count_hamiltonian_paths(d.complement())
                 )
 
     def test_equals_complement_hamps_random(self):
@@ -174,7 +152,7 @@ class TestSignedLinearSum:
             d = random_digraph(n, 0.5, seed=rng.getrandbits(32))
             assert (
                 signed_linear_sum(d)
-                == count_hamiltonian_paths(d.complement()).value
+                == count_hamiltonian_paths(d.complement())
             )
 
     def test_against_fully_brute_evaluation(self):
@@ -210,8 +188,6 @@ class TestSignedSumPerPerm:
         assert signed_sum_per_perm(d, sigma) == 0
 
     def test_case_formula_exhaustive_n3(self):
-        from redei_berge import d_cycle_excess, mixed_cycle_permutations
-
         for n in range(4):
             for d in enumerate_digraphs(n):
                 members = set(mixed_cycle_permutations(d))
@@ -240,7 +216,7 @@ class TestFriendlyListings:
         for d in (THREE_LOOP, Digraph(4, [(0, 1), (2, 3)])):
             assert (
                 count_friendly_listings(d, [1] * d.n)
-                == count_hamiltonian_paths(d.complement()).value
+                == count_hamiltonian_paths(d.complement())
             )
 
     def test_injective_levels_pin_one_listing(self):

@@ -10,9 +10,8 @@ from redei_berge import (
     DescentSet,
     FundamentalQSym,
     PowerSumPolynomial,
-    all_descent_sets,
-    partition_of,
 )
+from redei_berge.kernel import all_descent_sets, partition_of
 
 P = PowerSumPolynomial
 F = FundamentalQSym
