@@ -4,7 +4,7 @@ Subcommands:
 
 - ``compute``      print the Redei--Berge function of a digraph in the
                    power-sum basis, optionally cross-checked against the
-                   defining listing sum
+                   definition route (the listing sum, from paths)
 - ``deformed``     print the deformed function for a JSON weight matrix
 - ``hamps``        Hamiltonian-path count plus the congruence checks
 - ``verify``       sweep a theorem or the lemma battery over exhaustive or
@@ -482,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         action="store_true",
-        help="cross-check against the defining listing sum, in the fundamental basis",
+        help="cross-check against the path-sum definition route (fundamental basis)",
     )
     p.set_defaults(fn=_cmd_compute)
 

@@ -16,20 +16,20 @@ Routes implemented here:
 - ``deformed_powersum`` / ``deformed_by_definition``: the multiparameter
   deformation driven by a rational weight per ordered vertex pair.
 
-The definition routes enumerate all n! listings and stay in the
-fundamental basis; a power-sum result meets them after
-:meth:`PowerSumPolynomial.to_fundamental`.  Each power-sum route sums a
-product of per-cycle weights over the permutations, which by the
-exponential formula is a sum over set partitions of the product of block
-weights W(B) (the cycle weights summed over the cyclic orderings of B)
-times p_{block sizes}.  A route only builds its W from the cycle-sum table
-of :mod:`hamilton` and hands it to the shared set-partition sum.
+Every route sums over set partitions on the cycle-sum table of
+:mod:`hamilton`; the literal n! sums are the oracles in :mod:`oracles`.  A
+power-sum route weighs a block B by its cycle weights summed over the
+cyclic orderings of B and attaches p_{block sizes} (the exponential
+formula).  A definition route weighs B by its path weights summed over the
+orderings of B, for the monomial coefficients of the listing sum, and
+stays in the fundamental basis, where a power-sum result meets it after
+:meth:`PowerSumPolynomial.to_fundamental`.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -43,6 +43,7 @@ from .polynomials import (
     PowerSumPolynomial,
     Rational,
     _coeff,
+    _monomial_to_fundamental,
     _parse_key,
     _parse_rational,
     _unique_keys,
@@ -87,14 +88,28 @@ def redei_berge_by_definition(d: Digraph) -> FundamentalQSym:
     quasisymmetric function indexed by the listing's descent set.
 
     This is the Redei--Berge function written in the fundamental basis; the
-    coefficient of a descent set counts the listings attaining it.
+    coefficient of a descent set counts the listings attaining it.  A
+    listing has no descent inside the blocks of alpha iff each block lists a
+    Hamiltonian path of the complement, which gives the M_alpha coefficient.
     """
-    _check_cap(d.n, "listing-sum")
-    counts: dict[frozenset[int], int] = {}
-    for listing in itertools.permutations(range(d.n)):  # valid by construction
-        key = _descents(d, listing)
-        counts[key] = counts.get(key, 0) + 1
-    return FundamentalQSym(d.n, {DescentSet(d.n, S): c for S, c in counts.items()})
+    _check_cap(d.n, "path-sum")
+    return _listing_sum(d.n, _indicator(d.complement()))
+
+
+def _listing_sum(n: int, w: list[list]) -> FundamentalQSym:
+    """The function whose M_alpha coefficient sums, over the listings, the
+    product of ``w[u][v]`` over the consecutive pairs inside the blocks of
+    alpha: the set-partition sum of path weights at sort(alpha), times the
+    prod_k m_k! orders of equal blocks.  An apex (vertex 0) joined both ways
+    to every vertex with weight 1 closes a path through S into the cycle at
+    2S + 1 of the cycle-sum table, which reads no diagonal entry of ``w``."""
+    apex = [[1] * (n + 1)] + [[1, *row] for row in w]
+    paths = _partition_sum(n, _cycle_sums(n + 1, apex)[1::2])
+    return _monomial_to_fundamental(
+        n,
+        lambda shape: paths.get(shape, 0)
+        * math.prod(math.factorial(shape.count(k)) for k in set(shape)),
+    )
 
 
 def redei_berge_powersum(d: Digraph) -> PowerSumPolynomial:
@@ -173,10 +188,15 @@ class ArcWeights:
     __slots__ = ("n", "_t")
 
     def __init__(self, n: int, weights: dict[tuple[int, int], Rational] | None = None):
+        if type(n) is not int:  # bool is refused too
+            raise ValueError(f"vertex count {n!r} is not an integer")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         table: dict[tuple[int, int], Fraction] = {}
         for (u, v), value in (weights or {}).items():
+            if type(u) is not int or type(v) is not int:
+                bad = v if type(u) is int else u
+                raise ValueError(f"pair ({u!r}, {v!r}) has a non-integer entry {bad!r}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"pair ({u}, {v}) outside 0..{n - 1}")
             coeff = _coeff(value)
@@ -272,24 +292,11 @@ def deformed_by_definition(weights: ArcWeights) -> FundamentalQSym:
 
     The definition sums, over every listing w and every weakly increasing
     index sequence, the monomial weighted by the product of s(w_k, w_{k+1})
-    over the positions k where the sequence stalls.  Since 1 = s - t, the
-    listing w gives L_S the weight prod_{k in S} (-t(w_k, w_{k+1})) times
-    prod_{k not in S} s(w_k, w_{k+1}): summed over the S inside the strict
-    rises of a sequence, these weights leave the product of s over its
-    stalls."""
+    over the positions k where the sequence stalls, which are inside the
+    blocks of its M_alpha: so paths are weighted by s."""
     n = weights.n
-    _check_cap(n, "listing-sum")
-    totals: dict[frozenset[int], Fraction] = {}
-    for w in itertools.permutations(range(n)):
-        terms = [(frozenset(), Fraction(1))]  # (descent set, weight)
-        for k in range(1, n):
-            stall, rise = weights.s(w[k - 1], w[k]), -weights.t(w[k - 1], w[k])
-            terms = [(S, c * stall) for S, c in terms if stall] + [
-                (S | {k}, c * rise) for S, c in terms if rise
-            ]
-        for S, c in terms:
-            totals[S] = totals.get(S, 0) + c
-    return FundamentalQSym(n, {DescentSet(n, S): c for S, c in totals.items()})
+    _check_cap(n, "path-sum")
+    return _listing_sum(n, [[weights.s(u, v) for v in range(n)] for u in range(n)])
 
 
 def deformed_powersum(weights: ArcWeights) -> PowerSumPolynomial:

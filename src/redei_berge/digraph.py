@@ -38,6 +38,8 @@ class Digraph:
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
+        if type(n) is not int:  # bool is refused too
+            raise ValueError(f"vertex count {n!r} is not an integer")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         rows = [0] * n
@@ -115,15 +117,6 @@ class Digraph:
                 if self.has_arc(u, v) and self.has_arc(v, u):
                     return False
         return True
-
-    def is_path(self, verts: Sequence[int]) -> bool:
-        """Nonempty tuple of distinct vertices whose consecutive pairs are arcs."""
-        verts = tuple(verts)
-        if not verts or len(set(verts)) != len(verts):
-            return False
-        if not all(0 <= v < self.n for v in verts):
-            return False
-        return all(self.has_arc(verts[i], verts[i + 1]) for i in range(len(verts) - 1))
 
     def is_cycle(self, cycle: CycleClass) -> bool:
         """True iff every cyclic arc of the class is an arc of this digraph."""

@@ -17,7 +17,7 @@ Hamiltonian path (the empty list) by convention.
 
 The cycle-sum table (weighted Hamiltonian cycles of every vertex subset,
 where a single vertex reads its diagonal weight) and the set-partition sum
-over it are the engine behind every power-sum formula in :mod:`core`.
+over it are the engine behind every route in :mod:`core`.
 """
 
 from __future__ import annotations

@@ -181,6 +181,9 @@ class Permutation:
     def __init__(self, images: Sequence[int]):
         images = tuple(images)
         n = len(images)
+        for v in images:
+            if type(v) is not int:  # bool is refused too; 1.0 would sort as 1
+                raise ValueError(f"image {v!r} is not an integer")
         if sorted(images) != list(range(n)):
             raise ValueError(f"not a bijection on 0..{n - 1}: {images!r}")
         object.__setattr__(self, "images", images)
@@ -225,12 +228,6 @@ class Permutation:
             for i, v in enumerate(cyc):
                 images[v] = cyc[(i + 1) % len(cyc)]
         return cls(images)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for v, w in enumerate(self.images):
-            inv[w] = v
-        return Permutation(inv)
 
     @property
     def cycles(self) -> tuple[CycleClass, ...]:

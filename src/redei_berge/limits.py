@@ -7,7 +7,7 @@ of silently running forever.  The caps are generous for desk-scale work.
 
 from __future__ import annotations
 
-# Listing sweeps (n! instances) and the power-sum routes.
+# Listing sweeps (n! instances), the definition and the power-sum routes.
 FACTORIAL_CAP = 9
 
 # Bitmask DP over (subset, last vertex) states.  Above ~18 vertices the

@@ -2,8 +2,8 @@
 independently testable identities: linear arc sets and path covers,
 signed inclusion-exclusion sums, level-respecting listings, the
 cycle-colouring sum, permutations filtered by their cycles, the literal
-per-cycle weight sum over all permutations, and Hamiltonian paths counted
-by backtracking.
+per-cycle weight sum over all permutations, the literal listing sums of
+the definition routes, and Hamiltonian paths counted by backtracking.
 
 The routines here deliberately favour direct enumeration over cleverness;
 they are the oracles the rest of the package is checked against.
@@ -14,8 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
+from .core import ArcWeights, _check_cap, _descents
 from .digraph import Digraph
 from .hamilton import count_hamiltonian_paths
 from .kernel import CycleClass, DescentSet, Permutation, all_permutations
@@ -392,3 +394,36 @@ def count_hamiltonian_paths_by_backtracking(d: Digraph) -> int:
     for start in range(n):
         extend(start, 1 << start)
     return total
+
+
+def redei_berge_by_listings(d: Digraph) -> FundamentalQSym:
+    """The defining sum of the Redei--Berge function, one listing at a
+    time: L_{Des(w)} summed over all n! listings w."""
+    _check_cap(d.n, "listing-sum")
+    counts: dict[frozenset[int], int] = {}
+    for listing in itertools.permutations(range(d.n)):  # valid by construction
+        key = _descents(d, listing)
+        counts[key] = counts.get(key, 0) + 1
+    return FundamentalQSym(d.n, {DescentSet(d.n, S): c for S, c in counts.items()})
+
+
+def deformed_by_listings(weights: ArcWeights) -> FundamentalQSym:
+    """The defining sum of the deformation, one listing at a time.
+
+    Since 1 = s - t, the listing w gives L_S the weight
+    prod_{k in S} (-t(w_k, w_{k+1})) times prod_{k not in S} s(w_k, w_{k+1}):
+    summed over the S inside the strict rises of an index sequence, these
+    weights leave the product of s over its stalls."""
+    n = weights.n
+    _check_cap(n, "listing-sum")
+    totals: dict[frozenset[int], Fraction] = {}
+    for w in itertools.permutations(range(n)):
+        terms = [(frozenset(), Fraction(1))]  # (descent set, weight)
+        for k in range(1, n):
+            stall, rise = weights.s(w[k - 1], w[k]), -weights.t(w[k - 1], w[k])
+            terms = [(S, c * stall) for S, c in terms if stall] + [
+                (S | {k}, c * rise) for S, c in terms if rise
+            ]
+        for S, c in terms:
+            totals[S] = totals.get(S, 0) + c
+    return FundamentalQSym(n, {DescentSet(n, S): c for S, c in totals.items()})

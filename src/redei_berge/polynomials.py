@@ -6,7 +6,8 @@ no floating point appears anywhere.  Zero coefficients are never stored, so
 equality in either basis is plain dictionary equality on canonical keys.  A
 power-sum result is compared with a fundamental one after the single bridge
 :meth:`PowerSumPolynomial.to_fundamental` (see Gessel, "Multipartite
-P-partitions and inner products of skew Schur functions", 1984).
+P-partitions and inner products of skew Schur functions", 1984), which
+shares its last step, monomial to fundamental, with the definition routes.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import json
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from .kernel import DescentSet, all_descent_sets, is_partition
+from .kernel import DescentSet, all_descent_sets, is_partition, partition_of
 
 Rational = Fraction | int
 
@@ -186,26 +187,19 @@ class PowerSumPolynomial:
 
         The coefficient of M_alpha in p_lambda counts the ways to send the
         parts of lambda into the blocks of alpha so that every block is
-        filled exactly; since L_S is the sum of M_T over the cut sets T
-        containing S, the fundamental coefficient of S is the signed sum
-        of the M_T coefficients over the T inside S.
+        filled exactly.  That depends only on sort(alpha), so it is counted
+        once per pair of partitions.
 
         >>> f = PowerSumPolynomial({(2,): 1}).to_fundamental()
         >>> sorted((sorted(s), int(c)) for s, c in f.terms.items())
         [([], 1), ([1], -1)]
         """
-        n = self.degree
-        coeffs = {}  # M coefficients by cut set, then L coefficients
-        for key in all_descent_sets(n):
-            blocks = key.composition()
-            coeffs[key.members] = sum(
-                c * _fillings(parts, blocks) for parts, c in self.terms.items()
-            )
-        for k in range(1, n):  # Moebius pass, one cut position at a time
-            for cuts in coeffs:
-                if k in cuts:
-                    coeffs[cuts] -= coeffs[cuts - {k}]
-        return FundamentalQSym(n, {DescentSet(n, S): c for S, c in coeffs.items()})
+        return _monomial_to_fundamental(
+            self.degree,
+            lambda shape: sum(
+                c * _fillings(parts, shape) for parts, c in self.terms.items()
+            ),
+        )
 
     def to_text(self) -> str:
         """Canonical rendering, e.g. ``p[3] + 2*p[2,1] + p[1,1,1]``."""
@@ -275,7 +269,22 @@ class PowerSumPolynomial:
         return f"PowerSumPolynomial({self.terms!r})"
 
 
-@lru_cache(maxsize=1 << 16)  # degree 9 needs about 18,000 entries
+def _monomial_to_fundamental(n: int, m_coefficient: Callable) -> "FundamentalQSym":
+    """The degree-n symmetric function with coefficient m_coefficient(lambda)
+    on m_lambda, in the fundamental basis: M_alpha takes the value at
+    sort(alpha), and since L_S is the sum of M_T over the cut sets T
+    containing S, L_S takes the signed sum of the M_T over the T inside S."""
+    shapes = {s.members: partition_of(s.composition()) for s in all_descent_sets(n)}
+    by_shape = {shape: m_coefficient(shape) for shape in set(shapes.values())}
+    coeffs = {cuts: by_shape[shape] for cuts, shape in shapes.items()}  # then L
+    for k in range(1, n):  # Moebius pass, one cut position at a time
+        for cuts in coeffs:
+            if k in cuts:
+                coeffs[cuts] -= coeffs[cuts - {k}]
+    return FundamentalQSym(n, {DescentSet(n, S): c for S, c in coeffs.items()})
+
+
+@lru_cache(maxsize=1 << 16)  # degrees up to 9 need about 4,400 entries
 def _fillings(parts: tuple[int, ...], blocks: tuple[int, ...]) -> int:
     """Ways to send the parts (told apart by position) into the blocks so
     that every block is filled exactly: the M_blocks coefficient of

@@ -145,7 +145,7 @@ class TestDefinitionRoute:
         assert redei_berge_by_definition(Digraph(1)) == P.p(1).to_fundamental()
 
     def test_cap(self):
-        with pytest.raises(CapExceededError, match="listing-sum cap of 9"):
+        with pytest.raises(CapExceededError, match="path-sum cap of 9"):
             redei_berge_by_definition(Digraph(10))
 
 
@@ -439,6 +439,19 @@ class TestDeformation:
                     f2 = deformed_powersum(w.updated(u, v, base + 2))
                     assert f2 - f1.scale(2) + f0 == P.zero()
 
+    @pytest.mark.parametrize(
+        "n, weights, bad",
+        [
+            (2.5, {}, "vertex count 2.5 is not an integer"),
+            (True, {}, "vertex count True is not an integer"),
+            (2, {(0.0, 1): 1}, "non-integer entry 0.0"),
+            (2, {(0, True): 1}, "non-integer entry True"),
+        ],
+    )
+    def test_weights_reject_non_integer_count_and_pairs(self, n, weights, bad):
+        with pytest.raises(ValueError, match=bad):
+            ArcWeights(n, weights)
+
     def test_weights_json_round_trip(self):
         w = ArcWeights(2, {(0, 1): -1, (1, 0): Fraction(1, 2)})
         assert ArcWeights.from_json(w.to_json()) == w
@@ -532,4 +545,16 @@ class TestCapsBeforeWork:
             (deformed_powersum, ArcWeights.random(10, seed=3)),
         ):
             with pytest.raises(CapExceededError, match="power-sum cap of 9"):
+                route(arg)
+
+    def test_definition_routes_refuse_before_building_tables(self, monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("cycle-sum table built above the cap")
+
+        monkeypatch.setattr("redei_berge.core._cycle_sums", no_tables)
+        for route, arg in (
+            (redei_berge_by_definition, random_digraph(10, 0.5, seed=4)),
+            (deformed_by_definition, ArcWeights.random(10, seed=5)),
+        ):
+            with pytest.raises(CapExceededError, match="path-sum cap of 9"):
                 route(arg)

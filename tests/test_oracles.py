@@ -13,10 +13,12 @@ from redei_berge import (
     FundamentalQSym,
     PowerSumPolynomial,
     count_hamiltonian_paths,
+    deformed_by_definition,
     deformed_powersum,
     enumerate_digraphs,
     enumerate_tournaments,
     random_digraph,
+    redei_berge_by_definition,
     redei_berge_powersum,
     redei_berge_tournament,
     redei_berge_two_cycle_free,
@@ -29,6 +31,7 @@ from redei_berge.oracles import (
     count_perms_containing,
     cycle_weight_sum,
     d_cycle_excess,
+    deformed_by_listings,
     friendly_product,
     is_arc_set_of_path_cover,
     is_linear,
@@ -37,6 +40,7 @@ from redei_berge.oracles import (
     mixed_cycle_permutations,
     path_cover_of,
     polya_sum,
+    redei_berge_by_listings,
     signed_linear_sum,
     signed_subset_sum,
     signed_sum_per_perm,
@@ -401,3 +405,37 @@ class TestCycleWeightSum:
         for n in (0, 1, 2, 3, 4, 4, 5, 5):
             w = ArcWeights.random(n, seed=rng.getrandbits(32))
             assert deformed_powersum(w) == cycle_weight_sum(n, deformed_weight(w))
+
+
+class TestListingSums:
+    """The definition routes, which sum path weights over set partitions,
+    against the defining sums over all n! listings."""
+
+    def test_cap(self):
+        with pytest.raises(CapExceededError, match="listing-sum cap of 9"):
+            redei_berge_by_listings(Digraph(10))
+        with pytest.raises(CapExceededError, match="listing-sum cap of 9"):
+            deformed_by_listings(ArcWeights(10))
+
+    def test_definition_route_exhaustive_n3(self):
+        for n in range(4):
+            for d in enumerate_digraphs(n):
+                assert redei_berge_by_definition(d) == redei_berge_by_listings(d)
+
+    def test_definition_route_tournaments_exhaustive_n5(self):
+        for n in range(6):
+            for d in enumerate_tournaments(n):
+                assert redei_berge_by_definition(d) == redei_berge_by_listings(d)
+
+    def test_definition_route_random_n8(self):
+        rng = random.Random(71)
+        for n in (4, 5, 6, 6, 7, 7, 8, 8):
+            density = rng.choice((0.2, 0.5, 0.8))
+            d = random_digraph(n, density, seed=rng.getrandbits(32))
+            assert redei_berge_by_definition(d) == redei_berge_by_listings(d)
+
+    def test_deformed_route_random_weights_n6(self):
+        rng = random.Random(73)
+        for n in (0, 1, 2, 3, 4, 4, 5, 5, 6, 6):
+            w = ArcWeights.random(n, seed=rng.getrandbits(32))
+            assert deformed_by_definition(w) == deformed_by_listings(w)
