@@ -15,9 +15,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .core import ArcWeights, _check_cap, _descents
 from .digraph import Digraph
 from .hamilton import count_hamiltonian_paths
 from .kernel import CycleClass, DescentSet, Permutation, all_permutations
@@ -29,6 +28,9 @@ from .limits import (
     CapExceededError,
 )
 from .polynomials import FundamentalQSym, PowerSumPolynomial
+
+if TYPE_CHECKING:
+    from .core import ArcWeights
 
 
 @dataclass(frozen=True)
@@ -396,13 +398,20 @@ def count_hamiltonian_paths_by_backtracking(d: Digraph) -> int:
     return total
 
 
+def _check_listing_cap(n: int) -> None:
+    if n > FACTORIAL_CAP:
+        raise CapExceededError(
+            f"{n} vertices exceeds the listing-sum cap of {FACTORIAL_CAP}"
+        )
+
+
 def redei_berge_by_listings(d: Digraph) -> FundamentalQSym:
     """The defining sum of the Redei--Berge function, one listing at a
     time: L_{Des(w)} summed over all n! listings w."""
-    _check_cap(d.n, "listing-sum")
+    _check_listing_cap(d.n)
     counts: dict[frozenset[int], int] = {}
-    for listing in itertools.permutations(range(d.n)):  # valid by construction
-        key = _descents(d, listing)
+    for w in itertools.permutations(range(d.n)):
+        key = frozenset(k for k in range(1, d.n) if d.has_arc(w[k - 1], w[k]))
         counts[key] = counts.get(key, 0) + 1
     return FundamentalQSym(d.n, {DescentSet(d.n, S): c for S, c in counts.items()})
 
@@ -415,7 +424,7 @@ def deformed_by_listings(weights: ArcWeights) -> FundamentalQSym:
     summed over the S inside the strict rises of an index sequence, these
     weights leave the product of s over its stalls."""
     n = weights.n
-    _check_cap(n, "listing-sum")
+    _check_listing_cap(n)
     totals: dict[frozenset[int], Fraction] = {}
     for w in itertools.permutations(range(n)):
         terms = [(frozenset(), Fraction(1))]  # (descent set, weight)

@@ -40,6 +40,7 @@ from redei_berge.oracles import (
     is_linear,
     path_cover_of,
     polya_sum,
+    redei_berge_by_listings,
     signed_linear_sum,
     signed_subset_sum,
     signed_sum_per_perm,
@@ -78,15 +79,23 @@ def test_criterion_1_golden_values():
 def test_criterion_2_powersum_formula_equals_definition():
     started = time.perf_counter()
     failures = []
+    # the path route is checked against the n! listing sum on every input,
+    # so the formula is compared with the defining sum itself
     for d in enumerate_digraphs(3):
-        if redei_berge_powersum(d).to_fundamental() != redei_berge_by_definition(d):
+        definition = redei_berge_by_definition(d)
+        if redei_berge_powersum(d).to_fundamental() != definition:
             failures.append(f"exhaustive n=3: {sorted(d.arcs())}")
+        elif redei_berge_by_listings(d) != definition:
+            failures.append(f"path route, exhaustive n=3: {sorted(d.arcs())}")
     rng = random_stream(202)
     for i in range(200):
         n = rng.randint(0, 5)
         d = random_digraph(n, 0.5, seed=rng.getrandbits(32))
-        if redei_berge_powersum(d).to_fundamental() != redei_berge_by_definition(d):
+        definition = redei_berge_by_definition(d)
+        if redei_berge_powersum(d).to_fundamental() != definition:
             failures.append(f"random #{i}: {sorted(d.arcs())}")
+        elif redei_berge_by_listings(d) != definition:
+            failures.append(f"path route, random #{i}: {sorted(d.arcs())}")
     finish(2, "signed formula = defining sum", 60, started, failures)
 
 

@@ -38,8 +38,10 @@ from redei_berge.kernel import (
 from redei_berge.oracles import (
     d_cycle_excess,
     d_cycle_permutations,
+    deformed_by_listings,
     is_risky,
     mixed_cycle_permutations,
+    redei_berge_by_listings,
 )
 
 P = PowerSumPolynomial
@@ -240,7 +242,7 @@ class TestPowerSumRoutes:
             d = random_digraph(n, 0.5, seed=rng.getrandbits(32))
             f = redei_berge_powersum(d)
             g = redei_berge_by_definition(d)
-            assert f.to_fundamental() == g
+            assert f.to_fundamental() == g == redei_berge_by_listings(d)
             # independently: both zeta values count the complement's paths
             hamps = count_hamiltonian_paths(d.complement())
             assert f.zeta() == g.zeta() == hamps
@@ -253,7 +255,7 @@ class TestPowerSumRoutes:
         for _ in range(15):
             n = rng.randint(1, 4)
             d = random_digraph(n, 0.5, seed=rng.getrandbits(32))
-            f = redei_berge_by_definition(d)
+            f = redei_berge_by_listings(d)
             by_shape: dict[tuple[int, ...], set] = {}
             for cut in all_descent_sets(n):
                 m_coeff = sum(
@@ -401,7 +403,8 @@ class TestDeformation:
         for _ in range(10):
             n = rng.randint(0, 4)
             w = ArcWeights.random(n, seed=rng.getrandbits(32))
-            assert deformed_powersum(w).to_fundamental() == deformed_by_definition(w)
+            g = deformed_by_definition(w)
+            assert deformed_powersum(w).to_fundamental() == g == deformed_by_listings(w)
 
     def test_zero_weights_give_factorial_times_complete_homogeneous(self):
         for n in range(5):
@@ -416,6 +419,7 @@ class TestDeformation:
             d = random_digraph(n, 0.5, seed=rng.getrandbits(32))
             w = ArcWeights.from_digraph(d)
             assert deformed_by_definition(w) == redei_berge_by_definition(d)
+            assert deformed_by_listings(w) == redei_berge_by_listings(d)
 
     def test_indicator_specialization_reproduces_powersum_form(self):
         rng = random.Random(19)
