@@ -56,7 +56,13 @@ from .hamilton import (
     verify_redei,
 )
 from .kernel import Permutation
-from .limits import CYCLE_ENUM_CAP, DP_VERTEX_CAP, FACTORIAL_CAP, CapExceededError
+from .limits import (
+    CYCLE_ENUM_CAP,
+    DP_VERTEX_CAP,
+    ENUMERATION_CAP,
+    FACTORIAL_CAP,
+    CapExceededError,
+)
 from .oracles import (
     ArcSet,
     count_friendly_listings,
@@ -359,13 +365,17 @@ def _cmd_hamps(args: argparse.Namespace) -> int:
 
 
 def _check_sweep_size(args: argparse.Namespace, cap: int) -> None:
-    """Refuses a sweep whose sizes are negative or above the target's cap,
-    or whose worker count is below 1, before any instance is built or
-    checked."""
+    """Refuses, before any instance is built or checked, a sweep whose sizes
+    are negative or above the target's cap, whose random count is above the
+    exhaustive streams' cap, or whose worker count is below 1."""
     if args.exhaustive is not None:
         flag, n = "--exhaustive", args.exhaustive
     elif args.random < 0:
         raise ValueError(f"--random must be nonnegative, got {args.random}")
+    elif args.random > ENUMERATION_CAP:
+        raise CapExceededError(
+            f"--random {args.random} exceeds the cap of {ENUMERATION_CAP} instances"
+        )
     else:
         flag, n = "--max-n", args.max_n
     if n < 0:

@@ -31,12 +31,13 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from typing import Sequence
 
 from .digraph import Digraph
 from .hamilton import _cycle_sums, _indicator, _partition_sum
-from .kernel import DescentSet
+from .kernel import DescentSet, _require_int
 from .limits import FACTORIAL_CAP, CapExceededError
 from .polynomials import (
     FundamentalQSym,
@@ -44,17 +45,13 @@ from .polynomials import (
     Rational,
     _coeff,
     _monomial_to_fundamental,
-    _parse_key,
-    _parse_rational,
-    _unique_keys,
 )
 
 
 def _check_listing(d: Digraph, listing: Sequence[int]) -> tuple[int, ...]:
     listing = tuple(listing)
     for v in listing:
-        if type(v) is not int:  # bool is refused too; 1.0 would sort as 1
-            raise ValueError(f"listing entry {v!r} is not an integer")
+        _require_int(v, "listing entry")
     if sorted(listing) != list(range(d.n)):
         raise ValueError(f"not a listing of 0..{d.n - 1}: {listing!r}")
     return listing
@@ -180,6 +177,41 @@ def in_doubled_odd_cone(f: PowerSumPolynomial) -> bool:
     return True
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _parse_rational(value: object, what: str) -> Fraction:
+    """An exact rational from a JSON value: an integer, or a string of the
+    form ``[+-]digits`` or ``[+-]digits/digits``.  Floats, booleans,
+    decimal points and exponents are refused: they are inexact, or (like
+    "1e1000000000") ask for an integer far longer than their text."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
+        raise ValueError(
+            f"{what} must be an integer or a rational string such as "
+            f"\"-1/2\", got {json.dumps(value)}"
+        )
+    numerator, _, denominator = value.partition("/")
+    if denominator and not int(denominator):
+        raise ValueError(f"{what} has a zero denominator")
+    return Fraction(int(numerator), int(denominator or 1))
+
+
+# ASCII digits only: int() would also take spaces, signs, "_" and other digits
+_PAIR_KEY = re.compile(r"([0-9]+),([0-9]+)")
+
+
+def _unique_keys(items: list[tuple[str, object]]) -> dict:
+    """A ``json.loads`` object hook that refuses a repeated key."""
+    data: dict = {}
+    for key, value in items:
+        if key in data:
+            raise ValueError(f"key {key!r} appears twice")
+        data[key] = value
+    return data
+
+
 class ArcWeights:
     """A rational weight t(u, v) for every ordered vertex pair; the shifted
     weight is s(u, v) = t(u, v) + 1.  Drives the deformed Redei--Berge
@@ -188,8 +220,7 @@ class ArcWeights:
     __slots__ = ("n", "_t")
 
     def __init__(self, n: int, weights: dict[tuple[int, int], Rational] | None = None):
-        if type(n) is not int:  # bool is refused too
-            raise ValueError(f"vertex count {n!r} is not an integer")
+        _require_int(n, "vertex count")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         table: dict[tuple[int, int], Fraction] = {}
@@ -258,9 +289,10 @@ class ArcWeights:
         table: dict[tuple[int, int], Fraction] = {}
         named: dict[tuple[int, int], str] = {}
         for key, value in pairs.items():
-            pair = _parse_key(key)
-            if pair is None or len(pair) != 2:
+            match = _PAIR_KEY.fullmatch(key)
+            if match is None:
                 raise ValueError(f"bad pair key {key!r}, expected 'u,v'")
+            pair = (int(match[1]), int(match[2]))
             if pair in named:
                 raise ValueError(
                     f"pair keys {named[pair]!r} and {key!r} both name {pair}"
@@ -268,13 +300,6 @@ class ArcWeights:
             named[pair] = key
             table[pair] = _parse_rational(value, f"weight of {key!r}")
         return cls(n, table)
-
-    def to_json(self) -> str:
-        entries = {
-            f"{u},{v}": str(coeff)
-            for (u, v), coeff in sorted(self._t.items())
-        }
-        return json.dumps({"n": self.n, "t": entries})
 
     def __eq__(self, other: object) -> bool:
         return (

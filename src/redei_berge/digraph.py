@@ -11,7 +11,7 @@ import itertools
 import random
 from typing import Iterable, Iterator, Sequence
 
-from .kernel import CycleClass
+from .kernel import CycleClass, _require_int
 from .limits import DP_VERTEX_CAP, ENUMERATION_CAP, CapExceededError
 
 
@@ -38,8 +38,7 @@ class Digraph:
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
-        if type(n) is not int:  # bool is refused too
-            raise ValueError(f"vertex count {n!r} is not an integer")
+        _require_int(n, "vertex count")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         rows = [0] * n
@@ -58,6 +57,9 @@ class Digraph:
     @classmethod
     def from_rows(cls, n: int, rows: Sequence[int]) -> "Digraph":
         """Build directly from per-row out-neighbour bitmasks."""
+        _require_int(n, "vertex count")
+        for r in rows:
+            _require_int(r, "row")
         if len(rows) != n:
             raise ValueError(f"expected {n} rows, got {len(rows)}")
         mask = (1 << n) - 1
@@ -157,6 +159,7 @@ def enumerate_digraphs(n: int) -> Iterator[Digraph]:
     The arc positions are ordered row-major; digraph number i contains the
     j-th position iff bit j of i is set.
     """
+    _require_int(n, "vertex count")
     positions = [(u, v) for u in range(n) for v in range(n)]
     total = 1 << len(positions)
     if total > ENUMERATION_CAP:
@@ -177,6 +180,7 @@ def enumerate_tournaments(n: int) -> Iterator[Digraph]:
     of the index set means the j-th pair is oriented u -> v, clear means
     v -> u.
     """
+    _require_int(n, "vertex count")
     pairs = list(itertools.combinations(range(n), 2))
     total = 1 << len(pairs)
     if total > ENUMERATION_CAP:
@@ -199,11 +203,13 @@ def random_digraph(
 ) -> Digraph:
     """Digraph with each of the n^2 possible arcs (loops included) present
     independently with the given probability.  Deterministic per seed."""
+    _require_int(n, "vertex count")
     return _random_digraph(random.Random(seed), n, arc_probability)
 
 
 def random_tournament(n: int, seed: int | None = None) -> Digraph:
     """Uniformly random tournament; deterministic per seed."""
+    _require_int(n, "vertex count")
     return _random_tournament(random.Random(seed), n)
 
 

@@ -10,6 +10,9 @@ Conventions used throughout the package:
 - A cycle class is a rotation-equivalence class of a nonempty tuple of
   distinct vertices, stored as the unique rotation with its minimal
   entry first.
+- An integer that a value here is built from (a length, member, part,
+  entry or image) must be a plain ``int``: a bool is refused, and so is a
+  float, which would compare, hash and sort as the integer it equals.
 """
 
 from __future__ import annotations
@@ -19,9 +22,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
+def _require_int(value: object, what: str) -> None:
+    """Refuse anything but a plain ``int`` with a message naming it."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an integer")
+
+
 def is_composition(parts: Sequence[int]) -> bool:
-    """True if every part is a positive integer."""
-    return all(isinstance(p, int) and p >= 1 for p in parts)
+    """True if every part is a positive integer (bools excluded)."""
+    return all(type(p) is int and p >= 1 for p in parts)
 
 
 def is_partition(parts: Sequence[int]) -> bool:
@@ -62,17 +71,14 @@ class DescentSet:
     members: frozenset[int]
 
     def __post_init__(self) -> None:
+        _require_int(self.n, "length")
         if self.n < 0:
             raise ValueError(f"n must be nonnegative, got {self.n}")
-        if not isinstance(self.members, frozenset):
-            object.__setattr__(self, "members", frozenset(self.members))
+        object.__setattr__(self, "members", frozenset(self.members))
         for m in self.members:
+            _require_int(m, "member")
             if not 1 <= m <= self.n - 1:
                 raise ValueError(f"member {m} outside 1..{self.n - 1}")
-
-    @classmethod
-    def of(cls, n: int, members: Iterable[int] = ()) -> "DescentSet":
-        return cls(n, frozenset(members))
 
     @classmethod
     def from_composition(cls, parts: Sequence[int]) -> "DescentSet":
@@ -123,6 +129,8 @@ class CycleClass:
         verts = tuple(verts)
         if not verts:
             raise ValueError("a cycle class is nonempty")
+        for v in verts:
+            _require_int(v, "entry")
         if len(set(verts)) != len(verts):
             raise ValueError(f"entries must be distinct: {verts!r}")
         k = verts.index(min(verts))
@@ -182,8 +190,7 @@ class Permutation:
         images = tuple(images)
         n = len(images)
         for v in images:
-            if type(v) is not int:  # bool is refused too; 1.0 would sort as 1
-                raise ValueError(f"image {v!r} is not an integer")
+            _require_int(v, "image")
         if sorted(images) != list(range(n)):
             raise ValueError(f"not a bijection on 0..{n - 1}: {images!r}")
         object.__setattr__(self, "images", images)
@@ -201,10 +208,6 @@ class Permutation:
 
     def __call__(self, v: int) -> int:
         return self.images[v]
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
@@ -252,11 +255,6 @@ class Permutation:
     def cycle_type(self) -> tuple[int, ...]:
         """Partition of n recording the cycle lengths."""
         return partition_of(len(c) for c in self.cycles)
-
-    @property
-    def nontrivial_cycle_count(self) -> int:
-        """Number of cycles of length > 1."""
-        return sum(1 for c in self.cycles if c.is_nontrivial)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images

@@ -8,17 +8,20 @@ power-sum result is compared with a fundamental one after the single bridge
 :meth:`PowerSumPolynomial.to_fundamental` (see Gessel, "Multipartite
 P-partitions and inner products of skew Schur functions", 1984), which
 shares its last step, monomial to fundamental, with the definition routes.
+
+Each basis keeps only what the routes, checks and CLI use: power sums add,
+subtract, scale, apply omega, antipode, zeta and the bridge, and print as
+text or JSON; fundamentals compare and give coefficients and zeta.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
-from .kernel import DescentSet, all_descent_sets, is_partition, partition_of
+from .kernel import DescentSet, _require_int, all_descent_sets, is_partition, partition_of
 
 Rational = Fraction | int
 
@@ -26,52 +29,9 @@ Rational = Fraction | int
 def _coeff(value: Rational) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"coefficient must be exact (int or Fraction), got {type(value)}")
-
-
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
-def _parse_rational(value: object, what: str) -> Fraction:
-    """An exact rational from a JSON value: an integer, or a string of the
-    form ``[+-]digits`` or ``[+-]digits/digits``.  Floats, booleans,
-    decimal points and exponents are refused: they are inexact, or (like
-    "1e1000000000") ask for an integer far longer than their text."""
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
-        raise ValueError(
-            f"{what} must be an integer or a rational string such as "
-            f"\"-1/2\", got {json.dumps(value)}"
-        )
-    numerator, _, denominator = value.partition("/")
-    if denominator and not int(denominator):
-        raise ValueError(f"{what} has a zero denominator")
-    return Fraction(int(numerator), int(denominator or 1))
-
-
-_KEY_FIELDS = re.compile(r"([0-9]+(,[0-9]+)*)?")
-
-
-def _parse_key(key: str) -> tuple[int, ...] | None:
-    """The integers of a JSON key made of comma-separated ASCII-digit
-    fields ("" has none), or None for any other key: ``int`` alone would
-    also take spaces, signs, underscores and non-ASCII digits."""
-    if not _KEY_FIELDS.fullmatch(key):
-        return None
-    return tuple(int(field) for field in key.split(",")) if key else ()
-
-
-def _unique_keys(items: list[tuple[str, object]]) -> dict:
-    """A ``json.loads`` object hook that refuses a repeated key."""
-    data: dict = {}
-    for key, value in items:
-        if key in data:
-            raise ValueError(f"key {key!r} appears twice")
-        data[key] = value
-    return data
+    raise TypeError(f"coefficient must be exact (int or Fraction), got {type(value)}")
 
 
 def _partition_sort_key(parts: tuple[int, ...]) -> tuple:
@@ -109,19 +69,6 @@ class PowerSumPolynomial:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PowerSumPolynomial is immutable")
 
-    @classmethod
-    def zero(cls) -> "PowerSumPolynomial":
-        return cls({})
-
-    @classmethod
-    def one(cls) -> "PowerSumPolynomial":
-        return cls({(): 1})
-
-    @classmethod
-    def p(cls, k: int) -> "PowerSumPolynomial":
-        """The power sum x_1^k + x_2^k + ... as a basis element."""
-        return cls({(k,): 1})
-
     def __add__(self, other: "PowerSumPolynomial") -> "PowerSumPolynomial":
         terms = dict(self.terms)
         for parts, coeff in other.terms.items():
@@ -137,14 +84,6 @@ class PowerSumPolynomial:
     def scale(self, value: Rational) -> "PowerSumPolynomial":
         c = _coeff(value)
         return PowerSumPolynomial({p: c * v for p, v in self.terms.items()})
-
-    def __mul__(self, other: "PowerSumPolynomial") -> "PowerSumPolynomial":
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for p1, c1 in self.terms.items():
-            for p2, c2 in other.terms.items():
-                key = tuple(sorted(p1 + p2, reverse=True))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return PowerSumPolynomial(terms)
 
     def coefficient(self, parts: Iterable[int]) -> Fraction:
         return self.terms.get(tuple(parts), Fraction(0))
@@ -232,30 +171,6 @@ class PowerSumPolynomial:
         }
         return json.dumps(ordered)
 
-    @classmethod
-    def from_json(cls, text: str) -> "PowerSumPolynomial":
-        """Parse the :meth:`to_json` form.  A key is the comma-joined parts
-        in ASCII digits ("" for the constant term); a repeated key, or two
-        keys naming one partition (such as "2,1" and "2,01"), are refused."""
-        data = json.loads(text, object_pairs_hook=_unique_keys)
-        if not isinstance(data, dict):
-            raise ValueError("expected a JSON object")
-        terms: dict[tuple[int, ...], Fraction] = {}
-        named: dict[tuple[int, ...], str] = {}
-        for key, value in data.items():
-            parts = _parse_key(key)
-            if parts is None:
-                raise ValueError(
-                    f"bad partition key {key!r}, expected parts like '2,1'"
-                )
-            if parts in named:
-                raise ValueError(
-                    f"partition keys {named[parts]!r} and {key!r} both name {parts}"
-                )
-            named[parts] = key
-            terms[parts] = _parse_rational(value, f"coefficient of {key!r}")
-        return cls(terms)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PowerSumPolynomial) and self.terms == other.terms
 
@@ -307,6 +222,7 @@ class FundamentalQSym:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Mapping[DescentSet, Rational] = ()):
+        _require_int(n, "degree")
         if n < 0:
             raise ValueError(f"degree must be nonnegative, got {n}")
         clean: dict[DescentSet, Fraction] = {}
@@ -322,35 +238,13 @@ class FundamentalQSym:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FundamentalQSym is immutable")
 
-    @classmethod
-    def zero(cls, n: int) -> "FundamentalQSym":
-        return cls(n, {})
-
-    def __add__(self, other: "FundamentalQSym") -> "FundamentalQSym":
-        if self.n != other.n:
-            raise ValueError(f"degrees differ: {self.n} vs {other.n}")
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return FundamentalQSym(self.n, terms)
-
-    def __neg__(self) -> "FundamentalQSym":
-        return self.scale(-1)
-
-    def __sub__(self, other: "FundamentalQSym") -> "FundamentalQSym":
-        return self + (-other)
-
-    def scale(self, value: Rational) -> "FundamentalQSym":
-        c = _coeff(value)
-        return FundamentalQSym(self.n, {k: c * v for k, v in self.terms.items()})
-
     def coefficient(self, key: DescentSet) -> Fraction:
         return self.terms.get(key, Fraction(0))
 
     def zeta(self) -> Fraction:
         """Evaluation at x_1 = 1, rest 0: the coefficient of the empty
         descent set (every other fundamental vanishes there)."""
-        return self.terms.get(DescentSet.of(self.n), Fraction(0))
+        return self.terms.get(DescentSet(self.n, ()), Fraction(0))
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -210,7 +210,7 @@ def test_criterion_8_deformation():
                 f0 = deformed_powersum(w)
                 f1 = deformed_powersum(w.updated(u, v, base + 1))
                 f2 = deformed_powersum(w.updated(u, v, base + 2))
-                if f2 - f1.scale(2) + f0 != P.zero():
+                if f2 - f1.scale(2) + f0 != P():
                     failures.append(f"second difference nonzero at t({u},{v})")
     finish(8, "deformation closed forms and multilinearity", 60, started, failures)
 

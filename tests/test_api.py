@@ -47,3 +47,55 @@ def test_star_import_binds_exactly_the_public_names():
     namespace: dict = {}
     exec("from redei_berge import *", namespace)
     assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC
+
+
+# Public attribute names of the two bases and the input types, as the class
+# defines them; an alias constructor or an operation that nothing calls
+# shows up here first.
+CLASS_NAMES = {
+    "ArcWeights": ["from_digraph", "from_json", "n", "random", "s", "t", "updated"],
+    "DescentSet": ["composition", "from_composition"],
+    "Digraph": [
+        "arc_count",
+        "arcs",
+        "complement",
+        "from_rows",
+        "has_arc",
+        "induced",
+        "is_cycle",
+        "is_tournament",
+        "is_two_cycle_free",
+        "n",
+        "rows",
+        "without_loops",
+    ],
+    "FundamentalQSym": ["coefficient", "n", "terms", "zeta"],
+    "PowerSumPolynomial": [
+        "antipode",
+        "coefficient",
+        "degree",
+        "omega",
+        "scale",
+        "terms",
+        "to_fundamental",
+        "to_json",
+        "to_text",
+        "zeta",
+    ],
+}
+
+
+def test_classes_carry_exactly_the_pinned_public_names():
+    for name, expected in CLASS_NAMES.items():
+        cls = getattr(redei_berge, name)
+        assert sorted(a for a in dir(cls) if not a.startswith("_")) == expected, name
+
+
+def test_only_power_sums_have_arithmetic_operators():
+    operators = {"__add__", "__sub__", "__neg__", "__mul__"}
+    assert sorted(operators & set(vars(redei_berge.PowerSumPolynomial))) == [
+        "__add__",
+        "__neg__",
+        "__sub__",
+    ]
+    assert not operators & set(vars(redei_berge.FundamentalQSym))

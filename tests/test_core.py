@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -45,10 +46,6 @@ from redei_berge.oracles import (
 )
 
 P = PowerSumPolynomial
-
-
-def L(n: int, *members: int) -> FundamentalQSym:
-    return FundamentalQSym(n, {DescentSet.of(n, members): 1})
 
 
 def naive_mixed(d):
@@ -128,23 +125,25 @@ class TestDefinitionRoute:
     def test_descent_distribution_of_example(self):
         dist = redei_berge_by_definition(THREE_LOOP)
         assert dist.terms == {
-            DescentSet.of(3): 4,
-            DescentSet.of(3, {1}): 1,
-            DescentSet.of(3, {2}): 1,
+            DescentSet(3, ()): 4,
+            DescentSet(3, {1}): 1,
+            DescentSet(3, {2}): 1,
         }
 
     def test_expansion_matches_fundamental_combination(self):
         lhs = redei_berge_by_definition(THREE_LOOP)
-        assert lhs == L(3).scale(4) + L(3, 1) + L(3, 2)
+        assert lhs == FundamentalQSym(
+            3, {DescentSet(3, ()): 4, DescentSet(3, {1}): 1, DescentSet(3, {2}): 1}
+        )
         assert lhs == redei_berge_powersum(THREE_LOOP).to_fundamental()
 
     def test_zero_vertices_gives_constant_one(self):
         f = redei_berge_by_definition(Digraph(0))
-        assert f.coefficient(DescentSet.of(0)) == 1
+        assert f.coefficient(DescentSet(0, ())) == 1
         assert len(f.terms) == 1
 
     def test_one_vertex_gives_first_power_sum(self):
-        assert redei_berge_by_definition(Digraph(1)) == P.p(1).to_fundamental()
+        assert redei_berge_by_definition(Digraph(1)) == P({(1,): 1}).to_fundamental()
 
     def test_cap(self):
         with pytest.raises(CapExceededError, match="path-sum cap of 9"):
@@ -154,7 +153,7 @@ class TestDefinitionRoute:
 class TestPermutationSets:
     def test_example_mixed_set(self):
         expected = {
-            Permutation.identity(3),
+            Permutation(range(3)),
             Permutation.from_cycles(3, [(0, 2)]),
             Permutation.from_cycles(3, [(1, 2)]),
             Permutation.from_cycles(3, [(0, 2, 1)]),
@@ -162,17 +161,17 @@ class TestPermutationSets:
         assert set(mixed_cycle_permutations(THREE_LOOP)) == expected
 
     def test_example_d_cycle_set(self):
-        assert d_cycle_permutations(THREE_LOOP) == [Permutation.identity(3)]
+        assert d_cycle_permutations(THREE_LOOP) == [Permutation(range(3))]
 
     def test_arcless_digraph(self):
         d = Digraph(3)
         assert len(mixed_cycle_permutations(d)) == 6
-        assert d_cycle_permutations(d) == [Permutation.identity(3)]
+        assert d_cycle_permutations(d) == [Permutation(range(3))]
 
     def test_identity_always_mixed_member(self):
         for n in range(5):
             for d in (Digraph(n), random_digraph(n, 0.7, seed=n)):
-                assert Permutation.identity(n) in mixed_cycle_permutations(d)
+                assert Permutation(range(n)) in mixed_cycle_permutations(d)
 
     def test_against_naive_filters_exhaustive(self):
         for n in range(4):
@@ -189,14 +188,12 @@ class TestCycleStatistics:
 
     def test_identity_excess(self):
         loop_free = Digraph(4, [(0, 1)])
-        assert d_cycle_excess(loop_free, Permutation.identity(4)) == 0
-        assert Permutation.identity(4).nontrivial_cycle_count == 0
+        assert d_cycle_excess(loop_free, Permutation(range(4))) == 0
 
     def test_single_full_cycle(self):
         d = Digraph(5, [(i, (i + 1) % 5) for i in range(5)])
         sigma = Permutation.from_cycles(5, [tuple(range(5))])
         assert d_cycle_excess(d, sigma) == 4
-        assert sigma.nontrivial_cycle_count == 1
 
     def test_excess_ignores_loops(self):
         rng = random.Random(23)
@@ -409,7 +406,8 @@ class TestDeformation:
     def test_zero_weights_give_factorial_times_complete_homogeneous(self):
         for n in range(5):
             w = ArcWeights(n)
-            assert deformed_by_definition(w) == L(n).scale(math.factorial(n))
+            expected = FundamentalQSym(n, {DescentSet(n, ()): math.factorial(n)})
+            assert deformed_by_definition(w) == expected
 
     def test_indicator_weights_reproduce_the_listing_sum(self):
         # t = -1 on arcs: a listing gives weight 1 to L_Des(w) alone
@@ -441,7 +439,7 @@ class TestDeformation:
                     f0 = deformed_powersum(w)
                     f1 = deformed_powersum(w.updated(u, v, base + 1))
                     f2 = deformed_powersum(w.updated(u, v, base + 2))
-                    assert f2 - f1.scale(2) + f0 == P.zero()
+                    assert f2 - f1.scale(2) + f0 == P()
 
     @pytest.mark.parametrize(
         "n, weights, bad",
@@ -456,9 +454,16 @@ class TestDeformation:
         with pytest.raises(ValueError, match=bad):
             ArcWeights(n, weights)
 
+    def test_weights_reject_bool_values(self):
+        with pytest.raises(TypeError, match="coefficient must be exact"):
+            ArcWeights(2, {(0, 1): True})
+        with pytest.raises(TypeError, match="coefficient must be exact"):
+            ArcWeights(2).updated(0, 1, False)
+
     def test_weights_json_round_trip(self):
         w = ArcWeights(2, {(0, 1): -1, (1, 0): Fraction(1, 2)})
-        assert ArcWeights.from_json(w.to_json()) == w
+        text = json.dumps({"n": 2, "t": {"0,1": "-1", "1,0": "1/2"}})
+        assert ArcWeights.from_json(text) == w
         parsed = ArcWeights.from_json('{"n":2,"t":{"0,1":"-1"}}')
         assert parsed.t(0, 1) == -1
         assert parsed.t(1, 0) == 0  # omitted entries default to 0
@@ -495,6 +500,8 @@ class TestDeformation:
             "0,1,",
             "0,1,1",
             "",
+            ",",
+            "0;1",
         ],
     )
     def test_weights_json_pair_keys_are_two_ascii_digit_fields(self, key):
@@ -532,8 +539,10 @@ class TestDeformation:
         )
     )
     def test_weights_json_round_trip_property(self, case):
-        w = ArcWeights(*case)
-        assert ArcWeights.from_json(w.to_json()) == w
+        n, weights = case
+        table = {f"{u},{v}": str(value) for (u, v), value in weights.items()}
+        text = json.dumps({"n": n, "t": table})
+        assert ArcWeights.from_json(text) == ArcWeights(*case)
 
 
 class TestCapsBeforeWork:

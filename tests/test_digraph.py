@@ -41,6 +41,40 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"vertex count {n!r} is not an integer"):
             Digraph(n, [(0, 0)])
 
+    @pytest.mark.parametrize(
+        "n, rows, bad",
+        [
+            (True, [1], "vertex count True"),  # True == 1 would pass the size check
+            (2.0, [0, 0], "vertex count 2.0"),
+            (2, [True, 0], "row True"),
+            (2, [0, 1.0], "row 1.0"),
+        ],
+    )
+    def test_from_rows_rejects_non_integers(self, n, rows, bad):
+        with pytest.raises(ValueError, match=f"^{bad} is not an integer$"):
+            Digraph.from_rows(n, rows)
+
+    @pytest.mark.parametrize(
+        "generate",
+        [
+            random_digraph,
+            random_tournament,
+            lambda n: next(enumerate_digraphs(n)),
+            lambda n: next(enumerate_tournaments(n)),
+        ],
+        ids=[
+            "random_digraph",
+            "random_tournament",
+            "enumerate_digraphs",
+            "enumerate_tournaments",
+        ],
+    )
+    @pytest.mark.parametrize("n", [2.5, 2.0, True])
+    def test_generators_reject_non_integer_vertex_count(self, generate, n):
+        # range() would raise a TypeError on the floats and accept True
+        with pytest.raises(ValueError, match=f"^vertex count {n!r} is not an integer$"):
+            generate(n)
+
 
 class TestComplement:
     def test_three_vertex_example(self):

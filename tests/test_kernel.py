@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,22 +17,22 @@ from redei_berge.kernel import (
 
 class TestDescentSets:
     def test_composition_of_cut_set(self):
-        assert DescentSet.of(6, {2, 3, 5}).composition() == (2, 1, 2, 1)
+        assert DescentSet(6, {2, 3, 5}).composition() == (2, 1, 2, 1)
 
     def test_empty_cut_set_gives_one_part(self):
-        assert DescentSet.of(5).composition() == (5,)
+        assert DescentSet(5, ()).composition() == (5,)
 
     def test_all_cut_points_give_all_ones(self):
-        assert DescentSet.of(4, {1, 2, 3}).composition() == (1, 1, 1, 1)
+        assert DescentSet(4, {1, 2, 3}).composition() == (1, 1, 1, 1)
 
     def test_from_composition(self):
-        assert DescentSet.from_composition((2, 1, 2, 1)) == DescentSet.of(6, {2, 3, 5})
-        assert DescentSet.from_composition((7,)) == DescentSet.of(7)
-        assert DescentSet.from_composition((1, 1, 1)) == DescentSet.of(3, {1, 2})
+        assert DescentSet.from_composition((2, 1, 2, 1)) == DescentSet(6, {2, 3, 5})
+        assert DescentSet.from_composition((7,)) == DescentSet(7, ())
+        assert DescentSet.from_composition((1, 1, 1)) == DescentSet(3, {1, 2})
 
     def test_empty_composition(self):
-        assert DescentSet.from_composition(()) == DescentSet.of(0)
-        assert DescentSet.of(0).composition() == ()
+        assert DescentSet.from_composition(()) == DescentSet(0, ())
+        assert DescentSet(0, ()).composition() == ()
 
     @pytest.mark.parametrize("n", range(11))
     def test_bijection_exhaustive(self, n):
@@ -45,13 +47,33 @@ class TestDescentSets:
 
     def test_member_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            DescentSet.of(3, {3})
+            DescentSet(3, {3})
         with pytest.raises(ValueError):
-            DescentSet.of(3, {0})
+            DescentSet(3, {0})
 
     def test_bad_composition_rejected(self):
         with pytest.raises(ValueError):
             DescentSet.from_composition((2, 0, 1))
+
+    @pytest.mark.parametrize(
+        "n, members, bad",
+        [
+            (3, {1.0}, "member 1.0"),  # passes the range check, then floats the parts
+            (3, {True}, "member True"),
+            (True, (), "length True"),
+            (2.5, (), "length 2.5"),
+        ],
+    )
+    def test_rejects_non_integers(self, n, members, bad):
+        with pytest.raises(ValueError, match=f"^{bad} is not an integer$"):
+            DescentSet(n, members)
+
+    @pytest.mark.parametrize("parts", [(True, 2), (1.0, 2), (2, 1.5)])
+    def test_from_composition_rejects_non_integer_parts(self, parts):
+        assert not is_composition(parts)
+        message = re.escape(f"not a composition: {parts!r}")
+        with pytest.raises(ValueError, match=message):
+            DescentSet.from_composition(parts)
 
 
 class TestPartitions:
@@ -79,6 +101,11 @@ class TestCycleClass:
         assert CycleClass((3, 1, 4)).carcs() == frozenset({(3, 1), (1, 4), (4, 3)})
         assert CycleClass((7,)).carcs() == frozenset({(7, 7)})
 
+    @pytest.mark.parametrize("verts, bad", [((1.0, 2), "1.0"), ((0, True), "True")])
+    def test_rejects_non_integer_entries(self, verts, bad):
+        with pytest.raises(ValueError, match=f"^entry {bad} is not an integer$"):
+            CycleClass(verts)
+
     def test_rejects_repeats_and_empty(self):
         with pytest.raises(ValueError):
             CycleClass((1, 2, 1))
@@ -97,10 +124,9 @@ class TestPermutation:
         w0 = Permutation([6 - i for i in range(7)])
         assert {c.verts for c in w0.cycles} == {(0, 6), (1, 5), (2, 4), (3,)}
         assert w0.cycle_type == (2, 2, 2, 1)
-        assert w0.nontrivial_cycle_count == 3
 
     def test_identity_cycles(self):
-        e = Permutation.identity(5)
+        e = Permutation(range(5))
         assert all(len(c) == 1 for c in e.cycles)
         assert len(e.cycles) == 5
         assert e.cycle_type == (1, 1, 1, 1, 1)

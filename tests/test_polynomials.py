@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,11 @@ from redei_berge import (
     PowerSumPolynomial,
 )
 from redei_berge.kernel import all_descent_sets, partition_of
+from redei_berge.polynomials import _partition_sort_key
 
 P = PowerSumPolynomial
 F = FundamentalQSym
+D = DescentSet
 
 partitions = st.lists(st.integers(1, 5), min_size=0, max_size=4).map(partition_of)
 
@@ -50,7 +53,7 @@ def z(lam: tuple[int, ...]) -> int:
 
 
 def L(n: int, *members: int) -> FundamentalQSym:
-    return F(n, {DescentSet.of(n, members): 1})
+    return F(n, {D(n, members): 1})
 
 
 class TestExpandFundamental:
@@ -61,7 +64,7 @@ class TestExpandFundamental:
         # the Schur function s_21 = (p_111 - p_3) / 3 is L_{1} + L_{2}, one
         # term per standard tableau of shape (2, 1)
         s21 = P({(1, 1, 1): Fraction(1, 3), (3,): Fraction(-1, 3)})
-        assert s21.to_fundamental() == L(3, 1) + L(3, 2)
+        assert s21.to_fundamental() == F(3, {D(3, {1}): 1, D(3, {2}): 1})
 
     def test_empty_descents_is_complete_homogeneous(self):
         # h_n = sum p_lam / z_lam is the single fundamental L_{}
@@ -81,8 +84,8 @@ class TestExpandFundamental:
             assert e.to_fundamental() == L(n, *range(1, n))
 
     def test_degree_zero(self):
-        assert P.one().to_fundamental() == L(0)
-        assert P.zero().to_fundamental() == F.zero(0)
+        assert P({(): 1}).to_fundamental() == L(0)
+        assert P().to_fundamental() == F(0)
 
     def test_distinct_descent_sets_expand_distinctly(self):
         # the bridge is injective on the power-sum basis, degree up to 6
@@ -102,31 +105,29 @@ class TestExpandPowerSums:
     def test_multinomial(self):
         # p_1^3 counts the six permutations of 3 by descent set
         f = P({(1, 1, 1): 1}).to_fundamental()
-        assert f == L(3) + (L(3, 1) + L(3, 2)).scale(2) + L(3, 1, 2)
+        assert f == F(3, {D(3, ()): 1, D(3, {1}): 2, D(3, {2}): 2, D(3, {1, 2}): 1})
 
     def test_two_one_by_hand(self):
         # p_2 p_1 = M_3 + M_21 + M_12 = h_3 - e_3, worked by hand
-        assert P({(2, 1): 1}).to_fundamental() == L(3) - L(3, 1, 2)
-
-    @settings(max_examples=40)
-    @given(partitions, partitions)
-    def test_multiplicative_on_partition_union(self, lam, mu):
-        assert P({lam: 1}) * P({mu: 1}) == P({partition_of(lam + mu): 1})
+        assert P({(2, 1): 1}).to_fundamental() == F(3, {D(3, ()): 1, D(3, {1, 2}): -1})
 
     def test_empty_partition_is_one(self):
-        assert P.one().to_fundamental() == F(0, {DescentSet.of(0): 1})
+        assert P({(): 1}).to_fundamental() == F(0, {D(0, ()): 1})
 
     @settings(max_examples=40)
     @given(st.integers(0, 6).flatmap(homogeneous_ppoly))
     def test_linear(self, f):
         g = f.scale(3)
-        assert (f + g).to_fundamental() == f.to_fundamental() + g.to_fundamental()
+        total = (f + g).to_fundamental()
+        f_l, g_l = f.to_fundamental(), g.to_fundamental()
+        for s in all_descent_sets(f.degree):
+            assert total.coefficient(s) == f_l.coefficient(s) + g_l.coefficient(s)
 
     @pytest.mark.parametrize("n", range(7))
     def test_power_of_p1_counts_permutations_by_descent_set(self, n):
         counts: dict[DescentSet, int] = {}
         for w in itertools.permutations(range(n)):
-            key = DescentSet.of(n, [i for i in range(1, n) if w[i - 1] > w[i]])
+            key = D(n, [i for i in range(1, n) if w[i - 1] > w[i]])
             counts[key] = counts.get(key, 0) + 1
         assert P({(1,) * n: 1}).to_fundamental() == F(n, counts)
 
@@ -134,7 +135,7 @@ class TestExpandPowerSums:
     def test_single_power_sum_is_alternating(self, n):
         # p_n = M_(n) = sum over S of (-1)^|S| L_S
         expected = F(n, {s: (-1) ** len(s.members) for s in all_descent_sets(n)})
-        assert P.p(n).to_fundamental() == expected
+        assert P({(n,): 1}).to_fundamental() == expected
 
     def test_inhomogeneous_refused(self):
         with pytest.raises(ValueError):
@@ -144,7 +145,7 @@ class TestExpandPowerSums:
 class TestInvolutions:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_omega_on_generators(self, n):
-        assert P.p(n).omega() == P.p(n).scale((-1) ** (n - 1))
+        assert P({(n,): 1}).omega() == P({(n,): 1}).scale((-1) ** (n - 1))
 
     def test_omega_fixes_p111(self):
         f = P({(1, 1, 1): 1})
@@ -156,7 +157,7 @@ class TestInvolutions:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_antipode_on_generators(self, n):
-        assert P.p(n).antipode() == P.p(n).scale(-1)
+        assert P({(n,): 1}).antipode() == P({(n,): 1}).scale(-1)
 
     def test_antipode_on_cube(self):
         assert P({(1, 1, 1): 1}).antipode() == P({(1, 1, 1): -1})
@@ -188,7 +189,7 @@ class TestZeta:
         assert P({(1, 1, 1): 1, (2, 1): 2, (3,): 1}).zeta() == 4
 
     def test_zero(self):
-        assert P.zero().zeta() == 0
+        assert P().zeta() == 0
 
     @settings(max_examples=40)
     @given(st.integers(0, 6).flatmap(homogeneous_ppoly))
@@ -206,47 +207,59 @@ class TestZeta:
             assert P({lam: 1}).to_fundamental().zeta() == 1
 
     def test_fundamental_zeta_picks_empty_set(self):
-        g = FundamentalQSym(
-            3, {DescentSet.of(3): 4, DescentSet.of(3, {1}): 1, DescentSet.of(3, {2}): 1}
-        )
+        g = FundamentalQSym(3, {D(3, ()): 4, D(3, {1}): 1, D(3, {2}): 1})
         assert g.zeta() == 4
-        assert FundamentalQSym.zero(3).zeta() == 0
+        assert FundamentalQSym(3).zeta() == 0
 
 
 class TestArithmetic:
     def test_fundamental_combination_matches_powersum_expansion(self):
-        g = FundamentalQSym(
-            3, {DescentSet.of(3): 4, DescentSet.of(3, {1}): 1, DescentSet.of(3, {2}): 1}
-        )
+        g = FundamentalQSym(3, {D(3, ()): 4, D(3, {1}): 1, D(3, {2}): 1})
         f = P({(1, 1, 1): 1, (2, 1): 2, (3,): 1})
         assert f.to_fundamental() == g
 
     def test_cancellation(self):
         f = P({(2, 1): 5, (1, 1): -2})
-        assert f + f.scale(-1) == P.zero()
-        g = F(2, {DescentSet.of(2, {1}): Fraction(1, 2)})
-        assert g - g == F.zero(2)
+        assert f + f.scale(-1) == P()
 
     def test_scale_by_zero(self):
-        assert P({(3,): 7}).scale(0) == P.zero()
+        assert P({(3,): 7}).scale(0) == P()
 
     def test_zero_coefficients_dropped(self):
         assert P({(2,): 0}).terms == {}
-        assert not F(2, {DescentSet.of(2): 0})
-
-    def test_degree_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            L(2) + L(3)
+        assert not F(2, {D(2, ()): 0})
 
     def test_key_of_another_degree_rejected(self):
         with pytest.raises(ValueError):
-            F(2, {DescentSet.of(3): 1})
+            F(2, {D(3, ()): 1})
         with pytest.raises(ValueError):
             F(2, {(1,): 1})
 
     def test_float_coefficients_rejected(self):
         with pytest.raises(TypeError):
             P({(2,): 0.5})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: P({(1,): True}),
+            lambda: P({(1,): 1}).scale(False),
+            lambda: F(1, {D(1, ()): True}),
+        ],
+    )
+    def test_bool_coefficients_rejected(self, build):
+        with pytest.raises(TypeError, match="coefficient must be exact"):
+            build()
+
+    @pytest.mark.parametrize("parts", [(True,), (2, True), (1.0,), (2.5, 1)])
+    def test_non_integer_parts_rejected(self, parts):
+        with pytest.raises(ValueError, match=re.escape(f"partition: {parts!r}")):
+            P({parts: 1})
+
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_non_integer_degree_rejected(self, n):
+        with pytest.raises(ValueError, match=f"^degree {n!r} is not an integer$"):
+            F(n)
 
     def test_non_partition_key_rejected(self):
         with pytest.raises(ValueError):
@@ -267,60 +280,37 @@ class TestRendering:
     def test_text_mixed_degrees_and_constants(self):
         f = P({(): 2, (1,): -1})
         assert f.to_text() == "-p[1] + 2"
-        assert P.zero().to_text() == "0"
-        assert P.one().to_text() == "1"
+        assert P().to_text() == "0"
+        assert P({(): 1}).to_text() == "1"
 
     def test_text_rational_coefficient(self):
         assert P({(2,): Fraction(-3, 2)}).to_text() == "-3/2*p[2]"
 
+    @staticmethod
+    def decode(text: str) -> PowerSumPolynomial:
+        return P(
+            {
+                tuple(int(part) for part in key.split(",")) if key else (): Fraction(value)
+                for key, value in json.loads(text).items()
+            }
+        )
+
     def test_json_round_trip(self):
         f = P({(1, 1, 1): 1, (2, 1): 2, (3,): 1})
-        assert json.loads(f.to_json()) == {"3": "1", "2,1": "2", "1,1,1": "1"}
-        assert P.from_json(f.to_json()) == f
+        assert f.to_json() == '{"3": "1", "2,1": "2", "1,1,1": "1"}'
+        assert self.decode(f.to_json()) == f
 
     def test_json_round_trip_with_constant_and_rationals(self):
         f = P({(): Fraction(1, 2), (4, 4): -3})
-        assert P.from_json(f.to_json()) == f
+        assert f.to_json() == '{"4,4": "-3", "": "1/2"}'
+        assert self.decode(f.to_json()) == f
 
     @settings(max_examples=60)
     @given(st.dictionaries(partitions, st.fractions(max_denominator=50), max_size=5))
-    def test_json_round_trip_property(self, terms):
+    def test_json_maps_joined_parts_to_coefficients_in_term_order(self, terms):
         f = P(terms)
-        assert P.from_json(f.to_json()) == f
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ('{"2": "1e400"}', "rational string"),  # an exponent, refused unparsed
-            ('{"2": "1.5"}', "rational string"),
-            ('{"2": 1.5}', "rational string"),
-            ('{"2": true}', "rational string"),
-            ('{"2": "1/0"}', "zero denominator"),
-        ],
-    )
-    def test_json_refuses_inexact_coefficients(self, text, message):
-        with pytest.raises(ValueError, match=message):
-            P.from_json(text)
-
-    def test_json_refuses_a_partition_named_twice(self):
-        with pytest.raises(ValueError, match=r"'2,1' and '2,01' both name \(2, 1\)"):
-            P.from_json('{"2,1": "1", "2,01": "5"}')
-        with pytest.raises(ValueError, match="'3' appears twice"):
-            P.from_json('{"3": "1", "3": "2"}')
-
-    @pytest.mark.parametrize(
-        "key",
-        [
-            " 2,1",  # int() strips spaces
-            "2, 1",
-            "1_0",  # int() takes underscores
-            "+2",
-            "2,\u0661",  # a non-ASCII digit, which int() reads as 1
-            "2,",
-            ",",
-            "2;1",
-        ],
-    )
-    def test_json_keys_are_ascii_digit_fields(self, key):
-        with pytest.raises(ValueError, match="bad partition key"):
-            P.from_json('{"%s": "1"}' % key)
+        expected = [
+            (",".join(map(str, parts)), str(f.terms[parts]))
+            for parts in sorted(f.terms, key=_partition_sort_key)
+        ]
+        assert list(json.loads(f.to_json()).items()) == expected
