@@ -37,7 +37,7 @@ from .core import (
 )
 from .digraph import (
     Digraph,
-    DigraphFormatError,
+    _check_stream,
     _random_digraph,
     _random_tournament,
     enumerate_digraphs,
@@ -57,11 +57,11 @@ from .hamilton import (
 )
 from .kernel import Permutation
 from .limits import (
-    CYCLE_ENUM_CAP,
+    CYCLE_SUM_CAP,
     DP_VERTEX_CAP,
     ENUMERATION_CAP,
     FACTORIAL_CAP,
-    CapExceededError,
+    _check_cap,
 )
 from .oracles import (
     ArcSet,
@@ -198,15 +198,17 @@ def _lemma_preamble() -> list[str]:
     return failures
 
 
-# target: (instance kind, check, vertex cap of the routes the check calls)
+# target: (instance kind, check, vertex cap of the routes the check calls:
+# the cycle-sum engine for the power-sum and definition forms and the odd
+# cycles, the path DP for the parities, n! for the lemmas' sweeps)
 _CHECKS: dict[str, tuple[str, Callable[[Digraph], tuple[bool, dict]], int]] = {
-    "thm1": ("digraph", _check_thm1, FACTORIAL_CAP),
-    "thm2": ("tournament", _check_thm2, FACTORIAL_CAP),
-    "thm3": ("two-cycle-free", _check_thm3, FACTORIAL_CAP),
-    "antipode": ("digraph", _check_antipode, FACTORIAL_CAP),
-    "zeta": ("digraph", _check_zeta, FACTORIAL_CAP),
+    "thm1": ("digraph", _check_thm1, CYCLE_SUM_CAP),
+    "thm2": ("tournament", _check_thm2, CYCLE_SUM_CAP),
+    "thm3": ("two-cycle-free", _check_thm3, CYCLE_SUM_CAP),
+    "antipode": ("digraph", _check_antipode, CYCLE_SUM_CAP),
+    "zeta": ("digraph", _check_zeta, CYCLE_SUM_CAP),
     "redei": ("tournament", _report_check(verify_redei), DP_VERTEX_CAP),
-    "mod4": ("tournament", _report_check(verify_mod4), CYCLE_ENUM_CAP),
+    "mod4": ("tournament", _report_check(verify_mod4), CYCLE_SUM_CAP),
     "berge": ("digraph", _report_check(verify_berge), DP_VERTEX_CAP),
     "lemmas": ("digraph", _check_lemmas, FACTORIAL_CAP),
 }
@@ -334,7 +336,7 @@ def _cmd_hamps(args: argparse.Namespace) -> int:
     reports = {"berge": _berge_report(d.n, hamps, hamps_complement)}
     if is_tournament:
         reports["redei"] = _redei_report(d.n, hamps)
-        if d.n <= CYCLE_ENUM_CAP:
+        if d.n <= CYCLE_SUM_CAP:
             reports["mod4"] = _mod4_report(d.n, hamps, count_nontrivial_odd_cycles(d))
     if args.format == "json":
         payload = {"n": d.n, "hamps": str(hamps), "tournament": is_tournament}
@@ -364,33 +366,30 @@ def _cmd_hamps(args: argparse.Namespace) -> int:
     return 0 if all(r["pass"] for r in reports.values()) else 1
 
 
-def _check_sweep_size(args: argparse.Namespace, cap: int) -> None:
+def _check_sweep_size(args: argparse.Namespace, kind: str, cap: int) -> None:
     """Refuses, before any instance is built or checked, a sweep whose sizes
-    are negative or above the target's cap, whose random count is above the
-    exhaustive streams' cap, or whose worker count is below 1."""
+    are negative or above the target's cap, whose exhaustive stream or
+    random count is above the enumeration cap, or whose worker count is
+    below 1."""
     if args.exhaustive is not None:
         flag, n = "--exhaustive", args.exhaustive
     elif args.random < 0:
         raise ValueError(f"--random must be nonnegative, got {args.random}")
-    elif args.random > ENUMERATION_CAP:
-        raise CapExceededError(
-            f"--random {args.random} exceeds the cap of {ENUMERATION_CAP} instances"
-        )
     else:
+        _check_cap(args.random, "random instances", ENUMERATION_CAP, "enumeration")
         flag, n = "--max-n", args.max_n
     if n < 0:
         raise ValueError(f"{flag} must be nonnegative, got {n}")
-    if n > cap:
-        raise CapExceededError(
-            f"{flag} {n} exceeds the {args.target} cap of {cap} vertices"
-        )
+    _check_cap(n, f"vertices ({flag})", cap, args.target)
+    if args.exhaustive is not None:
+        _check_stream(n, tournaments=kind == "tournament")
     if args.jobs is not None and args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     kind, _check, cap = _CHECKS[args.target]
-    _check_sweep_size(args, cap)
+    _check_sweep_size(args, kind, cap)
     preamble_failures: list[str] = []
     if args.target == "lemmas":
         preamble_failures = _lemma_preamble()
@@ -541,10 +540,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DigraphFormatError, CapExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # bad input, refused sizes, unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

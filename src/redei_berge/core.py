@@ -38,7 +38,7 @@ from typing import Sequence
 from .digraph import Digraph
 from .hamilton import _cycle_sums, _indicator, _partition_sum
 from .kernel import DescentSet, _require_int
-from .limits import FACTORIAL_CAP, CapExceededError
+from .limits import CYCLE_SUM_CAP, _check_cap
 from .polynomials import (
     FundamentalQSym,
     PowerSumPolynomial,
@@ -55,13 +55,6 @@ def _check_listing(d: Digraph, listing: Sequence[int]) -> tuple[int, ...]:
     if sorted(listing) != list(range(d.n)):
         raise ValueError(f"not a listing of 0..{d.n - 1}: {listing!r}")
     return listing
-
-
-def _check_cap(n: int, route: str) -> None:
-    if n > FACTORIAL_CAP:
-        raise CapExceededError(
-            f"{n} vertices exceeds the {route} cap of {FACTORIAL_CAP}"
-        )
 
 
 def descent_set(d: Digraph, listing: Sequence[int]) -> DescentSet:
@@ -89,7 +82,7 @@ def redei_berge_by_definition(d: Digraph) -> FundamentalQSym:
     listing has no descent inside the blocks of alpha iff each block lists a
     Hamiltonian path of the complement, which gives the M_alpha coefficient.
     """
-    _check_cap(d.n, "path-sum")
+    _check_cap(d.n, "vertices", CYCLE_SUM_CAP, "cycle-sum")
     return _listing_sum(d.n, _indicator(d.complement()))
 
 
@@ -99,9 +92,10 @@ def _listing_sum(n: int, w: list[list]) -> FundamentalQSym:
     alpha: the set-partition sum of path weights at sort(alpha), times the
     prod_k m_k! orders of equal blocks.  An apex (vertex 0) joined both ways
     to every vertex with weight 1 closes a path through S into the cycle at
-    2S + 1 of the cycle-sum table, which reads no diagonal entry of ``w``."""
+    2S + 1 of the cycle-sum table, which reads no diagonal entry of ``w``;
+    only the pass rooted at the apex fills those entries, so only it runs."""
     apex = [[1] * (n + 1)] + [[1, *row] for row in w]
-    paths = _partition_sum(n, _cycle_sums(n + 1, apex)[1::2])
+    paths = _partition_sum(n, _cycle_sums(n + 1, apex, roots=1)[1::2])
     return _monomial_to_fundamental(
         n,
         lambda shape: paths.get(shape, 0)
@@ -118,7 +112,7 @@ def redei_berge_powersum(d: Digraph) -> PowerSumPolynomial:
     >>> redei_berge_powersum(Digraph(3, [(0, 1), (1, 1), (2, 2)])).to_text()
     'p[3] + 2*p[2,1] + p[1,1,1]'
     """
-    _check_cap(d.n, "power-sum")
+    _check_cap(d.n, "vertices", CYCLE_SUM_CAP, "cycle-sum")
     here = _cycle_sums(d.n, _indicator(d))
     there = _cycle_sums(d.n, _indicator(d.complement()))
     block_weight = [
@@ -134,7 +128,7 @@ def redei_berge_tournament(d: Digraph) -> PowerSumPolynomial:
     in the tournament."""
     if not d.is_tournament():
         raise ValueError("input digraph is not a tournament")
-    _check_cap(d.n, "power-sum")
+    _check_cap(d.n, "vertices", CYCLE_SUM_CAP, "cycle-sum")
     here = _cycle_sums(d.n, _indicator(d))
     block_weight = [
         1 if S.bit_count() == 1 else 2 * here[S] if S.bit_count() % 2 else 0
@@ -320,7 +314,7 @@ def deformed_by_definition(weights: ArcWeights) -> FundamentalQSym:
     over the positions k where the sequence stalls, which are inside the
     blocks of its M_alpha: so paths are weighted by s."""
     n = weights.n
-    _check_cap(n, "path-sum")
+    _check_cap(n, "vertices", CYCLE_SUM_CAP, "cycle-sum")
     return _listing_sum(n, [[weights.s(u, v) for v in range(n)] for u in range(n)])
 
 
@@ -334,7 +328,7 @@ def deformed_powersum(weights: ArcWeights) -> PowerSumPolynomial:
     True
     """
     n = weights.n
-    _check_cap(n, "power-sum")
+    _check_cap(n, "vertices", CYCLE_SUM_CAP, "cycle-sum")
     t = [[weights.t(u, v) for v in range(n)] for u in range(n)]
     s = [[value + 1 for value in row] for row in t]
     s_sums, t_sums = _cycle_sums(n, s), _cycle_sums(n, t)

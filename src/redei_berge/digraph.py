@@ -12,7 +12,7 @@ import random
 from typing import Iterable, Iterator, Sequence
 
 from .kernel import CycleClass, _require_int
-from .limits import DP_VERTEX_CAP, ENUMERATION_CAP, CapExceededError
+from .limits import DP_VERTEX_CAP, ENUMERATION_CAP, _check_cap
 
 
 class DigraphFormatError(ValueError):
@@ -152,6 +152,17 @@ class Digraph:
         return f"Digraph({self.n}, {sorted(self.arcs())!r})"
 
 
+def _check_stream(n: int, tournaments: bool) -> None:
+    """Refuses a stream of all the tournaments (or all the digraphs) on n
+    vertices longer than ``ENUMERATION_CAP``, before its first instance."""
+    _require_int(n, "vertex count")
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    slots = n * (n - 1) // 2 if tournaments else n * n
+    kind = "tournaments" if tournaments else "digraphs"
+    _check_cap(1 << slots, f"{kind} on {n} vertices", ENUMERATION_CAP, "enumeration")
+
+
 def enumerate_digraphs(n: int) -> Iterator[Digraph]:
     """All 2^(n^2) digraphs on n vertices, loops allowed, in binary
     counting order.
@@ -159,15 +170,9 @@ def enumerate_digraphs(n: int) -> Iterator[Digraph]:
     The arc positions are ordered row-major; digraph number i contains the
     j-th position iff bit j of i is set.
     """
-    _require_int(n, "vertex count")
+    _check_stream(n, tournaments=False)
     positions = [(u, v) for u in range(n) for v in range(n)]
-    total = 1 << len(positions)
-    if total > ENUMERATION_CAP:
-        raise CapExceededError(
-            f"{total} digraphs on {n} vertices exceeds the cap of "
-            f"{ENUMERATION_CAP}"
-        )
-    for index in range(total):
+    for index in range(1 << len(positions)):
         yield Digraph(
             n, (positions[j] for j in range(len(positions)) if index >> j & 1)
         )
@@ -180,15 +185,9 @@ def enumerate_tournaments(n: int) -> Iterator[Digraph]:
     of the index set means the j-th pair is oriented u -> v, clear means
     v -> u.
     """
-    _require_int(n, "vertex count")
+    _check_stream(n, tournaments=True)
     pairs = list(itertools.combinations(range(n), 2))
-    total = 1 << len(pairs)
-    if total > ENUMERATION_CAP:
-        raise CapExceededError(
-            f"{total} tournaments on {n} vertices exceeds the cap of "
-            f"{ENUMERATION_CAP}"
-        )
-    for index in range(total):
+    for index in range(1 << len(pairs)):
         yield Digraph(
             n,
             (

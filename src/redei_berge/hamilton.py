@@ -6,7 +6,8 @@ All three checks need only two numbers, hamps(D) and hamps(D^c), plus the
 odd-cycle count for mod 4.  Each ``verify_*`` checks its input and caps,
 counts, and hands the counts to a report builder; ``redei-berge hamps``
 counts D and its complement once each and builds all three reports from
-those two counts, skipping mod 4 above ``CYCLE_ENUM_CAP``.
+those two counts, skipping mod 4 above ``CYCLE_SUM_CAP``, the cap of the
+cycle-sum table that counts the odd cycles.
 
 Paths are counted by one route, a bitmask DP that returns a plain ``int``;
 its brute-force check, depth-first extension of partial paths, is
@@ -17,7 +18,9 @@ Hamiltonian path (the empty list) by convention.
 
 The cycle-sum table (weighted Hamiltonian cycles of every vertex subset,
 where a single vertex reads its diagonal weight) and the set-partition sum
-over it are the engine behind every route in :mod:`core`.
+over it are the engine behind every route in :mod:`core` and the odd-cycle
+count; each of those refuses more than ``CYCLE_SUM_CAP`` vertices before
+building a table.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .digraph import Digraph
-from .limits import CYCLE_ENUM_CAP, DP_VERTEX_CAP, CapExceededError
+from .limits import CYCLE_SUM_CAP, DP_VERTEX_CAP, _check_cap
 
 
 def count_hamiltonian_paths(d: Digraph) -> int:
@@ -37,10 +40,7 @@ def count_hamiltonian_paths(d: Digraph) -> int:
     >>> count_hamiltonian_paths(Digraph(3, [(0, 1), (1, 1), (2, 2)]).complement())
     4
     """
-    if d.n > DP_VERTEX_CAP:
-        raise CapExceededError(
-            f"{d.n} vertices exceeds the counting cap of {DP_VERTEX_CAP}"
-        )
+    _check_cap(d.n, "vertices", DP_VERTEX_CAP, "path-count")
     return _count_dp(d)
 
 
@@ -78,15 +78,17 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _cycle_sums(n: int, w: Sequence[Sequence]) -> list:
+def _cycle_sums(n: int, w: Sequence[Sequence], roots: int | None = None) -> list:
     """For every vertex bitmask S, the sum over the cyclic orderings of S of
     the product of ``w[u][v]`` over the cyclic arcs; a single vertex v
     gives ``w[v][v]``.  Each ordering is a path from the minimal vertex of
-    S through larger vertices, closed back onto it: O(2^n n^2).
+    S through larger vertices, closed back onto it: O(2^n n^2).  With
+    ``roots``, only the sets whose minimal vertex is below it are summed
+    (the others read 0).
     """
     sums = [0] * (1 << n)
     support = [sum(1 << v for v in range(n) if row[v]) for row in w]
-    for s in range(n):
+    for s in range(n if roots is None else roots):
         sums[1 << s] = w[s][s]
         above = -(2 << s)
         paths = [0] * (n << n)  # [mask * n + v]: s -> ... -> v through mask, or 0
@@ -140,10 +142,7 @@ def count_nontrivial_odd_cycles(d: Digraph) -> int:
     """Number of rotation classes of odd length > 1 all of whose cyclic
     arcs are present, summed from the cycle-sum table over the odd vertex
     sets of size at least 3."""
-    if d.n > CYCLE_ENUM_CAP:
-        raise CapExceededError(
-            f"{d.n} vertices exceeds the cycle-enumeration cap of {CYCLE_ENUM_CAP}"
-        )
+    _check_cap(d.n, "vertices", CYCLE_SUM_CAP, "cycle-sum")
     sums = _cycle_sums(d.n, _indicator(d))
     return sum(c for S, c in enumerate(sums) if S.bit_count() in range(3, d.n + 1, 2))
 

@@ -1,28 +1,42 @@
-"""Size caps for the exhaustive routines.
+"""Size caps, one per algorithm, and the one function that enforces them.
 
-Everything in this package is exact and enumerative, so every entry point
-that scales like n!, 2^|A| or 2^(n^2) refuses inputs beyond a cap instead
-of silently running forever.  The caps are generous for desk-scale work.
+Everything in this package is exact, so every entry point whose cost grows
+like n!, 2^n, 3^n or 2^(n^2) refuses inputs beyond its algorithm's cap
+instead of silently running for hours.  Each cap is checked by
+:func:`_check_cap` before any table is built or any instance is listed,
+and every refusal states the count, its unit and the cap.
 """
 
 from __future__ import annotations
 
-# Listing sweeps (n! instances), the definition and the power-sum routes.
+# n! enumerations of listings or permutations: the oracles and the lemma
+# battery.  9! = 362,880 listings take about a second.
 FACTORIAL_CAP = 9
 
-# Bitmask DP over (subset, last vertex) states.  Above ~18 vertices the
+# The cycle-sum table (O(2^n n^2)) and the set-partition sum over it
+# (O(3^n)) behind every power-sum, definition and deformed route and the
+# odd-cycle count.  At 12 vertices the slowest route, the deformation,
+# takes about 3 s and 35 MB.
+CYCLE_SUM_CAP = 12
+
+# Bitmask path DP over (subset, last vertex) states.  Above ~18 vertices the
 # flat DP table dominates memory; 22 is the hard refusal point.
 DP_VERTEX_CAP = 22
 
-# Odd-cycle counting from the per-subset cycle-sum table (2^n entries).
-CYCLE_ENUM_CAP = 12
-
-# Signed sums over subsets of a finite set.
+# Signed sums over the subsets of a finite set (2^size terms).
 SUBSET_CAP = 24
 
-# Digraph / tournament enumeration streams.
+# Instance streams: all digraphs or tournaments on n vertices, random
+# sweeps, cycle colourings.
 ENUMERATION_CAP = 2**24
 
 
 class CapExceededError(ValueError):
     """Raised when an exhaustive routine is asked for an instance above its cap."""
+
+
+def _check_cap(count: int, unit: str, cap: int, name: str) -> None:
+    """Refuses ``count`` above ``cap``, naming both:
+    "<count> <unit> exceeds the <name> cap of <cap>"."""
+    if count > cap:
+        raise CapExceededError(f"{count} {unit} exceeds the {name} cap of {cap}")

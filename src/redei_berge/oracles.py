@@ -25,7 +25,7 @@ from .limits import (
     ENUMERATION_CAP,
     FACTORIAL_CAP,
     SUBSET_CAP,
-    CapExceededError,
+    _check_cap,
 )
 from .polynomials import FundamentalQSym, PowerSumPolynomial
 
@@ -107,10 +107,7 @@ def _path_covers(vertices: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], .
 def is_arc_set_of_path_cover(arc_set: ArcSet) -> bool:
     """Exhaustive-search form of :func:`is_linear`: scan all path covers of
     the vertex set and compare arc sets.  Only for small n."""
-    if arc_set.n > FACTORIAL_CAP:
-        raise CapExceededError(
-            f"path-cover search on {arc_set.n} vertices exceeds the cap"
-        )
+    _check_cap(arc_set.n, "vertices", FACTORIAL_CAP, "factorial")
     target = arc_set.pairs
     for cover in _path_covers(tuple(range(arc_set.n))):
         arcs = frozenset(
@@ -129,8 +126,7 @@ def count_listings_containing(arc_set: ArcSet) -> int:
     otherwise.
     """
     n = arc_set.n
-    if n > FACTORIAL_CAP:
-        raise CapExceededError(f"{n}! listings exceeds the enumeration cap")
+    _check_cap(n, "vertices", FACTORIAL_CAP, "factorial")
     pairs = arc_set.pairs
     total = 0
     for listing in itertools.permutations(range(n)):
@@ -144,8 +140,7 @@ def count_perms_containing(arc_set: ArcSet) -> int:
     """Number of permutations sigma with sigma(u) = v for every given pair
     (u, v), by direct enumeration."""
     n = arc_set.n
-    if n > FACTORIAL_CAP:
-        raise CapExceededError(f"{n}! permutations exceeds the enumeration cap")
+    _check_cap(n, "vertices", FACTORIAL_CAP, "factorial")
     pairs = arc_set.pairs
     total = 0
     for images in itertools.permutations(range(n)):
@@ -165,10 +160,7 @@ def signed_linear_sum(d: Digraph) -> int:
     the complement.
     """
     arcs = [(u, v) for u, v in d.arcs() if u != v]
-    if len(arcs) > SUBSET_CAP:
-        raise CapExceededError(
-            f"{len(arcs)} arcs exceeds the subset-enumeration cap of {SUBSET_CAP}"
-        )
+    _check_cap(len(arcs), "arcs", SUBSET_CAP, "subset")
     n = d.n
     factorial = [math.factorial(k) for k in range(n + 1)]
     succ = [-1] * n
@@ -210,8 +202,7 @@ def signed_sum_per_perm(d: Digraph, sigma: Permutation) -> int:
     if sigma.n != d.n:
         raise ValueError(f"permutation on {sigma.n} vertices, digraph on {d.n}")
     common = [(u, sigma(u)) for u in range(d.n) if d.has_arc(u, sigma(u))]
-    if len(common) > SUBSET_CAP:
-        raise CapExceededError(f"{len(common)} arcs exceeds the subset cap")
+    _check_cap(len(common), "arcs", SUBSET_CAP, "subset")
     total = 0
     for r in range(len(common) + 1):
         for subset in itertools.combinations(common, r):
@@ -239,8 +230,7 @@ def count_friendly_listings(d: Digraph, levels: Sequence[int]) -> int:
         raise ValueError(f"expected {d.n} levels, got {len(levels)}")
     if any(not isinstance(x, int) or x < 1 for x in levels):
         raise ValueError("levels must be positive integers")
-    if d.n > FACTORIAL_CAP:
-        raise CapExceededError(f"{d.n}! listings exceeds the enumeration cap")
+    _check_cap(d.n, "vertices", FACTORIAL_CAP, "factorial")
     total = 0
     for listing in itertools.permutations(range(d.n)):
         ok = True
@@ -279,8 +269,7 @@ def polya_sum(sigma: Permutation) -> FundamentalQSym:
     """
     cycles = sigma.cycles
     c = len(cycles)
-    if c**c > ENUMERATION_CAP:
-        raise CapExceededError(f"{c}^{c} cycle colourings exceeds the cap")
+    _check_cap(c**c, "cycle colourings", ENUMERATION_CAP, "enumeration")
     monomial: dict[DescentSet, int] = {}
     for colours in itertools.product(range(c), repeat=c):
         used = set(colours)
@@ -306,8 +295,7 @@ def signed_subset_sum(size: int) -> int:
     computed by enumeration; 1 for the empty set and 0 otherwise."""
     if size < 0:
         raise ValueError(f"size must be nonnegative, got {size}")
-    if size > SUBSET_CAP:
-        raise CapExceededError(f"2^{size} subsets exceeds the cap of 2^{SUBSET_CAP}")
+    _check_cap(size, "set elements", SUBSET_CAP, "subset")
     total = 0
     for index in range(1 << size):
         total += -1 if index.bit_count() & 1 else 1
@@ -315,8 +303,7 @@ def signed_subset_sum(size: int) -> int:
 
 
 def _permutations_whose_cycles(n: int, admits: Callable) -> Iterator[Permutation]:
-    if n > FACTORIAL_CAP:
-        raise CapExceededError(f"{n}! permutations exceeds the enumeration cap")
+    _check_cap(n, "vertices", FACTORIAL_CAP, "factorial")
     return (sigma for sigma in all_permutations(n) if all(map(admits, sigma.cycles)))
 
 
@@ -371,10 +358,7 @@ def cycle_weight_sum(n: int, weight: Callable) -> PowerSumPolynomial:
 def count_hamiltonian_paths_by_backtracking(d: Digraph) -> int:
     """Number of Hamiltonian paths by depth-first extension of partial
     paths from every start vertex: the oracle of the path-count DP."""
-    if d.n > DP_VERTEX_CAP:
-        raise CapExceededError(
-            f"{d.n} vertices exceeds the counting cap of {DP_VERTEX_CAP}"
-        )
+    _check_cap(d.n, "vertices", DP_VERTEX_CAP, "path-count")
     n = d.n
     if n == 0:
         return 1
@@ -398,17 +382,10 @@ def count_hamiltonian_paths_by_backtracking(d: Digraph) -> int:
     return total
 
 
-def _check_listing_cap(n: int) -> None:
-    if n > FACTORIAL_CAP:
-        raise CapExceededError(
-            f"{n} vertices exceeds the listing-sum cap of {FACTORIAL_CAP}"
-        )
-
-
 def redei_berge_by_listings(d: Digraph) -> FundamentalQSym:
     """The defining sum of the Redei--Berge function, one listing at a
     time: L_{Des(w)} summed over all n! listings w."""
-    _check_listing_cap(d.n)
+    _check_cap(d.n, "vertices", FACTORIAL_CAP, "factorial")
     counts: dict[frozenset[int], int] = {}
     for w in itertools.permutations(range(d.n)):
         key = frozenset(k for k in range(1, d.n) if d.has_arc(w[k - 1], w[k]))
@@ -424,7 +401,7 @@ def deformed_by_listings(weights: ArcWeights) -> FundamentalQSym:
     summed over the S inside the strict rises of an index sequence, these
     weights leave the product of s over its stalls."""
     n = weights.n
-    _check_listing_cap(n)
+    _check_cap(n, "vertices", FACTORIAL_CAP, "factorial")
     totals: dict[frozenset[int], Fraction] = {}
     for w in itertools.permutations(range(n)):
         terms = [(frozenset(), Fraction(1))]  # (descent set, weight)

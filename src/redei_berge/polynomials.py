@@ -34,6 +34,13 @@ def _coeff(value: Rational) -> Fraction:
     raise TypeError(f"coefficient must be exact (int or Fraction), got {type(value)}")
 
 
+def _partition_key(parts: Iterable[int]) -> tuple[int, ...]:
+    parts = tuple(parts)
+    if not is_partition(parts):
+        raise ValueError(f"not a canonical partition: {parts!r}")
+    return parts
+
+
 def _partition_sort_key(parts: tuple[int, ...]) -> tuple:
     # canonical term order: descending by size, then reverse-lexicographic
     return (-sum(parts), tuple(-p for p in parts))
@@ -58,9 +65,7 @@ class PowerSumPolynomial:
     def __init__(self, terms: Mapping[tuple[int, ...], Rational] = ()):
         clean: dict[tuple[int, ...], Fraction] = {}
         for parts, value in dict(terms).items():
-            parts = tuple(parts)
-            if not is_partition(parts):
-                raise ValueError(f"not a canonical partition: {parts!r}")
+            parts = _partition_key(parts)
             coeff = _coeff(value)
             if coeff:
                 clean[parts] = coeff
@@ -86,7 +91,7 @@ class PowerSumPolynomial:
         return PowerSumPolynomial({p: c * v for p, v in self.terms.items()})
 
     def coefficient(self, parts: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(parts), Fraction(0))
+        return self.terms.get(_partition_key(parts), Fraction(0))
 
     @property
     def degree(self) -> int:
@@ -199,7 +204,7 @@ def _monomial_to_fundamental(n: int, m_coefficient: Callable) -> "FundamentalQSy
     return FundamentalQSym(n, {DescentSet(n, S): c for S, c in coeffs.items()})
 
 
-@lru_cache(maxsize=1 << 16)  # degrees up to 9 need about 4,400 entries
+@lru_cache(maxsize=1 << 16)  # degrees up to 12 (CYCLE_SUM_CAP) fill 37,473 entries
 def _fillings(parts: tuple[int, ...], blocks: tuple[int, ...]) -> int:
     """Ways to send the parts (told apart by position) into the blocks so
     that every block is filled exactly: the M_blocks coefficient of
@@ -212,6 +217,12 @@ def _fillings(parts: tuple[int, ...], blocks: tuple[int, ...]) -> int:
         for j, room in enumerate(blocks)
         if room >= first
     )
+
+
+def _descent_key(n: int, key: DescentSet) -> DescentSet:
+    if not isinstance(key, DescentSet) or key.n != n:
+        raise ValueError(f"key {key!r} does not index degree {n}")
+    return key
 
 
 class FundamentalQSym:
@@ -227,8 +238,7 @@ class FundamentalQSym:
             raise ValueError(f"degree must be nonnegative, got {n}")
         clean: dict[DescentSet, Fraction] = {}
         for key, value in dict(terms).items():
-            if not isinstance(key, DescentSet) or key.n != n:
-                raise ValueError(f"key {key!r} does not index degree {n}")
+            key = _descent_key(n, key)
             coeff = _coeff(value)
             if coeff:
                 clean[key] = coeff
@@ -239,7 +249,7 @@ class FundamentalQSym:
         raise AttributeError("FundamentalQSym is immutable")
 
     def coefficient(self, key: DescentSet) -> Fraction:
-        return self.terms.get(key, Fraction(0))
+        return self.terms.get(_descent_key(self.n, key), Fraction(0))
 
     def zeta(self) -> Fraction:
         """Evaluation at x_1 = 1, rest 0: the coefficient of the empty

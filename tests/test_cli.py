@@ -102,7 +102,7 @@ class TestCompute:
         assert "line 2" in err
 
     def test_cap_violation_is_exit_2(self, capsys):
-        code, _, err = run(capsys, "compute", "--arcs", "12")
+        code, _, err = run(capsys, "compute", "--arcs", "13")
         assert code == 2
         assert "cap" in err
 
@@ -430,18 +430,37 @@ class TestVerify:
     @pytest.mark.parametrize(
         "target, argv, message",
         [
-            ("thm1", "--random 20 --max-n 12", "--max-n 12 exceeds the thm1 cap"),
-            ("thm1", "--exhaustive 10", "--exhaustive 10 exceeds the thm1 cap of 9"),
+            (
+                "thm1",
+                "--random 20 --max-n 13",
+                "13 vertices (--max-n) exceeds the thm1 cap of 12",
+            ),
+            (
+                "thm1",
+                "--exhaustive 13",
+                "13 vertices (--exhaustive) exceeds the thm1 cap of 12",
+            ),
+            ("thm2", "--random 1 --max-n 13", "exceeds the thm2 cap of 12"),
             ("lemmas", "--exhaustive 10", "exceeds the lemmas cap of 9"),
             ("mod4", "--exhaustive 13", "exceeds the mod4 cap of 12"),
             ("berge", "--random 1 --max-n 23", "exceeds the berge cap of 22"),
+            (
+                "lemmas",
+                "--exhaustive 5",
+                "33554432 digraphs on 5 vertices exceeds the enumeration cap",
+            ),
+            (
+                "thm2",
+                "--exhaustive 8",
+                "268435456 tournaments on 8 vertices exceeds the enumeration cap",
+            ),
             ("zeta", "--random -3", "--random must be nonnegative, got -3"),
             ("zeta", "--random 3 --max-n -1", "--max-n must be nonnegative"),
             ("zeta", "--exhaustive -1", "--exhaustive must be nonnegative"),
             (
                 "zeta",
                 "--random 16777217",
-                "--random 16777217 exceeds the cap of 16777216 instances",
+                "16777217 random instances exceeds the enumeration cap of 16777216",
             ),
         ],
     )

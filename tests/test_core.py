@@ -46,6 +46,7 @@ from redei_berge.oracles import (
 )
 
 P = PowerSumPolynomial
+ENGINE_REFUSAL = "^13 vertices exceeds the cycle-sum cap of 12$"
 
 
 def naive_mixed(d):
@@ -146,8 +147,8 @@ class TestDefinitionRoute:
         assert redei_berge_by_definition(Digraph(1)) == P({(1,): 1}).to_fundamental()
 
     def test_cap(self):
-        with pytest.raises(CapExceededError, match="path-sum cap of 9"):
-            redei_berge_by_definition(Digraph(10))
+        with pytest.raises(CapExceededError, match=ENGINE_REFUSAL):
+            redei_berge_by_definition(Digraph(13))
 
 
 class TestPermutationSets:
@@ -552,12 +553,12 @@ class TestCapsBeforeWork:
 
         monkeypatch.setattr("redei_berge.core._cycle_sums", no_tables)
         for route, arg in (
-            (redei_berge_powersum, random_digraph(10, 0.5, seed=1)),
-            (redei_berge_tournament, random_tournament(10, seed=2)),
-            (redei_berge_two_cycle_free, Digraph(10, [(0, 1), (1, 2)])),
-            (deformed_powersum, ArcWeights.random(10, seed=3)),
+            (redei_berge_powersum, random_digraph(13, 0.5, seed=1)),
+            (redei_berge_tournament, random_tournament(13, seed=2)),
+            (redei_berge_two_cycle_free, Digraph(13, [(0, 1), (1, 2)])),
+            (deformed_powersum, ArcWeights.random(13, seed=3)),
         ):
-            with pytest.raises(CapExceededError, match="power-sum cap of 9"):
+            with pytest.raises(CapExceededError, match=ENGINE_REFUSAL):
                 route(arg)
 
     def test_definition_routes_refuse_before_building_tables(self, monkeypatch):
@@ -566,8 +567,40 @@ class TestCapsBeforeWork:
 
         monkeypatch.setattr("redei_berge.core._cycle_sums", no_tables)
         for route, arg in (
-            (redei_berge_by_definition, random_digraph(10, 0.5, seed=4)),
-            (deformed_by_definition, ArcWeights.random(10, seed=5)),
+            (redei_berge_by_definition, random_digraph(13, 0.5, seed=4)),
+            (deformed_by_definition, ArcWeights.random(13, seed=5)),
         ):
-            with pytest.raises(CapExceededError, match="path-sum cap of 9"):
+            with pytest.raises(CapExceededError, match=ENGINE_REFUSAL):
                 route(arg)
+
+
+class TestAtTheCycleSumCap:
+    """Differential checks at n = 10..12: above the reach of the n! oracles,
+    up to the cycle-sum cap, on a few seeded inputs per size."""
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_zeta_counts_the_complements_paths(self, n):
+        # independent routes: the cycle-sum engine against the path DP
+        for seed in range(2):
+            d = random_digraph(n, 0.5, seed=100 * n + seed)
+            hamps = count_hamiltonian_paths(d.complement())
+            assert redei_berge_powersum(d).zeta() == hamps
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_tournament_form_matches_the_signed_form(self, n):
+        for seed in range(2):
+            d = random_tournament(n, seed=200 * n + seed)
+            f = redei_berge_powersum(d)
+            assert redei_berge_tournament(d) == f
+            assert in_doubled_odd_cone(f)
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_power_sum_route_matches_definition_route(self, n):
+        """Cycles of D and its complement against paths of the complement,
+        in the fundamental basis.  Both routes run on ``_cycle_sums`` and
+        ``_partition_sum``, so this checks the two reductions to that
+        engine, not the engine itself; the zeta test above is the
+        independent check at these sizes."""
+        d = random_digraph(n, 0.5, seed=300 * n)
+        f = redei_berge_powersum(d)
+        assert f.to_fundamental() == redei_berge_by_definition(d)

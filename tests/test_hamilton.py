@@ -206,7 +206,8 @@ class TestMod4:
 
         monkeypatch.setattr(hamilton, "_count_dp", no_count)
         monkeypatch.setattr(hamilton, "_cycle_sums", no_count)
-        with pytest.raises(CapExceededError, match="cycle-enumeration cap of 12"):
+        refusal = "^13 vertices exceeds the cycle-sum cap of 12$"
+        with pytest.raises(CapExceededError, match=refusal):
             verify_mod4(random_tournament(13, seed=5))
         with pytest.raises(ValueError, match="not a tournament"):
             verify_mod4(THREE_LOOP)

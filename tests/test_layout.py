@@ -1,12 +1,35 @@
 """The production routes enumerate no listing or permutation: the n! sums
-live only in the oracles."""
+live only in the oracles.  Every size cap is enforced by the one refusal
+helper in ``limits``, whose message names the count and the cap."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import redei_berge
+from redei_berge import ArcWeights, CapExceededError, Digraph
+from redei_berge.kernel import Permutation
+from redei_berge.oracles import (
+    ArcSet,
+    count_friendly_listings,
+    count_hamiltonian_paths_by_backtracking,
+    count_listings_containing,
+    count_perms_containing,
+    cycle_weight_sum,
+    d_cycle_permutations,
+    deformed_by_listings,
+    is_arc_set_of_path_cover,
+    mixed_cycle_permutations,
+    polya_sum,
+    redei_berge_by_listings,
+    signed_linear_sum,
+    signed_subset_sum,
+    signed_sum_per_perm,
+)
+
+MODULES = sorted(p.name for p in Path(redei_berge.__file__).parent.glob("*.py"))
 
 PRODUCTION = ["core.py", "hamilton.py", "polynomials.py"]
 ENUMERATORS = {"permutations", "all_permutations"}
@@ -29,3 +52,67 @@ def test_production_module_enumerates_no_permutations(module):
     path = Path(redei_berge.__file__).with_name(module)
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert not names_used(tree) & ENUMERATORS
+
+
+def constructs_cap_error(tree: ast.AST) -> bool:
+    return any(
+        isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name)
+            and node.func.id == "CapExceededError"
+            or isinstance(node.func, ast.Attribute)
+            and node.func.attr == "CapExceededError"
+        )
+        for node in ast.walk(tree)
+    )
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_limits_constructs_the_cap_error(module):
+    path = Path(redei_berge.__file__).with_name(module)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert constructs_cap_error(tree) == (module == "limits.py")
+
+
+SHIFT = [(u + 1) % 25 for u in range(25)]
+FACTORIAL = "10 vertices exceeds the factorial cap of 9"
+REFUSALS = [
+    (is_arc_set_of_path_cover, (ArcSet.of(10),), FACTORIAL),
+    (count_listings_containing, (ArcSet.of(10),), FACTORIAL),
+    (count_perms_containing, (ArcSet.of(10),), FACTORIAL),
+    (count_friendly_listings, (Digraph(10), [1] * 10), FACTORIAL),
+    (mixed_cycle_permutations, (Digraph(10),), FACTORIAL),
+    (d_cycle_permutations, (Digraph(10),), FACTORIAL),
+    (cycle_weight_sum, (10, lambda c: 1), FACTORIAL),
+    (redei_berge_by_listings, (Digraph(10),), FACTORIAL),
+    (deformed_by_listings, (ArcWeights(10),), FACTORIAL),
+    (
+        signed_linear_sum,
+        (Digraph(6).complement(),),
+        "30 arcs exceeds the subset cap of 24",
+    ),
+    (
+        signed_sum_per_perm,
+        (Digraph(25, enumerate(SHIFT)), Permutation(SHIFT)),
+        "25 arcs exceeds the subset cap of 24",
+    ),
+    (signed_subset_sum, (25,), "25 set elements exceeds the subset cap of 24"),
+    (
+        polya_sum,
+        (Permutation(range(9)),),
+        "387420489 cycle colourings exceeds the enumeration cap of 16777216",
+    ),
+    (
+        count_hamiltonian_paths_by_backtracking,
+        (Digraph(23),),
+        "23 vertices exceeds the path-count cap of 22",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "oracle, args, message", REFUSALS, ids=[case[0].__name__ for case in REFUSALS]
+)
+def test_oracle_refusal_names_its_count_and_cap(oracle, args, message):
+    with pytest.raises(CapExceededError, match=f"^{re.escape(message)}$"):
+        oracle(*args)

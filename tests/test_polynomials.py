@@ -265,6 +265,20 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             P({(1, 2): 1})
 
+    @pytest.mark.parametrize("parts", [(1, 2), (2, 0), (2, True), (1.0,)])
+    def test_coefficient_refuses_a_key_the_constructor_refuses(self, parts):
+        with pytest.raises(ValueError) as refused:
+            P({parts: 1})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+            P({(2, 1): 5}).coefficient(parts)
+
+    @pytest.mark.parametrize("key", [D(4, {1}), D(2, ()), (1,), frozenset({1})])
+    def test_fundamental_coefficient_refuses_a_key_of_another_degree(self, key):
+        with pytest.raises(ValueError) as refused:
+            F(3, {key: 1})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+            F(3, {D(3, {1}): 2}).coefficient(key)
+
     def test_rational_coefficients_survive(self):
         f = P({(2,): Fraction(1, 3)})
         assert (f + f + f).coefficient((2,)) == 1
