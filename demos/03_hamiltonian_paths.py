@@ -1,7 +1,8 @@
 """Hamiltonian-path counting and the classical congruences.
 
-Counting uses bitmask dynamic programming over (visited set, last vertex)
-states; the brute-force backtracking count from ``redei_berge.oracles``
+Counting uses dynamic programming over vertex subsets, one packed integer
+per subset with a field per vertex wide enough that no count carries into
+the next; the brute-force backtracking count from ``redei_berge.oracles``
 cross-checks it.  On tournaments the count is always
 odd, and modulo 4 it is determined by the number of nontrivial odd cycles;
 for any digraph the count has the same parity as the complement's.

@@ -357,7 +357,7 @@ def _cmd_hamps(args: argparse.Namespace) -> int:
                     f"({m['lhs_mod4']} vs 1 + 2*{m['odd_cycles']} = {m['rhs_mod4']} mod 4)"
                 )
             else:
-                print("mod4: skipped (cycle enumeration capped)")
+                print(f"mod4: skipped (above the cycle-sum cap of {CYCLE_SUM_CAP})")
         b = reports["berge"]
         print(
             f"berge: {'pass' if b['pass'] else 'FAIL'} "

@@ -9,8 +9,13 @@ counts D and its complement once each and builds all three reports from
 those two counts, skipping mod 4 above ``CYCLE_SUM_CAP``, the cap of the
 cycle-sum table that counts the odd cycles.
 
-Paths are counted by one route, a bitmask DP that returns a plain ``int``;
-its brute-force check, depth-first extension of partial paths, is
+Paths are counted by one route, the subset DP of Bellman and Held--Karp
+with one packed ``int`` per vertex subset S instead of one count per
+(S, last vertex) state.  Field v of the entry for S, of
+``factorial(n).bit_length()`` bits, counts the paths that cover exactly S
+and then take one arc to v.  Every field stays at most (n - 1)!, below 2
+to the field width, so no field carries into the next and the count is
+exact.  Its brute-force check, depth-first extension of partial paths, is
 :func:`oracles.count_hamiltonian_paths_by_backtracking`.  Loops never
 matter to paths: a path visits distinct vertices, so diagonal arcs are
 dropped before counting.  The zero-vertex digraph has exactly one
@@ -25,6 +30,7 @@ building a table.
 
 from __future__ import annotations
 
+from math import factorial
 from typing import Iterator, Sequence
 
 from .digraph import Digraph
@@ -33,7 +39,10 @@ from .limits import CYCLE_SUM_CAP, DP_VERTEX_CAP, _check_cap
 
 def count_hamiltonian_paths(d: Digraph) -> int:
     """Number of directed paths visiting every vertex exactly once, by
-    bitmask dynamic programming over (visited-set, last-vertex) states.
+    dynamic programming over vertex subsets: one packed ``int`` per subset
+    S, whose field v counts the paths that cover exactly S and then take
+    one arc to v.  The fields are ``factorial(n).bit_length()`` bits wide
+    and never exceed (n - 1)!, so none carries into the next.
 
     >>> count_hamiltonian_paths(Digraph(3, [(0, 1), (1, 1), (2, 2)]))
     0
@@ -46,29 +55,36 @@ def count_hamiltonian_paths(d: Digraph) -> int:
 
 def _count_dp(d: Digraph) -> int:
     n = d.n
-    if n == 0:
+    if n < 2:
         return 1
-    rows = [d.rows[u] & ~(1 << u) for u in range(n)]  # loops never matter
+    # One field of ``width`` bits per vertex.  Every field of every partial
+    # sum below counts paths through at most n - 1 vertices, so it is at
+    # most (n - 1)! < 2^width: no field carries into the next, and every
+    # count read back is exact.
+    width = factorial(n).bit_length()
+    field = (1 << width) - 1
+    # per vertex u: its bit, its field's shift, and its loop-free out-row
+    # with arc u -> v at bit v * width
+    vertices = [
+        (1 << u, u * width, sum(1 << v * width for v in _bits(d.rows[u] & ~(1 << u))))
+        for u in range(n)
+    ]
     full = (1 << n) - 1
-    dp = [0] * ((full + 1) * n)
-    for v in range(n):
-        dp[(1 << v) * n + v] = 1
-    for mask in range(1, full + 1):
-        base = mask * n
-        rem = mask
-        while rem:
-            low = rem & -rem
-            last = low.bit_length() - 1
-            rem ^= low
-            count = dp[base + last]
-            if not count:
-                continue
-            avail = rows[last] & ~mask
-            while avail:
-                bit = avail & -avail
-                avail ^= bit
-                dp[(mask | bit) * n + bit.bit_length() - 1] += count
-    return sum(dp[full * n + v] for v in range(n))
+    # out[S], field v: the paths that cover exactly S, then take one arc to v
+    out = [0] * full
+    for bit, _, row in vertices:
+        out[bit] = row
+    for mask in range(3, full):
+        if not mask & (mask - 1):
+            continue  # one-vertex sets keep their rows
+        total = 0
+        for bit, shift, row in vertices:
+            if mask & bit:
+                ending = out[mask ^ bit] >> shift & field  # paths of mask ending at u
+                if ending:
+                    total += ending * row
+        out[mask] = total
+    return sum(out[full ^ bit] >> shift & field for bit, shift, _ in vertices)
 
 
 def _bits(mask: int) -> Iterator[int]:

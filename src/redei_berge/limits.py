@@ -19,8 +19,9 @@ FACTORIAL_CAP = 9
 # takes about 3 s and 35 MB.
 CYCLE_SUM_CAP = 12
 
-# Bitmask path DP over (subset, last vertex) states.  Above ~18 vertices the
-# flat DP table dominates memory; 22 is the hard refusal point.
+# Path DP over vertex subsets, one packed int of n fields per subset.  Above
+# ~18 vertices its 2^n-entry table dominates memory (about 215 MB at 20
+# vertices); 22 is the hard refusal point.
 DP_VERTEX_CAP = 22
 
 # Signed sums over the subsets of a finite set (2^size terms).

@@ -184,7 +184,7 @@ class TestHamps:
         code, out, _ = run(capsys, "hamps", "--input", str(path))
         assert code == 0
         assert "hamps = 1" in out
-        assert "mod4: skipped" in out
+        assert "mod4: skipped (above the cycle-sum cap of 12)" in out.splitlines()
 
     @pytest.mark.parametrize(
         "d",

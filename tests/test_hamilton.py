@@ -49,8 +49,13 @@ class TestCounting:
         assert count_hamiltonian_paths(Digraph(2)) == 0
 
     def test_complete_loop_free(self):
-        d = Digraph(5, [(u, v) for u in range(5) for v in range(5) if u != v])
-        assert count_hamiltonian_paths(d) == 120
+        # n! paths, the most any n-vertex digraph has: every field of the
+        # packed counts reaches its bound, so a field too narrow carries
+        for n in range(13):
+            loop_free = [(u, v) for u in range(n) for v in range(n) if u != v]
+            assert count_hamiltonian_paths(Digraph(n, loop_free)) == math.factorial(n)
+            looped = Digraph(n, loop_free + [(v, v) for v in range(n)])
+            assert count_hamiltonian_paths(looped) == math.factorial(n)
 
     def test_loops_do_not_matter(self):
         with_loops = Digraph(3, [(0, 1), (1, 2), (0, 0), (2, 2)])
@@ -88,6 +93,27 @@ class TestCounting:
             d = random_digraph(n, rng.choice([0.2, 0.5, 0.8]), seed=rng.getrandbits(32))
             by_dp = count_hamiltonian_paths(d)
             assert by_dp == count_hamiltonian_paths_by_backtracking(d)
+
+
+class TestBeyondTheOracle:
+    """Checks on sizes the backtracking oracle cannot reach."""
+
+    def test_reversing_every_arc_keeps_the_count(self):
+        # a path read backwards is a path of the reversed digraph
+        rng = random.Random(47)
+        for n in range(11, 15):
+            for d in (
+                random_digraph(n, rng.choice([0.3, 0.5]), seed=rng.getrandbits(32)),
+                random_tournament(n, seed=rng.getrandbits(32)),
+            ):
+                reversed_d = Digraph(n, [(v, u) for u, v in d.arcs()])
+                assert count_hamiltonian_paths(reversed_d) == count_hamiltonian_paths(d)
+
+    def test_spot_checks_at_15_and_16_vertices(self):
+        assert count_hamiltonian_paths(transitive_tournament(16)) == 1
+        assert count_hamiltonian_paths(Digraph(16)) == 0
+        for n, seed in ((15, 5), (16, 6)):
+            assert count_hamiltonian_paths(random_tournament(n, seed=seed)) % 2 == 1
 
 
 class TestOddCycleCounting:
