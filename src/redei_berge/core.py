@@ -24,6 +24,13 @@ formula).  A definition route weighs B by its path weights summed over the
 orderings of B, for the monomial coefficients of the listing sum, and
 stays in the fundamental basis, where a power-sum result meets it after
 :meth:`PowerSumPolynomial.to_fundamental`.
+
+The engine runs on ``int``s.  The deformed routes scale row u of their
+rational weights by the lcm L_u of that row's denominators.  A block B
+uses one out-arc of each of its vertices, so its weight carries the
+product of L_u over B, every set partition carries the product P of all
+the L_u, and each output coefficient is divided by P once.  One common
+lcm for all rows would make the integers carry its n-th power instead.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from .polynomials import (
     FundamentalQSym,
     PowerSumPolynomial,
     Rational,
+    _cleared,
     _coeff,
     _monomial_to_fundamental,
 )
@@ -83,23 +91,27 @@ def redei_berge_by_definition(d: Digraph) -> FundamentalQSym:
     Hamiltonian path of the complement, which gives the M_alpha coefficient.
     """
     _check_cap(d.n, "vertices", CYCLE_SUM_CAP, "cycle-sum")
-    return _listing_sum(d.n, _indicator(d.complement()))
+    return _listing_sum(d.n, _indicator(d.complement()), [1] * d.n)
 
 
-def _listing_sum(n: int, w: list[list]) -> FundamentalQSym:
+def _listing_sum(n: int, w: list[list[int]], scales: list[int]) -> FundamentalQSym:
     """The function whose M_alpha coefficient sums, over the listings, the
-    product of ``w[u][v]`` over the consecutive pairs inside the blocks of
-    alpha: the set-partition sum of path weights at sort(alpha), times the
-    prod_k m_k! orders of equal blocks.  An apex (vertex 0) joined both ways
-    to every vertex with weight 1 closes a path through S into the cycle at
-    2S + 1 of the cycle-sum table, which reads no diagonal entry of ``w``;
-    only the pass rooted at the apex fills those entries, so only it runs."""
-    apex = [[1] * (n + 1)] + [[1, *row] for row in w]
+    product of ``w[u][v] / scales[u]`` over the consecutive pairs inside the
+    blocks of alpha: the set-partition sum of path weights at sort(alpha),
+    times the prod_k m_k! orders of equal blocks.  An apex (vertex 0) with
+    out-arcs of weight 1, and an arc of weight ``scales[u]`` from each u back
+    to it, closes a path through S into the cycle at 2S + 1 of the
+    cycle-sum table, which reads no diagonal entry of ``w``; only the pass
+    rooted at the apex fills those entries, so only it runs.  Each vertex
+    of S leaves by one arc of its own row, so every set partition carries
+    the product of all the scales, which is divided out once."""
+    apex = [[1] * (n + 1)] + [[scale, *row] for scale, row in zip(scales, w)]
     paths = _partition_sum(n, _cycle_sums(n + 1, apex, roots=1)[1::2])
     return _monomial_to_fundamental(
         n,
         lambda shape: paths.get(shape, 0)
         * math.prod(math.factorial(shape.count(k)) for k in set(shape)),
+        math.prod(scales),
     )
 
 
@@ -315,7 +327,8 @@ def deformed_by_definition(weights: ArcWeights) -> FundamentalQSym:
     blocks of its M_alpha: so paths are weighted by s."""
     n = weights.n
     _check_cap(n, "vertices", CYCLE_SUM_CAP, "cycle-sum")
-    return _listing_sum(n, [[weights.s(u, v) for v in range(n)] for u in range(n)])
+    s, scales = _cleared([[weights.s(u, v) for v in range(n)] for u in range(n)])
+    return _listing_sum(n, s, scales)
 
 
 def deformed_powersum(weights: ArcWeights) -> PowerSumPolynomial:
@@ -329,9 +342,9 @@ def deformed_powersum(weights: ArcWeights) -> PowerSumPolynomial:
     """
     n = weights.n
     _check_cap(n, "vertices", CYCLE_SUM_CAP, "cycle-sum")
-    t = [[weights.t(u, v) for v in range(n)] for u in range(n)]
-    s = [[value + 1 for value in row] for row in t]
+    t, scales = _cleared([[weights.t(u, v) for v in range(n)] for u in range(n)])
+    s = [[value + scale for value in row] for row, scale in zip(t, scales)]
     s_sums, t_sums = _cycle_sums(n, s), _cycle_sums(n, t)
-    return PowerSumPolynomial(
-        _partition_sum(n, [a - b for a, b in zip(s_sums, t_sums)])
-    )
+    sums = _partition_sum(n, [a - b for a, b in zip(s_sums, t_sums)])
+    scale = math.prod(scales)
+    return PowerSumPolynomial({parts: Fraction(c, scale) for parts, c in sums.items()})

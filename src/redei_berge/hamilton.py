@@ -25,7 +25,10 @@ The cycle-sum table (weighted Hamiltonian cycles of every vertex subset,
 where a single vertex reads its diagonal weight) and the set-partition sum
 over it are the engine behind every route in :mod:`core` and the odd-cycle
 count; each of those refuses more than ``CYCLE_SUM_CAP`` vertices before
-building a table.
+building a table.  The engine runs on plain ``int``s only: a route with
+rational weights scales them to integers first and divides once per
+output coefficient (see :mod:`core`), so no ``Fraction`` enters its inner
+loops.
 """
 
 from __future__ import annotations
@@ -94,13 +97,16 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _cycle_sums(n: int, w: Sequence[Sequence], roots: int | None = None) -> list:
+def _cycle_sums(
+    n: int, w: Sequence[Sequence[int]], roots: int | None = None
+) -> list[int]:
     """For every vertex bitmask S, the sum over the cyclic orderings of S of
     the product of ``w[u][v]`` over the cyclic arcs; a single vertex v
     gives ``w[v][v]``.  Each ordering is a path from the minimal vertex of
     S through larger vertices, closed back onto it: O(2^n n^2).  With
     ``roots``, only the sets whose minimal vertex is below it are summed
-    (the others read 0).
+    (the others read 0).  The weights are plain ``int``s: a rational route
+    clears its denominators before calling in.
     """
     sums = [0] * (1 << n)
     support = [sum(1 << v for v in range(n) if row[v]) for row in w]
@@ -122,14 +128,21 @@ def _cycle_sums(n: int, w: Sequence[Sequence], roots: int | None = None) -> list
     return sums
 
 
-def _partition_sum(n: int, block_weight: Sequence) -> dict[tuple[int, ...], object]:
-    """Sum, over the set partitions of 0..n-1, of the product of
-    ``block_weight[B]`` over the blocks B (bitmasks), keyed by the partition
-    of block sizes.  The next block always holds the lowest uncovered
-    vertex, so each set partition is built once: O(3^n) block choices.
+def _partition_sum(n: int, block_weight: Sequence[int]) -> dict[tuple[int, ...], int]:
+    """Sum, over the set partitions of 0..n-1, of the product of the
+    ``int``s ``block_weight[B]`` over the blocks B (bitmasks), keyed by the
+    partition of block sizes.  The next block always holds the lowest
+    uncovered vertex, so each set partition is built once: O(3^n) block
+    choices.
+
+    A state's partition is one packed ``int``: field k, of
+    ``n.bit_length()`` bits, holds the number of blocks of size k.  No size
+    occurs more than n times, so no field carries into the next, and adding
+    a block of size k adds ``1 << k * bits``.
     """
+    bits = n.bit_length()
     full = (1 << n) - 1
-    states: dict[int, dict[tuple[int, ...], object]] = {0: {(): 1}}
+    states: dict[int, dict[int, int]] = {0: {0: 1}}
     for covered in range(full):
         terms = states.pop(covered, None)
         if not terms:
@@ -139,15 +152,22 @@ def _partition_sum(n: int, block_weight: Sequence) -> dict[tuple[int, ...], obje
         sub = rest
         while True:
             block = sub | low
-            if block_weight[block]:
+            weight = block_weight[block]
+            if weight:
+                step = 1 << block.bit_count() * bits
                 target = states.setdefault(covered | block, {})
-                for parts, coeff in terms.items():
-                    key = tuple(sorted((*parts, block.bit_count()), reverse=True))
-                    target[key] = target.get(key, 0) + coeff * block_weight[block]
+                for shape, coeff in terms.items():
+                    grown = shape + step
+                    target[grown] = target.get(grown, 0) + coeff * weight
             if not sub:
                 break
             sub = (sub - 1) & rest
-    return {parts: c for parts, c in states.get(full, {}).items() if c}
+    field = (1 << bits) - 1
+    return {
+        tuple(k for k in range(n, 0, -1) for _ in range(shape >> k * bits & field)): c
+        for shape, c in states.get(full, {}).items()
+        if c
+    }
 
 
 def _indicator(d: Digraph) -> list[list[int]]:

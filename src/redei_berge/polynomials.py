@@ -8,6 +8,10 @@ power-sum result is compared with a fundamental one after the single bridge
 :meth:`PowerSumPolynomial.to_fundamental` (see Gessel, "Multipartite
 P-partitions and inner products of skew Schur functions", 1984), which
 shares its last step, monomial to fundamental, with the definition routes.
+That step runs on ``int``s: its caller clears the denominators into one
+scale (the power sums by the lcm of theirs), the Moebius pass runs on the
+integer monomial coefficients over a table of cut sets built once per
+degree, and each fundamental coefficient is divided by the scale once.
 
 Each basis keeps only what the routes, checks and CLI use: power sums add,
 subtract, scale, apply omega, antipode, zeta and the bridge, and print as
@@ -17,11 +21,13 @@ text or JSON; fundamentals compare and give coefficients and zeta.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
 from .kernel import DescentSet, _require_int, all_descent_sets, is_partition, partition_of
+from .limits import CYCLE_SUM_CAP
 
 Rational = Fraction | int
 
@@ -138,11 +144,12 @@ class PowerSumPolynomial:
         >>> sorted((sorted(s), int(c)) for s, c in f.terms.items())
         [([], 1), ([1], -1)]
         """
+        [coeffs], [scale] = _cleared([list(self.terms.values())])
+        terms = list(zip(self.terms, coeffs))
         return _monomial_to_fundamental(
             self.degree,
-            lambda shape: sum(
-                c * _fillings(parts, shape) for parts, c in self.terms.items()
-            ),
+            lambda shape: sum(c * _fillings(parts, shape) for parts, c in terms),
+            scale,
         )
 
     def to_text(self) -> str:
@@ -189,19 +196,43 @@ class PowerSumPolynomial:
         return f"PowerSumPolynomial({self.terms!r})"
 
 
-def _monomial_to_fundamental(n: int, m_coefficient: Callable) -> "FundamentalQSym":
-    """The degree-n symmetric function with coefficient m_coefficient(lambda)
-    on m_lambda, in the fundamental basis: M_alpha takes the value at
-    sort(alpha), and since L_S is the sum of M_T over the cut sets T
-    containing S, L_S takes the signed sum of the M_T over the T inside S."""
-    shapes = {s.members: partition_of(s.composition()) for s in all_descent_sets(n)}
-    by_shape = {shape: m_coefficient(shape) for shape in set(shapes.values())}
-    coeffs = {cuts: by_shape[shape] for cuts, shape in shapes.items()}  # then L
-    for k in range(1, n):  # Moebius pass, one cut position at a time
-        for cuts in coeffs:
-            if k in cuts:
-                coeffs[cuts] -= coeffs[cuts - {k}]
-    return FundamentalQSym(n, {DescentSet(n, S): c for S, c in coeffs.items()})
+def _cleared(rows: list[list[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its own denominators, and those lcms."""
+    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    return [
+        [x.numerator * (scale // x.denominator) for x in row]
+        for row, scale in zip(rows, scales)
+    ], scales
+
+
+def _monomial_to_fundamental(
+    n: int, m_coefficient: Callable[[tuple[int, ...]], int], scale: int
+) -> "FundamentalQSym":
+    """The degree-n symmetric function with coefficient
+    m_coefficient(lambda) / scale on m_lambda, in the fundamental basis:
+    M_alpha takes the value at sort(alpha), and since L_S is the sum of M_T
+    over the cut sets T containing S, L_S takes the signed sum of the M_T
+    over the T inside S.  The pass runs on the ``int`` values of
+    ``m_coefficient``; each L_S is divided by ``scale`` once at the end."""
+    keys, shapes = _cut_shapes(n)
+    by_shape = {shape: m_coefficient(shape) for shape in set(shapes)}
+    coeffs = [by_shape[shape] for shape in shapes]  # M, then L
+    for k in range(n - 1):  # Moebius pass, one cut position at a time
+        bit = 1 << k
+        for cuts in range(len(coeffs)):
+            if cuts & bit:
+                coeffs[cuts] -= coeffs[cuts ^ bit]
+    return FundamentalQSym(
+        n, {key: Fraction(c, scale) for key, c in zip(keys, coeffs) if c}
+    )
+
+
+@lru_cache(maxsize=CYCLE_SUM_CAP + 1)
+def _cut_shapes(n: int) -> tuple[tuple[DescentSet, ...], tuple[tuple[int, ...], ...]]:
+    """The 2^(n-1) descent sets of degree n, indexed by the bitmask whose
+    bit k - 1 marks cut position k, and the partition each one sorts to."""
+    keys = sorted(all_descent_sets(n), key=lambda key: sum(1 << k - 1 for k in key))
+    return tuple(keys), tuple(partition_of(key.composition()) for key in keys)
 
 
 @lru_cache(maxsize=1 << 16)  # degrees up to 12 (CYCLE_SUM_CAP) fill 37,473 entries

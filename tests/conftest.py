@@ -5,8 +5,11 @@ its Redei--Berge function is p[3] + 2*p[2,1] + p[1,1,1] and its complement
 has 4 Hamiltonian paths.  ``GESSEL`` produces the mixed-sign expansion
 p[3] - p[2,1] + p[1,1,1].  ``REMARK`` has a 2-cycle yet a subtraction-free
 expansion.  ``FIVE_TOURNAMENT`` is a 5-vertex tournament with 9 Hamiltonian
-paths.
+paths.  ``weighted_path_sum`` is a Held--Karp subset DP over weighted
+Hamiltonian paths in ``Fraction`` arithmetic, written without the package.
 """
+
+from fractions import Fraction
 
 from redei_berge import Digraph
 
@@ -35,3 +38,22 @@ FIVE_TOURNAMENT = Digraph(
 
 def transitive_tournament(n: int) -> Digraph:
     return Digraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def weighted_path_sum(n: int, s) -> Fraction:
+    """Sum, over the Hamiltonian paths v_1 ... v_n of the complete digraph,
+    of the product of s[v_k][v_(k+1)]: ending[S][v] sums the paths that
+    cover exactly S and end at v."""
+    if n == 0:
+        return Fraction(1)
+    full = (1 << n) - 1
+    ending = [[0] * n for _ in range(1 << n)]
+    for v in range(n):
+        ending[1 << v][v] = Fraction(1)
+    for mask in range(1, full):
+        for v, value in enumerate(ending[mask]):
+            if value:
+                for u in range(n):
+                    if not mask >> u & 1:
+                        ending[mask | 1 << u][u] += value * s[v][u]
+    return sum(ending[full], Fraction(0))

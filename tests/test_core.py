@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIVE_TOURNAMENT, GESSEL, REMARK, THREE_LOOP
+from conftest import FIVE_TOURNAMENT, GESSEL, REMARK, THREE_LOOP, weighted_path_sum
 from redei_berge import (
     ArcWeights,
     CapExceededError,
@@ -28,6 +28,7 @@ from redei_berge import (
     redei_berge_tournament,
     redei_berge_two_cycle_free,
 )
+from redei_berge import core
 from redei_berge.kernel import (
     CycleClass,
     DescentSet,
@@ -47,6 +48,22 @@ from redei_berge.oracles import (
 
 P = PowerSumPolynomial
 ENGINE_REFUSAL = "^13 vertices exceeds the cycle-sum cap of 12$"
+
+
+def row_prime_weights(n, seed):
+    """Mixed-sign weights whose row u has the u-th prime above 10^6 as its
+    one denominator: the rows' lcms are distinct and their product is large."""
+    rng = random.Random(seed)
+    candidates = range(10**6, 10**6 + 200)
+    primes = [p for p in candidates if all(p % q for q in range(2, 1001))]
+    return ArcWeights(
+        n,
+        {
+            (u, v): Fraction(rng.randint(-primes[u], primes[u]), primes[u])
+            for u in range(n)
+            for v in range(n)
+        },
+    )
 
 
 def naive_mixed(d):
@@ -546,6 +563,57 @@ class TestDeformation:
         assert ArcWeights.from_json(text) == ArcWeights(*case)
 
 
+class TestIntegerEngine:
+    """The cycle-sum engine sees only plain ``int``s, whatever the route;
+    rationals are cleared before it and divided out after it."""
+
+    @pytest.mark.parametrize(
+        "route, arg",
+        [
+            (redei_berge_powersum, random_digraph(6, 0.5, seed=41)),
+            (redei_berge_tournament, random_tournament(6, seed=42)),
+            (redei_berge_by_definition, random_digraph(6, 0.5, seed=43)),
+            (deformed_powersum, row_prime_weights(6, 44)),
+            (deformed_by_definition, row_prime_weights(6, 45)),
+            (deformed_powersum, ArcWeights.random(5, seed=46)),
+            (deformed_by_definition, ArcWeights.random(5, seed=47)),
+        ],
+    )
+    def test_engine_receives_and_returns_ints(self, monkeypatch, route, arg):
+        calls = []
+
+        def all_ints(values, what):
+            bad = [x for x in values if type(x) is not int]
+            assert not bad, f"{what} holds {bad[0]!r}"
+
+        def cycle_sums(n, w, *args, **kwargs):
+            all_ints([x for row in w for x in row], "a cycle-sum weight row")
+            sums = core_cycle_sums(n, w, *args, **kwargs)
+            all_ints(sums, "the cycle-sum table")
+            calls.append("cycles")
+            return sums
+
+        def partition_sum(n, block_weight):
+            all_ints(block_weight, "the block weights")
+            terms = core_partition_sum(n, block_weight)
+            all_ints(terms.values(), "the partition sum")
+            calls.append("partitions")
+            return terms
+
+        core_cycle_sums, core_partition_sum = core._cycle_sums, core._partition_sum
+        monkeypatch.setattr(core, "_cycle_sums", cycle_sums)
+        monkeypatch.setattr(core, "_partition_sum", partition_sum)
+        route(arg)
+        assert {"cycles", "partitions"} <= set(calls)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_row_prime_denominators_match_the_listing_oracle(self, n):
+        w = row_prime_weights(n, 50 + n)
+        g = deformed_by_listings(w)
+        assert deformed_by_definition(w) == g
+        assert deformed_powersum(w).to_fundamental() == g
+
+
 class TestCapsBeforeWork:
     def test_power_sum_routes_refuse_before_building_tables(self, monkeypatch):
         def no_tables(*args):
@@ -604,3 +672,13 @@ class TestAtTheCycleSumCap:
         d = random_digraph(n, 0.5, seed=300 * n)
         f = redei_berge_powersum(d)
         assert f.to_fundamental() == redei_berge_by_definition(d)
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_deformed_zeta_is_the_s_weighted_path_sum(self, n):
+        """Both deformed routes at x_1 = 1 against a Held--Karp DP in
+        ``Fraction`` arithmetic, on rows with distinct large prime
+        denominators."""
+        w = row_prime_weights(n, 400 + n)
+        paths = weighted_path_sum(n, [[w.s(u, v) for v in range(n)] for u in range(n)])
+        assert deformed_powersum(w).zeta() == paths
+        assert deformed_by_definition(w).zeta() == paths

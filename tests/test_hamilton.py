@@ -156,6 +156,16 @@ class TestCycleSumEngine:
         assert terms == {(4,): 1, (3, 1): 4, (2, 2): 3, (2, 1, 1): 6, (1, 1, 1, 1): 1}
         assert _partition_sum(0, [1]) == {(): 1}
 
+    def test_partition_sum_at_the_cap_keeps_every_packed_field_apart(self):
+        # (1,) * 12 fills all four bits of its field: a carry would move it
+        terms = _partition_sum(12, [1] * 4096)
+        assert sum(terms.values()) == 4_213_597  # Bell(12)
+        assert len(terms) == 77
+        for shape, count in terms.items():
+            orders = math.prod(math.factorial(part) for part in shape)
+            repeats = math.prod(math.factorial(shape.count(k)) for k in set(shape))
+            assert count == math.factorial(12) // (orders * repeats)
+
     def test_cycle_sums_of_complete_digraph(self):
         # (k-1)! cyclic orderings on every k-set; singletons read the diagonal
         n = 5

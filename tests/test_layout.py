@@ -1,6 +1,7 @@
 """The production routes enumerate no listing or permutation: the n! sums
-live only in the oracles.  Every size cap is enforced by the one refusal
-helper in ``limits``, whose message names the count and the cap."""
+live only in the oracles.  The cycle-sum engine imports no ``fractions``.
+Every size cap is enforced by the one refusal helper in ``limits``, whose
+message names the count and the cap."""
 
 import ast
 import re
@@ -52,6 +53,23 @@ def test_production_module_enumerates_no_permutations(module):
     path = Path(redei_berge.__file__).with_name(module)
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert not names_used(tree) & ENUMERATORS
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+    return modules
+
+
+def test_cycle_sum_engine_has_no_fractions():
+    # rationals are cleared to ints before the engine and divided out after
+    path = Path(redei_berge.__file__).with_name("hamilton.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert "fractions" not in imported_modules(tree)
 
 
 def constructs_cap_error(tree: ast.AST) -> bool:
