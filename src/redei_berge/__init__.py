@@ -8,9 +8,9 @@ multiparameter deformation.  Everything is exact: coefficients are
 arbitrary-precision rationals and counts are big integers.
 
 Only those routes, the digraph model and the two bases are exported here.
-The brute-force oracles are imported from :mod:`redei_berge.oracles` and
-the combinatorial helpers (permutations, cycle classes, partitions) from
-:mod:`redei_berge.kernel`.
+The brute-force oracles, which take permutations as plain image tuples,
+are imported from :mod:`redei_berge.oracles` and the combinatorial helpers
+(compositions, partitions, descent sets) from :mod:`redei_berge.kernel`.
 """
 
 from .core import (

@@ -55,7 +55,6 @@ from .hamilton import (
     verify_mod4,
     verify_redei,
 )
-from .kernel import Permutation
 from .limits import (
     CYCLE_SUM_CAP,
     DP_VERTEX_CAP,
@@ -68,6 +67,7 @@ from .oracles import (
     count_friendly_listings,
     count_listings_containing,
     count_perms_containing,
+    cycle_type,
     friendly_product,
     is_arc_set_of_path_cover,
     is_linear,
@@ -155,11 +155,10 @@ def _check_lemmas(d: Digraph) -> tuple[bool, dict]:
     if signed_linear_sum(d) != hamps:
         failures.append("signed linear-subset sum != hamps of complement")
     rebuilt: dict[tuple[int, ...], int] = {}
-    for images in itertools.permutations(range(d.n)):
-        sigma = Permutation(images)
+    for sigma in itertools.permutations(range(d.n)):
         weight = signed_sum_per_perm(d, sigma)
         if weight:
-            key = sigma.cycle_type
+            key = cycle_type(sigma)
             rebuilt[key] = rebuilt.get(key, 0) + weight
     if PowerSumPolynomial(rebuilt) != redei_berge_powersum(d):
         failures.append("per-permutation signed sums do not rebuild the power-sum form")
@@ -190,11 +189,10 @@ def _lemma_preamble() -> list[str]:
             arc_set = ArcSet.of(4, subset)
             if is_linear(arc_set) != is_arc_set_of_path_cover(arc_set):
                 failures.append(f"linearity criteria disagree on {sorted(subset)}")
-    for images in ((0, 1, 2), (1, 2, 0), (1, 0, 2)):
-        sigma = Permutation(images)
-        cycle_type = PowerSumPolynomial({sigma.cycle_type: 1})
-        if polya_sum(sigma) != cycle_type.to_fundamental():
-            failures.append(f"cycle-colouring sum wrong for {images}")
+    for sigma in ((0, 1, 2), (1, 2, 0), (1, 0, 2)):
+        p_type = PowerSumPolynomial({cycle_type(sigma): 1})
+        if polya_sum(sigma) != p_type.to_fundamental():
+            failures.append(f"cycle-colouring sum wrong for {sigma}")
     return failures
 
 

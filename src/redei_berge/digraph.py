@@ -11,7 +11,7 @@ import itertools
 import random
 from typing import Iterable, Iterator, Sequence
 
-from .kernel import CycleClass, _require_int
+from .kernel import _require_int
 from .limits import DP_VERTEX_CAP, ENUMERATION_CAP, _check_cap
 
 
@@ -88,19 +88,10 @@ class Digraph:
                 yield (u, low.bit_length() - 1)
                 row ^= low
 
-    @property
-    def arc_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
-
     def complement(self) -> "Digraph":
         """Digraph on the same vertices whose arcs are exactly the non-arcs."""
         full = (1 << self.n) - 1
         return Digraph.from_rows(self.n, tuple(r ^ full for r in self.rows))
-
-    def without_loops(self) -> "Digraph":
-        return Digraph.from_rows(
-            self.n, tuple(r & ~(1 << u) for u, r in enumerate(self.rows))
-        )
 
     def is_tournament(self) -> bool:
         """No loops, and each unordered pair carries exactly one arc."""
@@ -119,24 +110,6 @@ class Digraph:
                 if self.has_arc(u, v) and self.has_arc(v, u):
                     return False
         return True
-
-    def is_cycle(self, cycle: CycleClass) -> bool:
-        """True iff every cyclic arc of the class is an arc of this digraph."""
-        return all(self.has_arc(u, v) for u, v in cycle.carcs())
-
-    def induced(self, vertices: Iterable[int]) -> "Digraph":
-        """Subdigraph induced on ``vertices``, relabelled to 0..k-1 in sorted order."""
-        order = sorted(set(vertices))
-        if any(not 0 <= v < self.n for v in order):
-            raise ValueError("vertex outside range")
-        index = {v: i for i, v in enumerate(order)}
-        arcs = [
-            (index[u], index[v])
-            for u in order
-            for v in order
-            if self.has_arc(u, v)
-        ]
-        return Digraph(len(order), arcs)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -5,6 +5,11 @@ cycle-colouring sum, permutations filtered by their cycles, the literal
 per-cycle weight sum over all permutations, the literal listing sums of
 the definition routes, and Hamiltonian paths counted by backtracking.
 
+A permutation sigma of 0..n-1 is its image tuple, ``sigma[v]`` being the
+image of v, as ``itertools.permutations(range(n))`` yields it.  A cycle is
+a tuple of distinct vertices, each mapped to the next and the last to the
+first; :func:`cycles_of` starts each one at its minimal vertex.
+
 The routines here deliberately favour direct enumeration over cleverness;
 they are the oracles the rest of the package is checked against.
 """
@@ -19,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .digraph import Digraph
 from .hamilton import count_hamiltonian_paths
-from .kernel import CycleClass, DescentSet, Permutation, all_permutations
+from .kernel import DescentSet, _require_int, partition_of
 from .limits import (
     DP_VERTEX_CAP,
     ENUMERATION_CAP,
@@ -41,15 +46,59 @@ class ArcSet:
     pairs: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
+        _require_int(self.n, "vertex count")
+        if self.n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
         if not isinstance(self.pairs, frozenset):
             object.__setattr__(self, "pairs", frozenset(self.pairs))
         for u, v in self.pairs:
+            _require_int(u, "endpoint")
+            _require_int(v, "endpoint")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"pair ({u}, {v}) outside 0..{self.n - 1}")
 
     @classmethod
     def of(cls, n: int, pairs: Sequence[tuple[int, int]] = ()) -> "ArcSet":
         return cls(n, frozenset(pairs))
+
+
+def cycles_of(sigma: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The cycles of the permutation with images ``sigma``, each starting at
+    its minimal vertex, ordered by that vertex.
+
+    >>> cycles_of((6, 5, 4, 3, 2, 1, 0))   # i -> 6 - i
+    ((0, 6), (1, 5), (2, 4), (3,))
+    >>> cycles_of((1, 2, 0, 4, 3, 5))
+    ((0, 1, 2), (3, 4), (5,))
+    """
+    for v in sigma:
+        _require_int(v, "image")
+    n = len(sigma)
+    if sorted(sigma) != list(range(n)):
+        raise ValueError(f"not a bijection on 0..{n - 1}: {tuple(sigma)!r}")
+    cycles = []
+    for start in range(n):
+        cycle = [start]
+        while sigma[cycle[-1]] > start:
+            cycle.append(sigma[cycle[-1]])
+        if sigma[cycle[-1]] == start:  # else a smaller vertex starts this cycle
+            cycles.append(tuple(cycle))
+    return tuple(cycles)
+
+
+def cycle_type(sigma: Sequence[int]) -> tuple[int, ...]:
+    """Partition of n recording the cycle lengths of sigma."""
+    return partition_of(map(len, cycles_of(sigma)))
+
+
+def _cyclic_arcs(cycle: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    # each vertex to the next, the last back to the first; (v,) gives (v, v)
+    return zip(cycle, cycle[1:] + cycle[:1])
+
+
+def is_cycle(d: Digraph, cycle: tuple[int, ...]) -> bool:
+    """True iff every cyclic arc of the cycle is an arc of ``d``."""
+    return all(d.has_arc(u, v) for u, v in _cyclic_arcs(cycle))
 
 
 def path_cover_of(arc_set: ArcSet) -> tuple[tuple[int, ...], ...] | None:
@@ -159,9 +208,9 @@ def signed_linear_sum(d: Digraph) -> int:
     cover size.  The whole sum equals the number of Hamiltonian paths of
     the complement.
     """
-    arcs = [(u, v) for u, v in d.arcs() if u != v]
-    _check_cap(len(arcs), "arcs", SUBSET_CAP, "subset")
     n = d.n
+    _check_cap(n, "vertices", FACTORIAL_CAP, "factorial")
+    arcs = [(u, v) for u, v in d.arcs() if u != v]
     factorial = [math.factorial(k) for k in range(n + 1)]
     succ = [-1] * n
     pred = [-1] * n
@@ -190,7 +239,7 @@ def signed_linear_sum(d: Digraph) -> int:
     return total
 
 
-def signed_sum_per_perm(d: Digraph, sigma: Permutation) -> int:
+def signed_sum_per_perm(d: Digraph, sigma: Sequence[int]) -> int:
     """Sum of (-1)^|F| over the linear subsets F of the intersection of the
     functional graph of sigma with the arc set, by direct enumeration of
     all subsets.
@@ -199,9 +248,11 @@ def signed_sum_per_perm(d: Digraph, sigma: Permutation) -> int:
     cycle of sigma lies in the digraph or its complement, and to 0
     otherwise.
     """
-    if sigma.n != d.n:
-        raise ValueError(f"permutation on {sigma.n} vertices, digraph on {d.n}")
-    common = [(u, sigma(u)) for u in range(d.n) if d.has_arc(u, sigma(u))]
+    if len(sigma) != d.n:
+        raise ValueError(f"permutation on {len(sigma)} vertices, digraph on {d.n}")
+    common = [
+        (u, v) for c in cycles_of(sigma) for u, v in _cyclic_arcs(c) if d.has_arc(u, v)
+    ]
     _check_cap(len(common), "arcs", SUBSET_CAP, "subset")
     total = 0
     for r in range(len(common) + 1):
@@ -211,12 +262,25 @@ def signed_sum_per_perm(d: Digraph, sigma: Permutation) -> int:
     return total
 
 
+def _check_levels(d: Digraph, levels: Sequence[int]) -> None:
+    """Refuses a level list of the wrong length or with a level that is not
+    a positive integer, naming it."""
+    if len(levels) != d.n:
+        raise ValueError(f"expected {d.n} levels, got {len(levels)}")
+    for level in levels:
+        _require_int(level, "level")
+        if level < 1:
+            raise ValueError(f"level {level} is not positive")
+
+
 def level_subdigraph(d: Digraph, levels: Sequence[int], level: int) -> Digraph:
     """Subdigraph induced on the vertices of the given level, relabelled to
     0..k-1 in increasing vertex order."""
-    if len(levels) != d.n:
-        raise ValueError(f"expected {d.n} levels, got {len(levels)}")
-    return d.induced(v for v in range(d.n) if levels[v] == level)
+    _check_levels(d, levels)
+    order = [v for v in range(d.n) if levels[v] == level]
+    pairs = itertools.product(range(len(order)), repeat=2)
+    arcs = [(i, j) for i, j in pairs if d.has_arc(order[i], order[j])]
+    return Digraph(len(order), arcs)
 
 
 def count_friendly_listings(d: Digraph, levels: Sequence[int]) -> int:
@@ -226,10 +290,7 @@ def count_friendly_listings(d: Digraph, levels: Sequence[int]) -> int:
     Equals the product, over the distinct levels, of the Hamiltonian-path
     counts of the complements of the level subdigraphs.
     """
-    if len(levels) != d.n:
-        raise ValueError(f"expected {d.n} levels, got {len(levels)}")
-    if any(not isinstance(x, int) or x < 1 for x in levels):
-        raise ValueError("levels must be positive integers")
+    _check_levels(d, levels)
     _check_cap(d.n, "vertices", FACTORIAL_CAP, "factorial")
     total = 0
     for listing in itertools.permutations(range(d.n)):
@@ -250,6 +311,7 @@ def count_friendly_listings(d: Digraph, levels: Sequence[int]) -> int:
 def friendly_product(d: Digraph, levels: Sequence[int]) -> int:
     """The product side of the level decomposition: over each occupied
     level, the Hamiltonian paths of the complemented level subdigraph."""
+    _check_levels(d, levels)
     product = 1
     for level in sorted(set(levels)):
         sub = level_subdigraph(d, levels, level)
@@ -257,7 +319,7 @@ def friendly_product(d: Digraph, levels: Sequence[int]) -> int:
     return product
 
 
-def polya_sum(sigma: Permutation) -> FundamentalQSym:
+def polya_sum(sigma: Sequence[int]) -> FundamentalQSym:
     """p_{type sigma} in the fundamental basis, by brute force.
 
     The monomials x_{f(0)} * ... * x_{f(n-1)} over the maps f constant on
@@ -267,10 +329,11 @@ def polya_sum(sigma: Permutation) -> FundamentalQSym:
     rewritten as the sum of (-1)^|S - T| L_S over the descent sets S
     containing T.
     """
-    cycles = sigma.cycles
+    n = len(sigma)
+    cycles = cycles_of(sigma)
     c = len(cycles)
     _check_cap(c**c, "cycle colourings", ENUMERATION_CAP, "enumeration")
-    monomial: dict[DescentSet, int] = {}
+    monomial: dict[frozenset[int], int] = {}  # cut set of alpha -> count
     for colours in itertools.product(range(c), repeat=c):
         used = set(colours)
         if used != set(range(len(used))):
@@ -278,16 +341,16 @@ def polya_sum(sigma: Permutation) -> FundamentalQSym:
         alpha = [0] * len(used)
         for cycle, colour in zip(cycles, colours):
             alpha[colour] += len(cycle)
-        key = DescentSet.from_composition(alpha)
+        key = frozenset(itertools.accumulate(alpha[:-1]))
         monomial[key] = monomial.get(key, 0) + 1
     terms: dict[DescentSet, int] = {}
     for cut, count in monomial.items():
-        free = [i for i in range(1, sigma.n) if i not in cut]
+        free = [i for i in range(1, n) if i not in cut]
         for r in range(len(free) + 1):
             for extra in itertools.combinations(free, r):
-                key = DescentSet(sigma.n, cut.members | frozenset(extra))
+                key = DescentSet(n, cut | frozenset(extra))
                 terms[key] = terms.get(key, 0) + (-1) ** r * count
-    return FundamentalQSym(sigma.n, terms)
+    return FundamentalQSym(n, terms)
 
 
 def signed_subset_sum(size: int) -> int:
@@ -302,46 +365,50 @@ def signed_subset_sum(size: int) -> int:
     return total
 
 
-def _permutations_whose_cycles(n: int, admits: Callable) -> Iterator[Permutation]:
+def _permutations_whose_cycles(n: int, admits: Callable) -> Iterator[tuple[int, ...]]:
     _check_cap(n, "vertices", FACTORIAL_CAP, "factorial")
-    return (sigma for sigma in all_permutations(n) if all(map(admits, sigma.cycles)))
+    return (
+        sigma
+        for sigma in itertools.permutations(range(n))
+        if all(map(admits, cycles_of(sigma)))
+    )
 
 
-def mixed_cycle_permutations(d: Digraph) -> list[Permutation]:
+def mixed_cycle_permutations(d: Digraph) -> list[tuple[int, ...]]:
     """Permutations whose every cycle is a cycle of ``d`` or of its
     complement (a length-1 cycle always is one of the two)."""
     complement = d.complement()
     return list(
         _permutations_whose_cycles(
-            d.n, lambda c: d.is_cycle(c) or complement.is_cycle(c)
+            d.n, lambda c: is_cycle(d, c) or is_cycle(complement, c)
         )
     )
 
 
-def d_cycle_permutations(d: Digraph) -> list[Permutation]:
+def d_cycle_permutations(d: Digraph) -> list[tuple[int, ...]]:
     """Permutations whose every nontrivial cycle is a cycle of ``d``."""
     return list(
-        _permutations_whose_cycles(d.n, lambda c: not c.is_nontrivial or d.is_cycle(c))
+        _permutations_whose_cycles(d.n, lambda c: len(c) == 1 or is_cycle(d, c))
     )
 
 
-def d_cycle_excess(d: Digraph, sigma: Permutation) -> int:
+def d_cycle_excess(d: Digraph, sigma: Sequence[int]) -> int:
     """Sum of (length - 1) over the cycles of sigma that are cycles of d.
 
     This is the exponent of -1 attached to sigma in the signed power-sum
     formula.  Length-1 cycles contribute 0 whether or not the loop is
     present, so the value is insensitive to loops.
     """
-    if sigma.n != d.n:
-        raise ValueError(f"permutation on {sigma.n} vertices, digraph on {d.n}")
-    return sum(len(c) - 1 for c in sigma.cycles if d.is_cycle(c))
+    if len(sigma) != d.n:
+        raise ValueError(f"permutation on {len(sigma)} vertices, digraph on {d.n}")
+    return sum(len(c) - 1 for c in cycles_of(sigma) if is_cycle(d, c))
 
 
-def is_risky(d: Digraph, cycle: CycleClass) -> bool:
-    """Even length, and the class or its reversal is a cycle of ``d``."""
+def is_risky(d: Digraph, cycle: tuple[int, ...]) -> bool:
+    """Even length, and the cycle or its reversal is a cycle of ``d``."""
     if len(cycle) % 2 != 0:
         return False
-    return d.is_cycle(cycle) or d.is_cycle(cycle.reversal())
+    return is_cycle(d, cycle) or is_cycle(d, cycle[::-1])
 
 
 def cycle_weight_sum(n: int, weight: Callable) -> PowerSumPolynomial:
@@ -350,8 +417,9 @@ def cycle_weight_sum(n: int, weight: Callable) -> PowerSumPolynomial:
     every power-sum formula specializes."""
     terms: dict[tuple[int, ...], object] = {}
     for sigma in _permutations_whose_cycles(n, weight):
-        key = sigma.cycle_type
-        terms[key] = terms.get(key, 0) + math.prod(map(weight, sigma.cycles))
+        cycles = cycles_of(sigma)
+        key = partition_of(map(len, cycles))
+        terms[key] = terms.get(key, 0) + math.prod(map(weight, cycles))
     return PowerSumPolynomial(terms)
 
 
@@ -362,7 +430,7 @@ def count_hamiltonian_paths_by_backtracking(d: Digraph) -> int:
     n = d.n
     if n == 0:
         return 1
-    rows = d.without_loops().rows
+    rows = [row & ~(1 << u) for u, row in enumerate(d.rows)]  # loops dropped
     full = (1 << n) - 1
     total = 0
 

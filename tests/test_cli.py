@@ -332,6 +332,26 @@ class TestVerify:
         assert code == 0
         assert "8/8 pass" in out
 
+    def test_lemmas_on_digraphs_with_many_arcs(self, capsys):
+        # the first instance has 28 arcs off the diagonal: a cap on the
+        # 2^arcs subsets would refuse it halfway through the sweep
+        code, out, err = run(
+            capsys,
+            "verify",
+            "lemmas",
+            "--random",
+            "2",
+            "--max-n",
+            "7",
+            "--seed",
+            "61",
+            "--jobs",
+            "1",
+        )
+        assert code == 0
+        assert err == ""
+        assert "lemmas: 2/2 pass" in out
+
     def test_random_sweep_reproducible(self, capsys):
         args = ["verify", "berge", "--random", "20", "--max-n", "5", "--seed", "7"]
         _, first, _ = run(capsys, *args, "--jobs", "1")
@@ -393,7 +413,7 @@ class TestVerify:
     def test_failure_echoes_counterexample(self, capsys, monkeypatch):
         # fault injection: a check that rejects any digraph with an arc
         def broken(d):
-            return d.arc_count == 0, {"note": "injected"}
+            return not any(d.rows), {"note": "injected"}
 
         monkeypatch.setitem(cli._CHECKS, "thm1", ("digraph", broken, 9))
         code, out, _ = run(capsys, "verify", "thm1", "--exhaustive", "2", "--jobs", "1")
@@ -401,11 +421,11 @@ class TestVerify:
         assert "FAIL at instance #1" in out
         assert "1/2 pass" in out  # stops at the first failure
         replay = out[out.index("2\n") :].splitlines()
-        assert parse_digraph("\n".join(replay[:2])).arc_count == 1
+        assert len(list(parse_digraph("\n".join(replay[:2])).arcs())) == 1
 
     def test_keep_going_reports_all(self, capsys, monkeypatch):
         def broken(d):
-            return d.arc_count == 0, {}
+            return not any(d.rows), {}
 
         monkeypatch.setitem(cli._CHECKS, "thm1", ("digraph", broken, 9))
         code, out, _ = run(

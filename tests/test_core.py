@@ -29,18 +29,14 @@ from redei_berge import (
     redei_berge_two_cycle_free,
 )
 from redei_berge import core
-from redei_berge.kernel import (
-    CycleClass,
-    DescentSet,
-    Permutation,
-    all_descent_sets,
-    all_permutations,
-    partition_of,
-)
+from redei_berge.kernel import DescentSet, all_descent_sets, partition_of
 from redei_berge.oracles import (
+    cycle_type,
+    cycles_of,
     d_cycle_excess,
     d_cycle_permutations,
     deformed_by_listings,
+    is_cycle,
     is_risky,
     mixed_cycle_permutations,
     redei_berge_by_listings,
@@ -71,16 +67,16 @@ def naive_mixed(d):
     comp = d.complement()
     return [
         sigma
-        for sigma in all_permutations(d.n)
-        if all(d.is_cycle(c) or comp.is_cycle(c) for c in sigma.cycles)
+        for sigma in itertools.permutations(range(d.n))
+        if all(is_cycle(d, c) or is_cycle(comp, c) for c in cycles_of(sigma))
     ]
 
 
 def naive_d_cycle(d):
     return [
         sigma
-        for sigma in all_permutations(d.n)
-        if all(d.is_cycle(c) for c in sigma.cycles if c.is_nontrivial)
+        for sigma in itertools.permutations(range(d.n))
+        if all(is_cycle(d, c) for c in cycles_of(sigma) if len(c) > 1)
     ]
 
 
@@ -171,25 +167,25 @@ class TestDefinitionRoute:
 class TestPermutationSets:
     def test_example_mixed_set(self):
         expected = {
-            Permutation(range(3)),
-            Permutation.from_cycles(3, [(0, 2)]),
-            Permutation.from_cycles(3, [(1, 2)]),
-            Permutation.from_cycles(3, [(0, 2, 1)]),
+            (0, 1, 2),
+            (2, 1, 0),  # the 2-cycle (0 2)
+            (0, 2, 1),  # the 2-cycle (1 2)
+            (2, 0, 1),  # the 3-cycle (0 2 1)
         }
         assert set(mixed_cycle_permutations(THREE_LOOP)) == expected
 
     def test_example_d_cycle_set(self):
-        assert d_cycle_permutations(THREE_LOOP) == [Permutation(range(3))]
+        assert d_cycle_permutations(THREE_LOOP) == [(0, 1, 2)]
 
     def test_arcless_digraph(self):
         d = Digraph(3)
         assert len(mixed_cycle_permutations(d)) == 6
-        assert d_cycle_permutations(d) == [Permutation(range(3))]
+        assert d_cycle_permutations(d) == [(0, 1, 2)]
 
     def test_identity_always_mixed_member(self):
         for n in range(5):
             for d in (Digraph(n), random_digraph(n, 0.7, seed=n)):
-                assert Permutation(range(n)) in mixed_cycle_permutations(d)
+                assert tuple(range(n)) in mixed_cycle_permutations(d)
 
     def test_against_naive_filters_exhaustive(self):
         for n in range(4):
@@ -201,27 +197,25 @@ class TestPermutationSets:
 class TestCycleStatistics:
     def test_excess_on_complete_digraph(self):
         d = Digraph(6, [(u, v) for u in range(6) for v in range(6)])
-        sigma = Permutation.from_cycles(6, [(0, 2), (1, 3, 4)])
+        sigma = (2, 3, 0, 4, 1, 5)  # cycles (0 2), (1 3 4), (5)
         assert d_cycle_excess(d, sigma) == 3  # (2-1) + (3-1) + (1-1)
 
     def test_identity_excess(self):
         loop_free = Digraph(4, [(0, 1)])
-        assert d_cycle_excess(loop_free, Permutation(range(4))) == 0
+        assert d_cycle_excess(loop_free, (0, 1, 2, 3)) == 0
 
     def test_single_full_cycle(self):
         d = Digraph(5, [(i, (i + 1) % 5) for i in range(5)])
-        sigma = Permutation.from_cycles(5, [tuple(range(5))])
+        sigma = (1, 2, 3, 4, 0)  # the 5-cycle (0 1 2 3 4)
         assert d_cycle_excess(d, sigma) == 4
 
     def test_excess_ignores_loops(self):
         rng = random.Random(23)
         for _ in range(50):
             d = random_digraph(5, 0.6, seed=rng.getrandbits(32))
-            for images in itertools.islice(itertools.permutations(range(5)), 10):
-                sigma = Permutation(images)
-                assert d_cycle_excess(d, sigma) == d_cycle_excess(
-                    d.without_loops(), sigma
-                )
+            loop_free = Digraph(5, [(u, v) for u, v in d.arcs() if u != v])
+            for sigma in itertools.islice(itertools.permutations(range(5)), 10):
+                assert d_cycle_excess(d, sigma) == d_cycle_excess(loop_free, sigma)
 
 
 class TestPowerSumRoutes:
@@ -335,7 +329,7 @@ class TestPowerSumRoutes:
         for n in range(4):
             for d in enumerate_digraphs(n):
                 has_even_cycle = any(
-                    d.is_cycle(CycleClass(verts))
+                    is_cycle(d, verts)
                     for k in range(2, n + 1, 2)
                     for verts in itertools.permutations(range(n), k)
                 )
@@ -344,7 +338,7 @@ class TestPowerSumRoutes:
                 f = redei_berge_powersum(d)
                 counts: dict[tuple[int, ...], int] = {}
                 for sigma in mixed_cycle_permutations(d):
-                    key = sigma.cycle_type
+                    key = cycle_type(sigma)
                     counts[key] = counts.get(key, 0) + 1
                 assert f == P(counts)
 
@@ -352,16 +346,16 @@ class TestPowerSumRoutes:
 class TestRiskyClasses:
     def test_odd_length_never_risky(self):
         d = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-        assert not is_risky(d, CycleClass((0, 1, 2)))
-        assert not is_risky(d, CycleClass((0,)))
+        assert not is_risky(d, (0, 1, 2))
+        assert not is_risky(d, (0,))
 
     def test_two_cycle_with_both_arcs_is_risky(self):
         d = Digraph(2, [(0, 1), (1, 0)])
-        assert is_risky(d, CycleClass((0, 1)))
+        assert is_risky(d, (0, 1))
 
     def test_reversed_even_cycle_is_risky(self):
         d = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        gamma = CycleClass((0, 3, 2, 1))  # reversal is the 4-cycle of d
+        gamma = (0, 3, 2, 1)  # reversal is the 4-cycle of d
         assert is_risky(d, gamma)
         assert not is_risky(Digraph(4), gamma)
 

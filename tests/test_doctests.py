@@ -11,4 +11,4 @@ from redei_berge import core, digraph, hamilton, kernel, oracles, polynomials
 def test_docstring_examples(module):
     result = doctest.testmod(module)
     assert result.failed == 0
-    assert result.attempted > 0 or module is oracles
+    assert result.attempted > 0

@@ -22,10 +22,10 @@ from redei_berge import (
 )
 from redei_berge import hamilton
 from redei_berge.hamilton import _cycle_sums, _partition_sum
-from redei_berge.kernel import CycleClass
 from redei_berge.oracles import (
     count_hamiltonian_paths_by_backtracking,
     d_cycle_excess,
+    is_cycle,
     mixed_cycle_permutations,
 )
 
@@ -38,7 +38,7 @@ def brute_force_odd_cycles(d: Digraph) -> int:
         for subset in itertools.combinations(range(d.n), k):
             first, rest = subset[0], subset[1:]
             for order in itertools.permutations(rest):
-                if d.is_cycle(CycleClass((first, *order))):
+                if is_cycle(d, (first, *order)):
                     total += 1
     return total
 
@@ -59,7 +59,7 @@ class TestCounting:
 
     def test_loops_do_not_matter(self):
         with_loops = Digraph(3, [(0, 1), (1, 2), (0, 0), (2, 2)])
-        without = with_loops.without_loops()
+        without = Digraph(3, [(0, 1), (1, 2)])
         assert (
             count_hamiltonian_paths(with_loops)
             == count_hamiltonian_paths(without)
