@@ -24,7 +24,7 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     ArcWeights,
@@ -235,72 +235,63 @@ def _random_two_cycle_free(rng: random.Random, n: int) -> Digraph:
 
 def _random_instances(
     kind: str, count: int, max_n: int, seed: int | None
-) -> list[Digraph]:
+) -> Iterator[Digraph]:
     rng = random.Random(seed)
-    out = []
     for _ in range(count):
         n = rng.randint(0, max_n)
         if kind == "tournament":
-            out.append(_random_tournament(rng, n))
+            yield _random_tournament(rng, n)
         elif kind == "two-cycle-free":
-            out.append(_random_two_cycle_free(rng, n))
+            yield _random_two_cycle_free(rng, n)
         else:
-            out.append(_random_digraph(rng, n, 0.5))
-    return out
+            yield _random_digraph(rng, n, 0.5)
+
+
+def _stream(
+    kind: str, exhaustive: bool, count: int, max_n: int, seed: int
+) -> Iterable[Digraph]:
+    """A sweep's instances, rebuilt from plain values in any process."""
+    if exhaustive:
+        return _exhaustive_instances(kind, max_n)
+    return _random_instances(kind, count, max_n, seed)
 
 
 def _sweep_chunk(
-    target: str,
-    instances: list[Digraph],
-    start: int,
-    keep_going: bool,
-) -> list[tuple[int, bool, dict]]:
+    target: str, spec: tuple, start: int, stop: int, keep_going: bool
+) -> list[tuple[int, str, dict]]:
     check = _CHECKS[target][1]
-    results = []
-    for offset, d in enumerate(instances):
+    failures = []
+    for i, d in enumerate(itertools.islice(_stream(*spec), start, stop), start):
         ok, detail = check(d)
-        results.append((start + offset, ok, detail))
-        if not ok and not keep_going:
-            break
-    return results
+        if not ok:
+            failures.append((i, format_digraph(d), detail))
+            if not keep_going:
+                break
+    return failures
 
 
 def _run_sweep(
-    target: str,
-    instances: Sequence[Digraph],
-    jobs: int,
-    keep_going: bool,
-) -> tuple[int, list[tuple[int, Digraph, dict]]]:
-    """Returns (number of instances checked, failures as (index, digraph,
-    detail)).  Instance-to-worker assignment is by contiguous index range,
-    so reports are stable for a fixed seed regardless of job count."""
-    instances = list(instances)
-    jobs = max(1, min(jobs, len(instances) or 1))
+    target: str, spec: tuple, jobs: int, keep_going: bool
+) -> tuple[int, list[tuple[int, str, dict]]]:
+    """Returns (instances checked, failures as (index, edge list, detail)) over
+    the ``spec[2]`` instances of ``_stream(*spec)``.  Worker k rebuilds that
+    stream and checks indices total*k // jobs up to total*(k+1) // jobs, so
+    reports do not depend on the job count and no instance list is held."""
+    total = spec[2]
+    jobs = max(1, min(jobs, total))
     if jobs == 1:
-        results = _sweep_chunk(target, instances, 0, keep_going)
+        failures = _sweep_chunk(target, spec, 0, total, keep_going)
     else:
-        bounds = [len(instances) * k // jobs for k in range(jobs + 1)]
-        chunks = [
-            (instances[bounds[k] : bounds[k + 1]], bounds[k]) for k in range(jobs)
-        ]
-        results = []
+        bounds = [total * k // jobs for k in range(jobs + 1)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_sweep_chunk, target, chunk, start, keep_going)
-                for chunk, start in chunks
-                if chunk
+                pool.submit(_sweep_chunk, target, spec, *bounds[k : k + 2], keep_going)
+                for k in range(jobs)
             ]
-            for future in futures:
-                results.extend(future.result())
-    results.sort(key=lambda item: item[0])
-    failures = [(i, instances[i], detail) for i, ok, detail in results if not ok]
+            failures = [failure for future in futures for failure in future.result()]
     if failures and not keep_going:
-        first = failures[0][0]
-        checked = first + 1
-        failures = failures[:1]
-    else:
-        checked = len(instances)
-    return checked, failures
+        return failures[0][0] + 1, failures[:1]
+    return total, failures
 
 
 # -------------------------------------------------------- subcommands
@@ -391,11 +382,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     preamble_failures: list[str] = []
     if args.target == "lemmas":
         preamble_failures = _lemma_preamble()
-    if args.exhaustive is not None:
-        instances = list(_exhaustive_instances(kind, args.exhaustive))
-        mode = {"mode": "exhaustive", "n": args.exhaustive}
+    n = args.exhaustive
+    if n is not None:
+        pairs = n * (n - 1) // 2
+        lengths = {"tournament": 2**pairs, "two-cycle-free": 2**n * 3**pairs}
+        spec = (kind, True, lengths.get(kind, 2 ** (n * n)), n, args.seed)
+        mode = {"mode": "exhaustive", "n": n}
     else:
-        instances = _random_instances(kind, args.random, args.max_n, args.seed)
+        spec = (kind, False, args.random, args.max_n, args.seed)
         mode = {
             "mode": "random",
             "count": args.random,
@@ -407,7 +401,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         cpus = os.cpu_count() or 1
     jobs = min(args.jobs or cpus, cpus)
-    checked, failures = _run_sweep(args.target, instances, jobs, args.keep_going)
+    checked, failures = _run_sweep(args.target, spec, jobs, args.keep_going)
     passed = checked - len(failures)
     ok = not failures and not preamble_failures
     if args.format == "json":
@@ -416,17 +410,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 {
                     "target": args.target,
                     **mode,
-                    "instances": len(instances),
+                    "instances": spec[2],
                     "checked": checked,
                     "passed": passed,
                     "preamble_failures": preamble_failures,
                     "failures": [
-                        {
-                            "index": i,
-                            "digraph": format_digraph(d),
-                            "detail": detail,
-                        }
-                        for i, d, detail in failures
+                        {"index": i, "digraph": text, "detail": detail}
+                        for i, text, detail in failures
                     ],
                     "pass": ok,
                 }
@@ -436,9 +426,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for line in preamble_failures:
             print(f"PREAMBLE FAIL: {line}")
         print(f"{args.target}: {passed}/{checked} pass")
-        for i, d, detail in failures:
+        for i, text, detail in failures:
             print(f"FAIL at instance #{i}; replay with `compute` on:")
-            print(format_digraph(d), end="")
+            print(text, end="")
             if detail:
                 print(f"detail: {json.dumps(detail)}")
     return 0 if ok else 1

@@ -2,9 +2,9 @@
 
 Routes implemented here:
 
-- ``redei_berge_by_definition``: the defining sum of fundamental
-  quasisymmetric functions over all n! vertex listings, kept in the
-  fundamental basis.
+- ``redei_berge_by_definition``: the value of the defining sum of
+  fundamental quasisymmetric functions over all n! vertex listings, kept
+  in the fundamental basis and obtained from path counts.
 - ``redei_berge_powersum``: the signed power-sum formula, summing
   (-1)^phi(sigma) * p_{type sigma} over the permutations whose every cycle
   lies in the digraph or in its complement.
@@ -82,8 +82,9 @@ def _descents(d: Digraph, listing: Sequence[int]) -> frozenset[int]:
 
 
 def redei_berge_by_definition(d: Digraph) -> FundamentalQSym:
-    """The defining sum, over all n! listings, of the fundamental
-    quasisymmetric function indexed by the listing's descent set.
+    """The value of the defining sum, over all n! listings, of the
+    fundamental quasisymmetric function indexed by the listing's descent
+    set, obtained from path counts without listing anything.
 
     This is the Redei--Berge function written in the fundamental basis; the
     coefficient of a descent set counts the listings attaining it.  A
@@ -119,19 +120,13 @@ def redei_berge_powersum(d: Digraph) -> PowerSumPolynomial:
     """The Redei--Berge function in the power-sum basis, via the signed
     formula over permutations whose cycles split between ``d`` and its
     complement: a cycle of length k in ``d`` weighs (-1)^(k-1), one in the
-    complement weighs 1.
+    complement weighs 1.  This is the deformation at t = -1 on the arcs.
 
     >>> redei_berge_powersum(Digraph(3, [(0, 1), (1, 1), (2, 2)])).to_text()
     'p[3] + 2*p[2,1] + p[1,1,1]'
     """
     _check_cap(d.n, "vertices", CYCLE_SUM_CAP, "cycle-sum")
-    here = _cycle_sums(d.n, _indicator(d))
-    there = _cycle_sums(d.n, _indicator(d.complement()))
-    block_weight = [
-        there[S] + here[S] if S.bit_count() % 2 else there[S] - here[S]
-        for S in range(1 << d.n)
-    ]
-    return PowerSumPolynomial(_partition_sum(d.n, block_weight))
+    return _powersum(d.n, [[-arc for arc in row] for row in _indicator(d)], [1] * d.n)
 
 
 def redei_berge_tournament(d: Digraph) -> PowerSumPolynomial:
@@ -282,10 +277,17 @@ class ArcWeights:
         pairs default to 0.  Weights are JSON integers or strings of the form
         ``[+-]digits`` or ``[+-]digits/digits``, and a key is two ASCII-digit
         fields ``u,v``; anything else is refused, and so is a repeated key
-        or a pair named by two keys (such as "0,1" and "0,01")."""
-        data = json.loads(text, object_pairs_hook=_unique_keys)
+        or a pair named by two keys (such as "0,1" and "0,01"), a top-level
+        key other than "n" and "t", and input nested too deeply to parse."""
+        try:
+            data = json.loads(text, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise ValueError("weight JSON is nested too deeply") from None
         if not isinstance(data, dict) or "n" not in data:
             raise ValueError("expected a JSON object with an 'n' field")
+        for key in data:
+            if key not in ("n", "t"):
+                raise ValueError(f"unknown key {key!r}: expected only 'n' and 't'")
         n = data["n"]
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"'n' must be an integer, got {json.dumps(n)}")
@@ -343,6 +345,13 @@ def deformed_powersum(weights: ArcWeights) -> PowerSumPolynomial:
     n = weights.n
     _check_cap(n, "vertices", CYCLE_SUM_CAP, "cycle-sum")
     t, scales = _cleared([[weights.t(u, v) for v in range(n)] for u in range(n)])
+    return _powersum(n, t, scales)
+
+
+def _powersum(n: int, t: list[list[int]], scales: list[int]) -> PowerSumPolynomial:
+    """The closed form of the deformation for the weights ``t[u][v] /
+    scales[u]``: a block weighs its s-cycles minus its t-cycles, with
+    s = t + 1, and the product of all the scales is divided out once."""
     s = [[value + scale for value in row] for row, scale in zip(t, scales)]
     s_sums, t_sums = _cycle_sums(n, s), _cycle_sums(n, t)
     sums = _partition_sum(n, [a - b for a, b in zip(s_sums, t_sums)])

@@ -1,12 +1,15 @@
 import io
 import json
 import random
+import re
+import tracemalloc
 
 import pytest
 
 from conftest import THREE_LOOP
 from redei_berge import (
     DescentSet,
+    Digraph,
     FundamentalQSym,
     PowerSumPolynomial,
     enumerate_tournaments,
@@ -25,6 +28,30 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """A stand-in pool that records its size and runs chunks inline, so no
+    process is started whatever --jobs says; returns the recorded sizes."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            result = fn(*args)
+            return type("Done", (), {"result": lambda self: result})()
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    return sizes
 
 
 class TestCompute:
@@ -141,6 +168,11 @@ class TestDeformed:
             ),
             ('{"n": 2, "t": {"0,1": "1e1000000000"}}', "weight of '0,1' must be"),
             ('{"n": 2, "t": {"0,1": "1.5"}}', "weight of '0,1' must be"),
+            ('{"n": 2, "T": {"0,1": "-1"}}', "unknown key 'T'"),
+            ('{"n": 2, "s": {"0,1": "0"}}', "unknown key 's'"),
+            pytest.param(
+                "[" * 200000, "weight JSON is nested too deeply", id="nested"
+            ),
         ],
     )
     def test_mistyped_weight_json_is_exit_2(self, capsys, monkeypatch, text, message):
@@ -277,6 +309,22 @@ class TestVerify:
             )
             assert code == 0, target
             assert expected in out, (target, out)
+        # the JSON count, worked out without walking the stream, is its length
+        for target, kind in [
+            ("zeta", "digraph"),
+            ("redei", "tournament"),
+            ("thm3", "two-cycle-free"),
+        ]:
+            length = [
+                sum(1 for _ in cli._exhaustive_instances(kind, n)) for n in range(4)
+            ]
+            counts = []
+            for n in range(4):
+                argv = ["--exhaustive", str(n), "--jobs", "1", "--format", "json"]
+                code, out, _ = run(capsys, "verify", target, *argv)
+                assert code == 0, (target, n)
+                counts.append(json.loads(out)["instances"])
+            assert counts == length, target
 
     @pytest.mark.parametrize(
         "target, n, per_instance", [("thm2", "4", 2), ("thm3", "3", 1)]
@@ -365,32 +413,69 @@ class TestVerify:
         _, parallel, _ = run(capsys, *args, "--jobs", "4")
         assert serial == parallel
 
-    def test_jobs_clamped_to_available_cpus(self, capsys, monkeypatch):
-        # a stand-in pool that records its size and runs chunks inline, so
-        # no process is started whatever --jobs says
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                result = fn(*args)
-                return type("Done", (), {"result": lambda self: result})()
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    def test_jobs_clamped_to_available_cpus(self, capsys, monkeypatch, inline_pool):
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         args = ["verify", "zeta", "--exhaustive", "2"]
         for jobs in (["--jobs", "1000"], []):
             code, out, _ = run(capsys, *args, *jobs)
             assert code == 0 and "16/16 pass" in out
-        assert sizes == [2, 2]
+        assert inline_pool == [2, 2]
+
+    def test_reports_match_across_jobs(self, capsys, monkeypatch, inline_pool):
+        # at --jobs 3 the 16 digraphs split into #0-4, #5-9 and #10-15; the
+        # injected failures leave the first range clean and hit the other two
+        def broken(d):
+            index = sum(row << (u * d.n) for u, row in enumerate(d.rows))
+            return index not in (6, 8, 12, 13), {"index": index}
+
+        monkeypatch.setitem(cli._CHECKS, "thm1", ("digraph", broken, 9))
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        args = ["verify", "thm1", "--exhaustive", "2"]
+        reports = []
+        for extra in ([], ["--keep-going"], ["--keep-going", "--format", "json"]):
+            serial = run(capsys, *args, *extra, "--jobs", "1")
+            assert run(capsys, *args, *extra, "--jobs", "3") == serial
+            reports.append(serial)
+        assert inline_pool == [3, 3, 3]
+        (code, first, _), (_, every, _), (_, as_json, _) = reports
+        assert code == 1 and "6/7 pass" in first
+        assert re.findall(r"instance #(\d+)", first) == ["6"]
+        assert "12/16 pass" in every
+        assert re.findall(r"instance #(\d+)", every) == ["6", "8", "12", "13"]
+        failures = json.loads(as_json)["failures"]
+        assert [f["index"] for f in failures] == [6, 8, 12, 13]
+
+    def test_sweep_stops_before_building_the_next_instance(self, capsys, monkeypatch):
+        # random instance #k has k vertices; the check fails on #1, and
+        # building #2 would raise
+        built = []
+
+        def draw(rng, n, arc_probability):
+            assert len(built) < 2, "instance #2 was built"
+            built.append(len(built))
+            return Digraph(built[-1])
+
+        def fails_on_one_vertex(d):
+            return d.n != 1, {}
+
+        monkeypatch.setattr(cli, "_random_digraph", draw)
+        monkeypatch.setitem(cli._CHECKS, "berge", ("digraph", fails_on_one_vertex, 22))
+        code, out, _ = run(capsys, "verify", "berge", "--random", "5", "--jobs", "1")
+        assert code == 1
+        assert "1/2 pass" in out and "FAIL at instance #1" in out
+        assert built == [0, 1]
+
+    def test_sweep_memory_does_not_grow_with_the_count(self, capsys):
+        # an instance list would peak near 11.5 MiB here
+        argv = ["--random", "20000", "--max-n", "3", "--seed", "1", "--jobs", "1"]
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "verify", "berge", *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and "20000/20000 pass" in out
+        assert peak < 2 * 2**20
 
     def test_json_report(self, capsys):
         code, out, _ = run(

@@ -496,6 +496,12 @@ class TestDeformation:
             ArcWeights.from_json('{"t": {}}')
         with pytest.raises(ValueError):
             ArcWeights.from_json('{"n": 2, "t": {"0": "1"}}')
+        with pytest.raises(ValueError, match="unknown key 'T'"):
+            ArcWeights.from_json('{"n": 2, "T": {"0,1": "-1"}}')
+        with pytest.raises(ValueError, match="unknown key 's'"):
+            ArcWeights.from_json('{"n": 2, "t": {}, "s": {"0,1": "0"}}')
+        with pytest.raises(ValueError, match="nested too deeply"):
+            ArcWeights.from_json("[" * 200000)
 
     def test_weights_json_refuses_a_pair_named_twice(self):
         with pytest.raises(ValueError, match="'0,1' and '0,01' both name"):
