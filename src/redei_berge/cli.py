@@ -24,6 +24,7 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -320,8 +321,12 @@ def _cmd_deformed(args: argparse.Namespace) -> int:
 def _cmd_hamps(args: argparse.Namespace) -> int:
     d = _read_digraph(args)
     hamps = count_hamiltonian_paths(d)
-    hamps_complement = count_hamiltonian_paths(d.complement())
     is_tournament = d.is_tournament()
+    # a tournament's complement is, loops aside, its converse: the same
+    # paths read backwards
+    hamps_complement = (
+        hamps if is_tournament else count_hamiltonian_paths(d.complement())
+    )
     reports = {"berge": _berge_report(d.n, hamps, hamps_complement)}
     if is_tournament:
         reports["redei"] = _redei_report(d.n, hamps)
@@ -523,9 +528,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; building it costs about a
+    millisecond, as much as a small ``compute`` call."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:  # bad input, refused sizes, unreadable files

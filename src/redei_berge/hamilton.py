@@ -5,17 +5,23 @@ and the parity link between a digraph and its complement).
 All three checks need only two numbers, hamps(D) and hamps(D^c), plus the
 odd-cycle count for mod 4.  Each ``verify_*`` checks its input and caps,
 counts, and hands the counts to a report builder; ``redei-berge hamps``
-counts D and its complement once each and builds all three reports from
-those two counts, skipping mod 4 above ``CYCLE_SUM_CAP``, the cap of the
-cycle-sum table that counts the odd cycles.
+counts D once and builds all three reports from hamps(D) and hamps(D^c),
+skipping mod 4 above ``CYCLE_SUM_CAP``, the cap of the cycle-sum table that
+counts the odd cycles.  It counts D^c separately only when D is not a
+tournament: the complement of a tournament T is, loops aside, its converse,
+whose Hamiltonian paths are those of T read backwards, so
+hamps(T^c) = hamps(T).  ``verify_berge`` still counts both.
 
 Paths are counted by one route, the subset DP of Bellman and Held--Karp
 with one packed ``int`` per vertex subset S instead of one count per
 (S, last vertex) state.  Field v of the entry for S, of
 ``factorial(n).bit_length()`` bits, counts the paths that cover exactly S
-and then take one arc to v.  Every field stays at most (n - 1)!, below 2
-to the field width, so no field carries into the next and the count is
-exact.  Its brute-force check, depth-first extension of partial paths, is
+and then take one arc to v.  Every field stays at most n!, below 2 to
+the field width, so no field carries into the next and the count is
+exact.  The subsets are walked as pairs of a high-half and a low-half
+subset, each listing its members from a small cached table
+(:func:`_members`), so no vertex outside a subset is ever tested.  Its
+brute-force check, depth-first extension of partial paths, is
 :func:`oracles.count_hamiltonian_paths_by_backtracking`.  Loops never
 matter to paths: a path visits distinct vertices, so diagonal arcs are
 dropped before counting.  The zero-vertex digraph has exactly one
@@ -24,17 +30,19 @@ Hamiltonian path (the empty list) by convention.
 The cycle-sum table (weighted Hamiltonian cycles of every vertex subset,
 where a single vertex reads its diagonal weight) and the set-partition sum
 over it are the engine behind every route in :mod:`core` and the odd-cycle
-count; each of those refuses more than ``CYCLE_SUM_CAP`` vertices before
-building a table.  The engine runs on plain ``int``s only: a route with
-rational weights scales them to integers first and divides once per
-output coefficient (see :mod:`core`), so no ``Fraction`` enters its inner
-loops.
+count.  The table extends each path only through the members of the
+subsets it reads, again from :func:`_members`.  Each of those routes
+refuses more than ``CYCLE_SUM_CAP`` vertices before building a table.  The
+engine runs on plain ``int``s only: a route with rational weights scales
+them to integers first and divides once per output coefficient (see
+:mod:`core`), so no ``Fraction`` enters its inner loops.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .digraph import Digraph
 from .limits import CYCLE_SUM_CAP, DP_VERTEX_CAP, _check_cap
@@ -45,7 +53,7 @@ def count_hamiltonian_paths(d: Digraph) -> int:
     dynamic programming over vertex subsets: one packed ``int`` per subset
     S, whose field v counts the paths that cover exactly S and then take
     one arc to v.  The fields are ``factorial(n).bit_length()`` bits wide
-    and never exceed (n - 1)!, so none carries into the next.
+    and never exceed n!, so none carries into the next.
 
     >>> count_hamiltonian_paths(Digraph(3, [(0, 1), (1, 1), (2, 2)]))
     0
@@ -58,43 +66,52 @@ def count_hamiltonian_paths(d: Digraph) -> int:
 
 def _count_dp(d: Digraph) -> int:
     n = d.n
-    if n < 2:
-        return 1
+    if not n:
+        return 1  # the empty path
     # One field of ``width`` bits per vertex.  Every field of every partial
-    # sum below counts paths through at most n - 1 vertices, so it is at
-    # most (n - 1)! < 2^width: no field carries into the next, and every
-    # count read back is exact.
+    # sum below counts paths through at most n vertices, so it is at most
+    # n! < 2^width (at most (n - 1)! below the full set): no field carries
+    # into the next, and every count read back is exact.
     width = factorial(n).bit_length()
     field = (1 << width) - 1
     # per vertex u: its bit, its field's shift, and its loop-free out-row
     # with arc u -> v at bit v * width
-    vertices = [
-        (1 << u, u * width, sum(1 << v * width for v in _bits(d.rows[u] & ~(1 << u))))
-        for u in range(n)
-    ]
+    vertices = []
+    for u, row in enumerate(d.rows):
+        heads = (v for v in range(n) if v != u and row >> v & 1)
+        vertices.append((1 << u, u * width, sum(1 << v * width for v in heads)))
+    # The masks are walked as (high half, low half) pairs, each half's
+    # members read from its own table, so only the members of each subset
+    # are visited and no 2^n-entry member table is built.
+    low_n = n // 2
+    low_sets = [[vertices[v] for v in m] for m in _members(low_n)]
+    high_sets = [[vertices[low_n + v] for v in m] for m in _members(n - low_n)]
+    # out[S], field v: the paths that cover exactly S, then take one arc to
+    # v; the empty set starts one path at every vertex
+    out = [sum(1 << shift for _, shift, _ in vertices)]
+    append = out.append
+    mask = 0
+    for high in high_sets:
+        for low in low_sets if high else low_sets[1:]:  # the empty set is out[0]
+            mask += 1
+            total = 0
+            for bit, shift, row in low:
+                total += (out[mask ^ bit] >> shift & field) * row
+            for bit, shift, row in high:
+                total += (out[mask ^ bit] >> shift & field) * row
+            append(total)
     full = (1 << n) - 1
-    # out[S], field v: the paths that cover exactly S, then take one arc to v
-    out = [0] * full
-    for bit, _, row in vertices:
-        out[bit] = row
-    for mask in range(3, full):
-        if not mask & (mask - 1):
-            continue  # one-vertex sets keep their rows
-        total = 0
-        for bit, shift, row in vertices:
-            if mask & bit:
-                ending = out[mask ^ bit] >> shift & field  # paths of mask ending at u
-                if ending:
-                    total += ending * row
-        out[mask] = total
     return sum(out[full ^ bit] >> shift & field for bit, shift, _ in vertices)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+@cache
+def _members(k: int) -> tuple[tuple[int, ...], ...]:
+    """The vertices of every k-bit mask x, in increasing order, at index x:
+    the masks with top vertex v are those below 1 << v, plus v."""
+    members: list[tuple[int, ...]] = [()]
+    for v in range(k):
+        members += [m + (v,) for m in members]
+    return tuple(members)
 
 
 def _cycle_sums(
@@ -109,21 +126,28 @@ def _cycle_sums(
     clears its denominators before calling in.
     """
     sums = [0] * (1 << n)
+    members = _members(n)
     support = [sum(1 << v for v in range(n) if row[v]) for row in w]
+    # (mask | 1 << u) * n + u, for u outside mask, is mask * n + step[u]
+    step = [(n << u) + u for u in range(n)]
     for s in range(n if roots is None else roots):
         sums[1 << s] = w[s][s]
-        above = -(2 << s)
+        above = (1 << n) - (2 << s)  # the vertices larger than s
+        back = [row[s] for row in w]  # the closing arcs v -> s
         paths = [0] * (n << n)  # [mask * n + v]: s -> ... -> v through mask, or 0
-        for v in _bits(support[s] & above):
+        for v in members[support[s] & above]:
             paths[(1 << s | 1 << v) * n + v] = w[s][v]
         for mask in range(3 << s, 1 << n, 2 << s):  # s and larger vertices
+            base = mask * n
+            free = above & ~mask
             closed = 0
-            for v in range(s + 1, n):
-                value = paths[mask * n + v]
+            for v in members[mask & above]:
+                value = paths[base + v]
                 if value:
-                    closed += value * w[v][s]
-                    for u in _bits(support[v] & above & ~mask):
-                        paths[(mask | 1 << u) * n + u] += value * w[v][u]
+                    closed += value * back[v]
+                    row = w[v]
+                    for u in members[support[v] & free]:
+                        paths[base + step[u]] += value * row[u]
             sums[mask] = closed
     return sums
 

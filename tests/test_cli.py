@@ -224,8 +224,9 @@ class TestHamps:
         ids=["tournament-n9", "tournament-n13", "digraph"],
     )
     def test_counts_each_digraph_once(self, capsys, monkeypatch, d):
-        # a tournament needs hamps(D) and hamps(D^c) for all three reports,
-        # a digraph for Berge's alone: two path counts either way
+        # a digraph needs hamps(D) and hamps(D^c) for Berge's report; a
+        # tournament's complement is its converse with loops, whose count
+        # is hamps(D) again, so one path count serves all three reports
         counted = []
         tables = []
         count_dp = hamilton._count_dp
@@ -244,7 +245,7 @@ class TestHamps:
         spec = format_digraph(d).replace("\n", ";")
         code, out, _ = run(capsys, "hamps", "--arcs", spec, "--format", "json")
         assert code == 0
-        assert counted == [d, d.complement()]
+        assert counted == ([d] if d.is_tournament() else [d, d.complement()])
         payload = json.loads(out)
         if d.n > 12:
             assert tables == [] and "mod4" not in payload
@@ -632,3 +633,41 @@ class TestTournaments:
         with pytest.raises(SystemExit) as err:
             cli.main(["frobnicate"])
         assert err.value.code == 2
+
+
+class TestMain:
+    def test_one_parser_serves_every_call_of_a_process(self, capsys, monkeypatch):
+        calls = [
+            ["compute", "--arcs", "3;0 1;1 1;2 2"],
+            ["compute", "--arcs", "3;0 1", "--frobnicate"],
+            ["hamps", "--arcs", "3;0 1;1 2;2 0", "--format", "json"],
+            ["compute", "--arcs", "3;0 1;1 1;2 2", "--format", "json"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exit:
+                code = exit.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        build_parser = cli.build_parser
+        built = []
+
+        def counting_build():
+            built.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        separate = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            separate.append(outcome(argv))
+        cli._parser.cache_clear()
+        built.clear()
+        together = [outcome(argv) for argv in calls]
+        assert together == separate
+        assert [code for code, _, _ in together] == [0, 2, 0, 0]
+        assert "unrecognized arguments: --frobnicate" in together[1][2]
+        assert len(built) == 1

@@ -21,7 +21,7 @@ from redei_berge import (
     verify_redei,
 )
 from redei_berge import hamilton
-from redei_berge.hamilton import _cycle_sums, _partition_sum
+from redei_berge.hamilton import _count_dp, _cycle_sums, _members, _partition_sum
 from redei_berge.oracles import (
     count_hamiltonian_paths_by_backtracking,
     d_cycle_excess,
@@ -94,6 +94,38 @@ class TestCounting:
             by_dp = count_hamiltonian_paths(d)
             assert by_dp == count_hamiltonian_paths_by_backtracking(d)
 
+    def test_halves_of_unequal_size(self):
+        # the DP walks the masks as (high half, low half) pairs, and at odd n
+        # the high half holds one vertex more
+        rng = random.Random(59)
+        for n in (1, 3, 5, 7, 9):
+            for p in (0.3, 0.6, 0.9):
+                d = random_digraph(n, p, seed=rng.getrandbits(32))
+                assert _count_dp(d) == count_hamiltonian_paths_by_backtracking(d)
+
+    def test_member_tables(self):
+        for k in range(11):
+            members = _members(k)
+            assert len(members) == 1 << k
+            for x, listed in enumerate(members):
+                assert list(listed) == [v for v in range(k) if x >> v & 1]
+
+
+class TestTournamentComplement:
+    """The complement of a tournament is, loops aside, its converse, so
+    both have the same Hamiltonian paths read backwards."""
+
+    def test_every_tournament_through_n5(self):
+        for n in range(6):
+            for t in enumerate_tournaments(n):
+                hamps = count_hamiltonian_paths(t)
+                assert count_hamiltonian_paths(t.complement()) == hamps
+
+    def test_seeded_tournaments_n6_to_n14(self):
+        for n in range(6, 15):
+            t = random_tournament(n, seed=600 + n)
+            assert count_hamiltonian_paths(t.complement()) == count_hamiltonian_paths(t)
+
 
 class TestBeyondTheOracle:
     """Checks on sizes the backtracking oracle cannot reach."""
@@ -165,6 +197,30 @@ class TestCycleSumEngine:
             orders = math.prod(math.factorial(part) for part in shape)
             repeats = math.prod(math.factorial(shape.count(k)) for k in set(shape))
             assert count == math.factorial(12) // (orders * repeats)
+
+    def test_cycle_sums_match_cyclic_orderings_with_signed_weights(self):
+        # every cyclic ordering of every subset, its minimal vertex first
+        def brute_force(n, w, roots):
+            sums = [0] * (1 << n)
+            for subset in range(1, 1 << n):
+                first, *rest = [v for v in range(n) if subset >> v & 1]
+                if first >= roots:
+                    continue
+                for order in itertools.permutations(rest):
+                    cycle = (first, *order)
+                    sums[subset] += math.prod(
+                        w[u][v] for u, v in zip(cycle, cycle[1:] + cycle[:1])
+                    )
+            return sums
+
+        rng = random.Random(61)
+        weights = (0, 0, 1, -1, 2, -3, 7)
+        for n in range(8):
+            for _ in range(3):
+                w = [[rng.choice(weights) for _ in range(n)] for _ in range(n)]
+                assert _cycle_sums(n, w) == brute_force(n, w, n)
+                roots = rng.randint(0, n)
+                assert _cycle_sums(n, w, roots=roots) == brute_force(n, w, roots)
 
     def test_cycle_sums_of_complete_digraph(self):
         # (k-1)! cyclic orderings on every k-set; singletons read the diagonal
