@@ -110,8 +110,10 @@ def _listing_sum(n: int, w: list[list[int]], scales: list[int]) -> FundamentalQS
     paths = _partition_sum(n, _cycle_sums(n + 1, apex, roots=1)[1::2])
     return _monomial_to_fundamental(
         n,
-        lambda shape: paths.get(shape, 0)
-        * math.prod(math.factorial(shape.count(k)) for k in set(shape)),
+        {
+            shape: c * math.prod(math.factorial(shape.count(k)) for k in set(shape))
+            for shape, c in paths.items()
+        },
         math.prod(scales),
     )
 

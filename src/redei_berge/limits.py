@@ -16,8 +16,9 @@ FACTORIAL_CAP = 9
 
 # The cycle-sum table (O(2^n n^2)) and the set-partition sum over it
 # (O(3^n)) behind every power-sum, definition and deformed route and the
-# odd-cycle count.  At 12 vertices the slowest routes, the two deformed
-# ones, take about 0.25 s each and 22 MB (2-CPU machine).
+# odd-cycle count, and the degree of the p-to-L bridge (2^(n-1) descent
+# sets).  At 12 vertices the slowest routes, the two deformed ones, take
+# about 0.25 s each and 22 MB (2-CPU machine).
 CYCLE_SUM_CAP = 12
 
 # Path DP over vertex subsets, one packed int of n fields per subset.  Above

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -36,30 +35,6 @@ from .polynomials import FundamentalQSym, PowerSumPolynomial
 
 if TYPE_CHECKING:
     from .core import ArcWeights
-
-
-@dataclass(frozen=True)
-class ArcSet:
-    """A set of ordered vertex pairs on 0..n-1."""
-
-    n: int
-    pairs: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        _require_int(self.n, "vertex count")
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
-        if not isinstance(self.pairs, frozenset):
-            object.__setattr__(self, "pairs", frozenset(self.pairs))
-        for u, v in self.pairs:
-            _require_int(u, "endpoint")
-            _require_int(v, "endpoint")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"pair ({u}, {v}) outside 0..{self.n - 1}")
-
-    @classmethod
-    def of(cls, n: int, pairs: Sequence[tuple[int, int]] = ()) -> "ArcSet":
-        return cls(n, frozenset(pairs))
 
 
 def cycles_of(sigma: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -101,18 +76,18 @@ def is_cycle(d: Digraph, cycle: tuple[int, ...]) -> bool:
     return all(d.has_arc(u, v) for u, v in _cyclic_arcs(cycle))
 
 
-def path_cover_of(arc_set: ArcSet) -> tuple[tuple[int, ...], ...] | None:
-    """The unique path cover whose arc set equals ``arc_set``, or None.
+def path_cover_of(d: Digraph) -> tuple[tuple[int, ...], ...] | None:
+    """The unique path cover whose arc set equals that of ``d``, or None.
 
-    A set of pairs is the arc set of a path cover iff every vertex has
+    A set of arcs is the arc set of a path cover iff every vertex has
     in-degree and out-degree at most 1 and no directed cycle is present.
-    Vertices on no pair become singleton paths.  Paths come out ordered by
+    Vertices on no arc become singleton paths.  Paths come out ordered by
     their first vertex.
     """
-    n = arc_set.n
+    n = d.n
     succ = [-1] * n
     pred = [-1] * n
-    for u, v in arc_set.pairs:
+    for u, v in d.arcs():
         if succ[u] != -1 or pred[v] != -1:
             return None  # out- or in-degree above 1
         succ[u] = v
@@ -132,9 +107,9 @@ def path_cover_of(arc_set: ArcSet) -> tuple[tuple[int, ...], ...] | None:
     return tuple(paths)
 
 
-def is_linear(arc_set: ArcSet) -> bool:
-    """True iff the pairs form the arc set of some path cover."""
-    return path_cover_of(arc_set) is not None
+def is_linear(d: Digraph) -> bool:
+    """True iff the arcs form the arc set of some path cover."""
+    return path_cover_of(d) is not None
 
 
 def _path_covers(vertices: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -153,12 +128,12 @@ def _path_covers(vertices: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], .
                     yield (block, *tail)
 
 
-def is_arc_set_of_path_cover(arc_set: ArcSet) -> bool:
+def is_arc_set_of_path_cover(d: Digraph) -> bool:
     """Exhaustive-search form of :func:`is_linear`: scan all path covers of
     the vertex set and compare arc sets.  Only for small n."""
-    _check_cap(arc_set.n, "vertices", FACTORIAL_CAP, "factorial")
-    target = arc_set.pairs
-    for cover in _path_covers(tuple(range(arc_set.n))):
+    _check_cap(d.n, "vertices", FACTORIAL_CAP, "factorial")
+    target = frozenset(d.arcs())
+    for cover in _path_covers(tuple(range(d.n))):
         arcs = frozenset(
             (path[i], path[i + 1]) for path in cover for i in range(len(path) - 1)
         )
@@ -167,16 +142,16 @@ def is_arc_set_of_path_cover(arc_set: ArcSet) -> bool:
     return False
 
 
-def count_listings_containing(arc_set: ArcSet) -> int:
+def count_listings_containing(d: Digraph) -> int:
     """Number of listings of 0..n-1 whose consecutive-pair set contains
-    every given pair, by direct enumeration.
+    every arc of ``d``, by direct enumeration.
 
-    Equals (number of paths in the cover)! when the set is linear, and 0
-    otherwise.
+    Equals (number of paths in the cover)! when the arc set is linear, and
+    0 otherwise.
     """
-    n = arc_set.n
+    n = d.n
     _check_cap(n, "vertices", FACTORIAL_CAP, "factorial")
-    pairs = arc_set.pairs
+    pairs = list(d.arcs())
     total = 0
     for listing in itertools.permutations(range(n)):
         position = {v: i for i, v in enumerate(listing)}
@@ -185,12 +160,12 @@ def count_listings_containing(arc_set: ArcSet) -> int:
     return total
 
 
-def count_perms_containing(arc_set: ArcSet) -> int:
-    """Number of permutations sigma with sigma(u) = v for every given pair
-    (u, v), by direct enumeration."""
-    n = arc_set.n
+def count_perms_containing(d: Digraph) -> int:
+    """Number of permutations sigma with sigma(u) = v for every arc (u, v)
+    of ``d``, by direct enumeration."""
+    n = d.n
     _check_cap(n, "vertices", FACTORIAL_CAP, "factorial")
-    pairs = arc_set.pairs
+    pairs = list(d.arcs())
     total = 0
     for images in itertools.permutations(range(n)):
         if all(images[u] == v for u, v in pairs):
@@ -257,7 +232,7 @@ def signed_sum_per_perm(d: Digraph, sigma: Sequence[int]) -> int:
     total = 0
     for r in range(len(common) + 1):
         for subset in itertools.combinations(common, r):
-            if is_linear(ArcSet.of(d.n, subset)):
+            if is_linear(Digraph(d.n, subset)):
                 total += (-1) ** r
     return total
 

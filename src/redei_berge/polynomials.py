@@ -23,11 +23,11 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from functools import cache
+from typing import Iterable, Mapping
 
 from .kernel import DescentSet, _require_int, all_descent_sets, is_partition, partition_of
-from .limits import CYCLE_SUM_CAP
+from .limits import CYCLE_SUM_CAP, _check_cap
 
 Rational = Fraction | int
 
@@ -135,22 +135,23 @@ class PowerSumPolynomial:
     def to_fundamental(self) -> "FundamentalQSym":
         """The same homogeneous function in the fundamental basis.
 
-        The coefficient of M_alpha in p_lambda counts the ways to send the
-        parts of lambda into the blocks of alpha so that every block is
-        filled exactly.  That depends only on sort(alpha), so it is counted
-        once per pair of partitions.
+        Each p_lambda is read in the monomial basis from one cached
+        expansion per partition (:func:`_monomials`), and M_alpha takes the
+        m coefficient at sort(alpha).  Degrees above the cycle-sum cap are
+        refused before any table is built.
 
         >>> f = PowerSumPolynomial({(2,): 1}).to_fundamental()
         >>> sorted((sorted(s), int(c)) for s, c in f.terms.items())
         [([], 1), ([1], -1)]
         """
+        n = self.degree
+        _check_cap(n, "(degree)", CYCLE_SUM_CAP, "cycle-sum")
         [coeffs], [scale] = _cleared([list(self.terms.values())])
-        terms = list(zip(self.terms, coeffs))
-        return _monomial_to_fundamental(
-            self.degree,
-            lambda shape: sum(c * _fillings(parts, shape) for parts, c in terms),
-            scale,
-        )
+        m: dict[tuple[int, ...], int] = {}
+        for parts, c in zip(self.terms, coeffs):
+            for shape, count in _monomials(parts):
+                m[shape] = m.get(shape, 0) + c * count
+        return _monomial_to_fundamental(n, m, scale)
 
     def to_text(self) -> str:
         """Canonical rendering, e.g. ``p[3] + 2*p[2,1] + p[1,1,1]``."""
@@ -206,17 +207,16 @@ def _cleared(rows: list[list[Fraction]]) -> tuple[list[list[int]], list[int]]:
 
 
 def _monomial_to_fundamental(
-    n: int, m_coefficient: Callable[[tuple[int, ...]], int], scale: int
+    n: int, m: Mapping[tuple[int, ...], int], scale: int
 ) -> "FundamentalQSym":
-    """The degree-n symmetric function with coefficient
-    m_coefficient(lambda) / scale on m_lambda, in the fundamental basis:
-    M_alpha takes the value at sort(alpha), and since L_S is the sum of M_T
-    over the cut sets T containing S, L_S takes the signed sum of the M_T
-    over the T inside S.  The pass runs on the ``int`` values of
-    ``m_coefficient``; each L_S is divided by ``scale`` once at the end."""
+    """The degree-n symmetric function with coefficient m[lambda] / scale on
+    m_lambda (0 where absent), in the fundamental basis: M_alpha takes the
+    value at sort(alpha), and since L_S is the sum of M_T over the cut sets
+    T containing S, L_S takes the signed sum of the M_T over the T inside S.
+    The pass runs on the ``int`` values of ``m``; each L_S is divided by
+    ``scale`` once at the end."""
     keys, shapes = _cut_shapes(n)
-    by_shape = {shape: m_coefficient(shape) for shape in set(shapes)}
-    coeffs = [by_shape[shape] for shape in shapes]  # M, then L
+    coeffs = [m.get(shape, 0) for shape in shapes]  # M, then L
     for k in range(n - 1):  # Moebius pass, one cut position at a time
         bit = 1 << k
         for cuts in range(len(coeffs)):
@@ -227,7 +227,7 @@ def _monomial_to_fundamental(
     )
 
 
-@lru_cache(maxsize=CYCLE_SUM_CAP + 1)
+@cache
 def _cut_shapes(n: int) -> tuple[tuple[DescentSet, ...], tuple[tuple[int, ...], ...]]:
     """The 2^(n-1) descent sets of degree n, indexed by the bitmask whose
     bit k - 1 marks cut position k, and the partition each one sorts to."""
@@ -235,19 +235,29 @@ def _cut_shapes(n: int) -> tuple[tuple[DescentSet, ...], tuple[tuple[int, ...], 
     return tuple(keys), tuple(partition_of(key.composition()) for key in keys)
 
 
-@lru_cache(maxsize=1 << 16)  # degrees up to 12 (CYCLE_SUM_CAP) fill 37,473 entries
-def _fillings(parts: tuple[int, ...], blocks: tuple[int, ...]) -> int:
-    """Ways to send the parts (told apart by position) into the blocks so
-    that every block is filled exactly: the M_blocks coefficient of
-    p_parts."""
+@cache
+def _monomials(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """p_parts in the monomial basis, as (partition, coefficient) pairs.
+
+    It is p_k times the expansion of the tail, k the first part: p_k m_nu
+    is the sum of m_mu over the mu made by adding k to one part of nu or
+    appending k as a new part, each counted once per part of mu equal to
+    the grown part (Macdonald, ch. I, section 6).  So p_2 p_1 = m_3 + m_21:
+
+    >>> _monomials((2, 1))
+    (((3,), 1), ((2, 1), 1))
+    """
     if not parts:
-        return int(not any(blocks))
-    first, rest = parts[0], parts[1:]
-    return sum(
-        _fillings(rest, (*blocks[:j], room - first, *blocks[j + 1 :]))
-        for j, room in enumerate(blocks)
-        if room >= first
-    )
+        return (((), 1),)
+    k, expansion = parts[0], {}
+    for nu, c in _monomials(parts[1:]):
+        for part in (*dict.fromkeys(nu), 0):  # each distinct part, then a new one
+            rest = list(nu)
+            if part:
+                rest.remove(part)
+            mu = partition_of((*rest, part + k))
+            expansion[mu] = expansion.get(mu, 0) + c * mu.count(part + k)
+    return tuple(expansion.items())
 
 
 def _descent_key(n: int, key: DescentSet) -> DescentSet:

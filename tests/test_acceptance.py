@@ -15,6 +15,7 @@ from fractions import Fraction
 from conftest import GESSEL, REMARK, THREE_LOOP
 from redei_berge import (
     ArcWeights,
+    Digraph,
     PowerSumPolynomial,
     count_hamiltonian_paths,
     count_nontrivial_odd_cycles,
@@ -30,7 +31,6 @@ from redei_berge import (
     redei_berge_two_cycle_free,
 )
 from redei_berge.oracles import (
-    ArcSet,
     count_friendly_listings,
     count_listings_containing,
     count_perms_containing,
@@ -230,19 +230,19 @@ def test_criterion_9_lemma_oracles():
         n = rng.randint(2, 6)
         size = rng.randint(0, min(8, n * n))
         pairs = rng.sample([(u, v) for u in range(n) for v in range(n)], size)
-        arc_set = ArcSet.of(n, pairs)
+        arc_set = Digraph(n, pairs)
         if is_linear(arc_set) != is_arc_set_of_path_cover(arc_set):
             failures.append(f"linearity criteria disagree on {sorted(pairs)}")
 
     # containment counts equal the factorial of the cover size
-    cover_example = ArcSet.of(8, [(0, 3), (3, 2), (1, 7), (6, 5)])
-    for arc_set in (cover_example, ArcSet.of(5), ArcSet.of(4, [(1, 0), (0, 2), (2, 3)])):
+    cover_example = Digraph(8, [(0, 3), (3, 2), (1, 7), (6, 5)])
+    for arc_set in (cover_example, Digraph(5), Digraph(4, [(1, 0), (0, 2), (2, 3)])):
         cover = path_cover_of(arc_set)
         want = math.factorial(len(cover))
         if count_listings_containing(arc_set) != want:
-            failures.append(f"listing count wrong for {sorted(arc_set.pairs)}")
+            failures.append(f"listing count wrong for {sorted(arc_set.arcs())}")
         if count_perms_containing(arc_set) != want:
-            failures.append(f"permutation count wrong for {sorted(arc_set.pairs)}")
+            failures.append(f"permutation count wrong for {sorted(arc_set.arcs())}")
 
     # inclusion-exclusion over linear subsets counts complement hamps
     for d in enumerate_digraphs(3):

@@ -41,6 +41,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"vertex count {n!r} is not an integer"):
             Digraph(n, [(0, 0)])
 
+    def test_rejects_a_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative, got -1$"):
+            Digraph(-1)
+
+    def test_rejects_an_arc_out_of_range(self):
+        with pytest.raises(ValueError, match=r"^arc \(0, 2\) outside 0\.\.1$"):
+            Digraph(2, [(0, 2)])
+
     @pytest.mark.parametrize(
         "n, rows, bad",
         [

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redei_berge import (
+    CapExceededError,
     DescentSet,
     FundamentalQSym,
     PowerSumPolynomial,
 )
+from redei_berge import polynomials
 from redei_berge.kernel import all_descent_sets, partition_of
-from redei_berge.polynomials import _partition_sort_key
+from redei_berge.limits import CYCLE_SUM_CAP
+from redei_berge.polynomials import _monomials, _partition_sort_key
 
 P = PowerSumPolynomial
 F = FundamentalQSym
@@ -36,13 +39,12 @@ def homogeneous_ppoly(n: int) -> st.SearchStrategy[PowerSumPolynomial]:
     ).map(P)
 
 
-def partitions_of(n: int) -> list[tuple[int, ...]]:
-    return [
-        p
-        for k in range(n + 1)
-        for p in itertools.combinations_with_replacement(range(n, 0, -1), k)
-        if sum(p) == n
-    ]
+def partitions_of(n: int, largest: int | None = None) -> list[tuple[int, ...]]:
+    """The partitions of n with no part above ``largest`` (default n)."""
+    if n == 0:
+        return [()]
+    top = n if largest is None else min(n, largest)
+    return [(k, *rest) for k in range(top, 0, -1) for rest in partitions_of(n - k, k)]
 
 
 def z(lam: tuple[int, ...]) -> int:
@@ -68,13 +70,13 @@ class TestExpandFundamental:
 
     def test_empty_descents_is_complete_homogeneous(self):
         # h_n = sum p_lam / z_lam is the single fundamental L_{}
-        for n in range(7):
+        for n in range(13):
             h = P({lam: Fraction(1, z(lam)) for lam in partitions_of(n)})
             assert h.to_fundamental() == L(n)
 
     def test_full_descents_is_elementary(self):
         # e_n = sum sign(lam) p_lam / z_lam is L_{1..n-1}
-        for n in range(7):
+        for n in range(13):
             e = P(
                 {
                     lam: Fraction((-1) ** (n - len(lam)), z(lam))
@@ -131,7 +133,7 @@ class TestExpandPowerSums:
             counts[key] = counts.get(key, 0) + 1
         assert P({(1,) * n: 1}).to_fundamental() == F(n, counts)
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_single_power_sum_is_alternating(self, n):
         # p_n = M_(n) = sum over S of (-1)^|S| L_S
         expected = F(n, {s: (-1) ** len(s.members) for s in all_descent_sets(n)})
@@ -140,6 +142,52 @@ class TestExpandPowerSums:
     def test_inhomogeneous_refused(self):
         with pytest.raises(ValueError):
             P({(2,): 1, (1,): 1}).to_fundamental()
+
+
+def fillings(parts: tuple[int, ...], blocks: tuple[int, ...]) -> int:
+    """Ways to send the parts (told apart by position) into the blocks so
+    that every block is filled exactly: the M_blocks coefficient of
+    p_parts, by plain recursion."""
+    if not parts:
+        return int(not any(blocks))
+    first, rest = parts[0], parts[1:]
+    return sum(
+        fillings(rest, (*blocks[:j], room - first, *blocks[j + 1 :]))
+        for j, room in enumerate(blocks)
+        if room >= first
+    )
+
+
+class TestMonomialTable:
+    """The cached p-to-m expansion behind the bridge, against the count of
+    exact fillings of the blocks."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_fillings(self, n):
+        for lam in partitions_of(n):
+            expansion = dict(_monomials(lam))
+            for mu in partitions_of(n):
+                assert expansion.get(mu, 0) == fillings(lam, mu), (lam, mu)
+
+    def test_holds_one_entry_per_partition(self):
+        for n in range(CYCLE_SUM_CAP + 1):
+            for lam in partitions_of(n):
+                P({lam: 1}).to_fundamental()
+        every_partition = sum(len(partitions_of(n)) for n in range(CYCLE_SUM_CAP + 1))
+        assert every_partition == 272
+        assert _monomials.cache_info().currsize <= every_partition
+
+    def test_bridge_refuses_above_the_cap_before_any_table(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr(polynomials, "_monomials", no_table)
+        monkeypatch.setattr(polynomials, "_cut_shapes", no_table)
+        message = "13 (degree) exceeds the cycle-sum cap of 12"
+        with pytest.raises(CapExceededError, match=f"^{re.escape(message)}$"):
+            P({(13,): 1}).to_fundamental()
+        with pytest.raises(AssertionError, match="table built"):  # not refused
+            P({(12,): 1}).to_fundamental()
 
 
 class TestInvolutions:
