@@ -1,7 +1,9 @@
 """Brute-force sweeps that confirm the closed power-sum formulas.
 
 Three formulas are checked against the defining listing sum (the signed
-one directly, in the fundamental basis; the other two against it):
+one directly, in the fundamental basis; the other two against it; `verify
+thm1` decides the signed one on the monomial coefficients instead, which
+is the same verdict):
 
 - the signed formula over permutations whose cycles split between the
   digraph and its complement (every digraph),

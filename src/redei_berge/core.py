@@ -22,8 +22,9 @@ power-sum route weighs a block B by its cycle weights summed over the
 cyclic orderings of B and attaches p_{block sizes} (the exponential
 formula).  A definition route weighs B by its path weights summed over the
 orderings of B, for the monomial coefficients of the listing sum, and
-stays in the fundamental basis, where a power-sum result meets it after
-:meth:`PowerSumPolynomial.to_fundamental`.
+returns it in the fundamental basis; a check of a power-sum result
+against it (:func:`_matches_definition`) compares the two routes' monomial
+coefficients instead.
 
 The engine runs on ``int``s.  The deformed routes scale row u of their
 rational weights by the lcm L_u of that row's denominators.  A block B
@@ -92,29 +93,45 @@ def redei_berge_by_definition(d: Digraph) -> FundamentalQSym:
     Hamiltonian path of the complement, which gives the M_alpha coefficient.
     """
     _check_cap(d.n, "vertices", CYCLE_SUM_CAP, "cycle-sum")
-    return _listing_sum(d.n, _indicator(d.complement()), [1] * d.n)
+    m = _listing_monomials(d.n, _indicator(d.complement()), [1] * d.n)
+    return _monomial_to_fundamental(d.n, *m)
 
 
-def _listing_sum(n: int, w: list[list[int]], scales: list[int]) -> FundamentalQSym:
-    """The function whose M_alpha coefficient sums, over the listings, the
-    product of ``w[u][v] / scales[u]`` over the consecutive pairs inside the
-    blocks of alpha: the set-partition sum of path weights at sort(alpha),
-    times the prod_k m_k! orders of equal blocks.  An apex (vertex 0) with
-    out-arcs of weight 1, and an arc of weight ``scales[u]`` from each u back
-    to it, closes a path through S into the cycle at 2S + 1 of the
-    cycle-sum table, which reads no diagonal entry of ``w``; only the pass
-    rooted at the apex fills those entries, so only it runs.  Each vertex
-    of S leaves by one arc of its own row, so every set partition carries
-    the product of all the scales, which is divided out once."""
+def _listing_monomials(
+    n: int, w: list[list[int]], scales: list[int]
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """The ``int`` coefficients m[lambda] and the one scale with which the
+    function whose M_alpha coefficient sums, over the listings, the product
+    of ``w[u][v] / scales[u]`` over the consecutive pairs inside the blocks
+    of alpha is the sum of m[lambda] / scale * m_lambda: m[lambda] is the
+    set-partition sum of path weights at lambda, times the prod_k m_k!
+    orders of equal blocks.  An apex (vertex 0) with out-arcs of weight 1,
+    and an arc of weight ``scales[u]`` from each u back to it, closes a path
+    through S into the cycle at 2S + 1 of the cycle-sum table, which reads
+    no diagonal entry of ``w``; only the pass rooted at the apex fills those
+    entries, so only it runs.  Each vertex of S leaves by one arc of its own
+    row, so every set partition carries the product of all the scales."""
     apex = [[1] * (n + 1)] + [[scale, *row] for scale, row in zip(scales, w)]
     paths = _partition_sum(n, _cycle_sums(n + 1, apex, roots=1)[1::2])
-    return _monomial_to_fundamental(
-        n,
-        {
-            shape: c * math.prod(math.factorial(shape.count(k)) for k in set(shape))
-            for shape, c in paths.items()
-        },
-        math.prod(scales),
+    return {
+        shape: c * math.prod(math.factorial(shape.count(k)) for k in set(shape))
+        for shape, c in paths.items()
+    }, math.prod(scales)
+
+
+def _matches_definition(d: Digraph, f: PowerSumPolynomial) -> bool:
+    """Whether ``f`` equals the definition route's value on ``d``, decided
+    on the two routes' monomial coefficients, each over its own scale, by
+    cross-multiplying in ``int``s.  The step from m to the fundamental basis
+    is linear and injective on the symmetric functions of one degree, so
+    this decides the same equality as ``f.to_fundamental() ==
+    redei_berge_by_definition(d)`` without building either side."""
+    _check_cap(d.n, "vertices", CYCLE_SUM_CAP, "cycle-sum")
+    m_f, scale_f = f._monomial_coefficients()
+    m_def, scale_def = _listing_monomials(d.n, _indicator(d.complement()), [1] * d.n)
+    return all(
+        m_def.get(shape, 0) * scale_f == m_f.get(shape, 0) * scale_def
+        for shape in m_def.keys() | m_f.keys()
     )
 
 
@@ -143,7 +160,9 @@ def redei_berge_tournament(d: Digraph) -> PowerSumPolynomial:
         1 if S.bit_count() == 1 else 2 * here[S] if S.bit_count() % 2 else 0
         for S in range(1 << d.n)
     ]
-    return PowerSumPolynomial(_partition_sum(d.n, block_weight))
+    return PowerSumPolynomial._trusted(
+        {parts: Fraction(c) for parts, c in _partition_sum(d.n, block_weight).items()}
+    )
 
 
 def redei_berge_two_cycle_free(d: Digraph) -> PowerSumPolynomial:
@@ -332,7 +351,7 @@ def deformed_by_definition(weights: ArcWeights) -> FundamentalQSym:
     n = weights.n
     _check_cap(n, "vertices", CYCLE_SUM_CAP, "cycle-sum")
     s, scales = _cleared([[weights.s(u, v) for v in range(n)] for u in range(n)])
-    return _listing_sum(n, s, scales)
+    return _monomial_to_fundamental(n, *_listing_monomials(n, s, scales))
 
 
 def deformed_powersum(weights: ArcWeights) -> PowerSumPolynomial:
@@ -358,4 +377,6 @@ def _powersum(n: int, t: list[list[int]], scales: list[int]) -> PowerSumPolynomi
     s_sums, t_sums = _cycle_sums(n, s), _cycle_sums(n, t)
     sums = _partition_sum(n, [a - b for a, b in zip(s_sums, t_sums)])
     scale = math.prod(scales)
-    return PowerSumPolynomial({parts: Fraction(c, scale) for parts, c in sums.items()})
+    return PowerSumPolynomial._trusted(
+        {parts: Fraction(c, scale) for parts, c in sums.items()}
+    )

@@ -43,3 +43,12 @@ def _check_cap(count: int, unit: str, cap: int, name: str) -> None:
     "<count> <unit> exceeds the <name> cap of <cap>"."""
     if count > cap:
         raise CapExceededError(f"{count} {unit} exceeds the {name} cap of {cap}")
+
+
+def _check_power_of_two(exponent: int, unit: str, cap: int, name: str) -> None:
+    """Refuses 2^exponent above ``cap`` by comparing exponents, so a huge
+    count is never built; the count is written out below 2^64 and as
+    "2^<exponent>" from there."""
+    if exponent >= cap.bit_length():
+        count = 1 << exponent if exponent < 64 else f"2^{exponent}"
+        raise CapExceededError(f"{count} {unit} exceeds the {name} cap of {cap}")

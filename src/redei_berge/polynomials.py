@@ -4,7 +4,7 @@ symmetric functions, Gessel's fundamental basis for the quasisymmetric ones.
 All coefficients are arbitrary-precision rationals (``fractions.Fraction``);
 no floating point appears anywhere.  Zero coefficients are never stored, so
 equality in either basis is plain dictionary equality on canonical keys.  A
-power-sum result is compared with a fundamental one after the single bridge
+power-sum result reaches the fundamental basis by the single bridge
 :meth:`PowerSumPolynomial.to_fundamental` (see Gessel, "Multipartite
 P-partitions and inner products of skew Schur functions", 1984), which
 shares its last step, monomial to fundamental, with the definition routes.
@@ -12,6 +12,10 @@ That step runs on ``int``s: its caller clears the denominators into one
 scale (the power sums by the lcm of theirs), the Moebius pass runs on the
 integer monomial coefficients over a table of cut sets built once per
 degree, and each fundamental coefficient is divided by the scale once.
+A check against a definition route stops before that step and compares
+monomial coefficients (:meth:`PowerSumPolynomial._monomial_coefficients`).
+The ``_trusted`` constructors wrap the engine's own results without the
+validation the public constructors apply.
 
 Each basis keeps only what the routes, checks and CLI use: power sums add,
 subtract, scale, apply omega, antipode, zeta and the bridge, and print as
@@ -77,6 +81,14 @@ class PowerSumPolynomial:
                 clean[parts] = coeff
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, terms: dict[tuple[int, ...], Fraction]) -> "PowerSumPolynomial":
+        """Wraps engine output as it is: ``terms`` must already map
+        canonical partitions to nonzero ``Fraction``s."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "terms", terms)
+        return f
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PowerSumPolynomial is immutable")
 
@@ -135,23 +147,29 @@ class PowerSumPolynomial:
     def to_fundamental(self) -> "FundamentalQSym":
         """The same homogeneous function in the fundamental basis.
 
-        Each p_lambda is read in the monomial basis from one cached
-        expansion per partition (:func:`_monomials`), and M_alpha takes the
-        m coefficient at sort(alpha).  Degrees above the cycle-sum cap are
-        refused before any table is built.
+        The monomial coefficients (:meth:`_monomial_coefficients`) give
+        M_alpha the m coefficient at sort(alpha).  Degrees above the
+        cycle-sum cap are refused before any table is built.
 
         >>> f = PowerSumPolynomial({(2,): 1}).to_fundamental()
         >>> sorted((sorted(s), int(c)) for s, c in f.terms.items())
         [([], 1), ([1], -1)]
         """
-        n = self.degree
-        _check_cap(n, "(degree)", CYCLE_SUM_CAP, "cycle-sum")
+        return _monomial_to_fundamental(self.degree, *self._monomial_coefficients())
+
+    def _monomial_coefficients(self) -> tuple[dict[tuple[int, ...], int], int]:
+        """The ``int`` coefficients m[lambda] and the one scale with which
+        this function is the sum of m[lambda] / scale * m_lambda (0 where
+        absent), read from one cached expansion per partition
+        (:func:`_monomials`).  Degrees above the cycle-sum cap are refused
+        before any table is built."""
+        _check_cap(self.degree, "(degree)", CYCLE_SUM_CAP, "cycle-sum")
         [coeffs], [scale] = _cleared([list(self.terms.values())])
         m: dict[tuple[int, ...], int] = {}
         for parts, c in zip(self.terms, coeffs):
             for shape, count in _monomials(parts):
                 m[shape] = m.get(shape, 0) + c * count
-        return _monomial_to_fundamental(n, m, scale)
+        return m, scale
 
     def to_text(self) -> str:
         """Canonical rendering, e.g. ``p[3] + 2*p[2,1] + p[1,1,1]``."""
@@ -222,7 +240,7 @@ def _monomial_to_fundamental(
         for cuts in range(len(coeffs)):
             if cuts & bit:
                 coeffs[cuts] -= coeffs[cuts ^ bit]
-    return FundamentalQSym(
+    return FundamentalQSym._trusted(
         n, {key: Fraction(c, scale) for key, c in zip(keys, coeffs) if c}
     )
 
@@ -285,6 +303,15 @@ class FundamentalQSym:
                 clean[key] = coeff
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[DescentSet, Fraction]) -> "FundamentalQSym":
+        """Wraps engine output as it is: ``terms`` must already map descent
+        sets of degree n to nonzero ``Fraction``s."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "terms", terms)
+        return f
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FundamentalQSym is immutable")

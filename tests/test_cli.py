@@ -8,7 +8,6 @@ import pytest
 
 from conftest import THREE_LOOP
 from redei_berge import (
-    DescentSet,
     Digraph,
     FundamentalQSym,
     PowerSumPolynomial,
@@ -21,7 +20,8 @@ from redei_berge import (
     verify_mod4,
     verify_redei,
 )
-from redei_berge import cli, core, hamilton
+from redei_berge import cli, core, hamilton, polynomials
+from redei_berge.polynomials import _cut_shapes
 
 
 def run(capsys, *argv):
@@ -86,18 +86,35 @@ class TestCompute:
         assert "definition route agrees in the fundamental basis" in err
 
     def test_check_flag_reports_a_disagreement(self, capsys, monkeypatch):
-        # fault injection: the definition route loses one listing
-        real = cli.redei_berge_by_definition
+        # fault injection: the definition route loses one listing without
+        # descents, whose L_{} = h_n is the sum of every m_lambda of degree n
+        real = core._listing_monomials
 
-        def broken(d):
-            f, empty = real(d), DescentSet(d.n, ())
-            return FundamentalQSym(d.n, {**f.terms, empty: f.coefficient(empty) - 1})
+        def broken(n, w, scales):
+            m, scale = real(n, w, scales)
+            shapes = set(_cut_shapes(n)[1])  # every partition of n
+            return {shape: m.get(shape, 0) - scale for shape in shapes}, scale
 
-        monkeypatch.setattr(cli, "redei_berge_by_definition", broken)
+        monkeypatch.setattr(core, "_listing_monomials", broken)
         code, out, err = run(capsys, "compute", "--arcs", "3;0 1;1 1;2 2", "--check")
         assert code == 1
         assert "definition route disagrees" in err
         assert out.strip() == "p[3] + 2*p[2,1] + p[1,1,1]"
+
+    def test_check_builds_no_fundamental_function(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fundamental-basis function was built")
+
+        monkeypatch.setattr(core, "_monomial_to_fundamental", refuse)
+        monkeypatch.setattr(polynomials, "_monomial_to_fundamental", refuse)
+        monkeypatch.setattr(FundamentalQSym, "__init__", refuse)
+        monkeypatch.setattr(FundamentalQSym, "_trusted", refuse)
+        code, _, err = run(capsys, "compute", "--arcs", "3;0 1;1 1;2 2", "--check")
+        assert code == 0
+        assert "definition route agrees in the fundamental basis" in err
+        code, out, _ = run(capsys, "verify", "thm1", "--exhaustive", "2", "--jobs", "1")
+        assert code == 0
+        assert out == "thm1: 16/16 pass\n"
 
     def test_vars_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -551,6 +568,11 @@ class TestVerify:
             ("mod4", "--exhaustive 13", "exceeds the mod4 cap of 12"),
             ("berge", "--random 1 --max-n 23", "exceeds the berge cap of 22"),
             (
+                "berge",
+                "--exhaustive 3000",
+                "3000 vertices (--exhaustive) exceeds the berge cap of 22",
+            ),
+            (
                 "lemmas",
                 "--exhaustive 5",
                 "33554432 digraphs on 5 vertices exceeds the enumeration cap",
@@ -628,6 +650,18 @@ class TestTournaments:
         assert len(lines) == 8
         first = json.loads(lines[0])
         assert first["index"] == 0 and first["n"] == 3
+
+    @pytest.mark.parametrize(
+        "n, count", [("60", "2^1770"), ("3000", "2^4498500")]
+    )
+    def test_long_stream_refused_by_its_exponent(self, capsys, n, count):
+        code, out, err = run(capsys, "tournaments", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {count} tournaments on {n} vertices exceeds the "
+            "enumeration cap of 16777216\n"
+        )
 
     def test_unknown_subcommand_is_exit_2(self):
         with pytest.raises(SystemExit) as err:

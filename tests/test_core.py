@@ -30,6 +30,7 @@ from redei_berge import (
 )
 from redei_berge import core
 from redei_berge.kernel import DescentSet, all_descent_sets, partition_of
+from redei_berge.polynomials import _cut_shapes
 from redei_berge.oracles import (
     cycle_type,
     cycles_of,
@@ -642,6 +643,99 @@ class TestCapsBeforeWork:
                 route(arg)
 
 
+class TestTrustedConstruction:
+    """Route outputs are wrapped without re-validation; they must be what
+    the validating constructors would have built from the same terms."""
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_route_outputs_match_the_validating_constructors(self, n):
+        d, w = random_digraph(n, 0.5, seed=600 + n), ArcWeights.random(n, seed=n)
+        powersums = [
+            redei_berge_powersum(d),
+            redei_berge_tournament(random_tournament(n, seed=700 + n)),
+            deformed_powersum(w),
+        ]
+        fundamentals = [
+            redei_berge_by_definition(d),
+            deformed_by_definition(w),
+            *(f.to_fundamental() for f in powersums),
+        ]
+        for f in powersums:
+            rebuilt = PowerSumPolynomial(f.terms)
+            assert rebuilt == f and repr(rebuilt) == repr(f)
+        for g in fundamentals:
+            rebuilt = FundamentalQSym(g.n, g.terms)
+            assert rebuilt == g and repr(rebuilt) == repr(g)
+
+
+def partitions_of(n):
+    return sorted(set(_cut_shapes(n)[1]))
+
+
+class TestMatchesDefinition:
+    """The check's comparer, on the two routes' monomial coefficients,
+    against the comparison in the fundamental basis that it replaces."""
+
+    def assert_same_verdicts(self, d, bump_at):
+        f, g = redei_berge_powersum(d), redei_berge_by_definition(d)
+        assert core._matches_definition(d, f)
+        assert f.to_fundamental() == g
+        for bump in (1, -1):
+            wrong = f + P({bump_at: bump})
+            assert not core._matches_definition(d, wrong)
+            assert wrong.to_fundamental() != g
+
+    def test_every_small_digraph_and_tournament(self):
+        instances = [d for n in range(4) for d in enumerate_digraphs(n)]
+        instances += [d for n in range(6) for d in enumerate_tournaments(n)]
+        for i, d in enumerate(instances):
+            shapes = partitions_of(d.n)
+            self.assert_same_verdicts(d, shapes[i % len(shapes)])
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_seeded_digraphs(self, n):
+        rng = random.Random(500 + n)
+        d = random_digraph(n, 0.5, seed=rng.getrandbits(32))
+        self.assert_same_verdicts(d, rng.choice(partitions_of(n)))
+
+    @pytest.mark.parametrize(
+        "definition, agrees",
+        [
+            (({(2,): 3, (1, 1): 3}, 3), True),  # m_2 + m_11 = h_2
+            (({(2,): 3, (1, 1): 4}, 3), False),
+            (({(2,): 1, (1, 1): 1}, 2), False),  # h_2 / 2
+        ],
+    )
+    def test_both_sides_keep_their_own_scale(self, monkeypatch, definition, agrees):
+        # h_2 = p_2 / 2 + p_11 / 2 = (2 m_2 + 2 m_11) / 2
+        monkeypatch.setattr(core, "_listing_monomials", lambda n, w, scales: definition)
+        h2 = P({(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)})
+        assert core._matches_definition(Digraph(2), h2) is agrees
+
+    @pytest.mark.parametrize(
+        "definition, parts",
+        [
+            ({(2,): 1}, (1, 1)),  # p_11 = m_2 + 2 m_11 has m_11 as well
+            ({(2,): 1, (1, 1): 2}, (2,)),  # p_2 = m_2 lacks m_11
+        ],
+    )
+    def test_a_key_on_one_side_only_disagrees(self, monkeypatch, definition, parts):
+        monkeypatch.setattr(
+            core, "_listing_monomials", lambda n, w, scales: (definition, 1)
+        )
+        assert not core._matches_definition(Digraph(2), P({parts: 1}))
+
+    def test_refuses_above_the_cap_before_any_table(self, monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("a table was built above the cap")
+
+        monkeypatch.setattr(core, "_listing_monomials", no_tables)
+        monkeypatch.setattr(core, "_cycle_sums", no_tables)
+        d = random_digraph(13, 0.5, seed=6)
+        with pytest.raises(CapExceededError, match=ENGINE_REFUSAL):
+            core._matches_definition(d, P({(1,): 1}))
+
+
 class TestAtTheCycleSumCap:
     """Differential checks at n = 10..12: above the reach of the n! oracles,
     up to the cycle-sum cap, on a few seeded inputs per size."""
@@ -672,6 +766,24 @@ class TestAtTheCycleSumCap:
         d = random_digraph(n, 0.5, seed=300 * n)
         f = redei_berge_powersum(d)
         assert f.to_fundamental() == redei_berge_by_definition(d)
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_invariant_under_relabelling_reversal_and_loops(self, n):
+        """U_D depends on no vertex names, is fixed by reversing every arc
+        (a listing read backwards, and U_D is symmetric), and never reads
+        a loop."""
+        d = random_digraph(n, 0.5, seed=7)
+        arcs = set(d.arcs())
+        perm = random.Random(n).sample(range(n), n)
+        f, g = redei_berge_powersum(d), redei_berge_by_definition(d)
+        for other in (
+            Digraph(n, [(perm[u], perm[v]) for u, v in arcs]),
+            Digraph(n, [(v, u) for u, v in arcs]),
+            Digraph(n, arcs ^ {(0, 0)}),
+        ):
+            assert other != d
+            assert redei_berge_powersum(other) == f
+            assert redei_berge_by_definition(other) == g
 
     @pytest.mark.parametrize("n", [10, 11, 12])
     def test_deformed_zeta_is_the_s_weighted_path_sum(self, n):

@@ -1,6 +1,7 @@
 import argparse
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,6 +194,23 @@ class TestEnumeration:
         with pytest.raises(CapExceededError, match="cap of 16777216"):
             next(enumerate_tournaments(8))  # 2^28 instances
         assert sum(1 for _ in itertools.islice(enumerate_tournaments(7), 3)) == 3
+
+    @pytest.mark.parametrize(
+        "generate, n, message",
+        [
+            (enumerate_tournaments, 60, "2^1770 tournaments on 60 vertices"),
+            (enumerate_digraphs, 60, "2^3600 digraphs on 60 vertices"),
+            (enumerate_tournaments, 3000, "2^4498500 tournaments on 3000 vertices"),
+            (enumerate_digraphs, 3000, "2^9000000 digraphs on 3000 vertices"),
+        ],
+    )
+    def test_long_streams_refused_by_their_exponent(self, generate, n, message):
+        # 2^slots is never built: at 3000 vertices it has millions of bits
+        with pytest.raises(
+            CapExceededError,
+            match=f"^{re.escape(message)} exceeds the enumeration cap of 16777216$",
+        ):
+            next(generate(n))
 
 
 class TestRandomGeneration:

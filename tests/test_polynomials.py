@@ -286,6 +286,8 @@ class TestArithmetic:
     def test_float_coefficients_rejected(self):
         with pytest.raises(TypeError):
             P({(2,): 0.5})
+        with pytest.raises(TypeError):
+            F(2, {D(2, ()): 0.5})
 
     @pytest.mark.parametrize(
         "build",
