@@ -49,6 +49,7 @@ from .digraph import (
 from .hamilton import (
     _berge_report,
     _mod4_report,
+    _path_parity,
     _redei_report,
     count_hamiltonian_paths,
     count_nontrivial_odd_cycles,
@@ -198,7 +199,7 @@ def _lemma_preamble() -> list[str]:
 
 # target: (instance kind, check, vertex cap of the routes the check calls:
 # the cycle-sum engine for the power-sum and definition forms and the odd
-# cycles, the path DP for the parities, n! for the lemmas' sweeps)
+# cycles, the path engines for the parities, n! for the lemmas' sweeps)
 _CHECKS: dict[str, tuple[str, Callable[[Digraph], tuple[bool, dict]], int]] = {
     "thm1": ("digraph", _check_thm1, CYCLE_SUM_CAP),
     "thm2": ("tournament", _check_thm2, CYCLE_SUM_CAP),
@@ -322,13 +323,11 @@ def _cmd_hamps(args: argparse.Namespace) -> int:
     hamps = count_hamiltonian_paths(d)
     is_tournament = d.is_tournament()
     # a tournament's complement is, loops aside, its converse: the same
-    # paths read backwards
-    hamps_complement = (
-        hamps if is_tournament else count_hamiltonian_paths(d.complement())
-    )
-    reports = {"berge": _berge_report(d.n, hamps, hamps_complement)}
+    # paths read backwards; any other complement needs only its parity
+    complement_mod2 = hamps % 2 if is_tournament else _path_parity(d.complement())
+    reports = {"berge": _berge_report(d.n, hamps, complement_mod2)}
     if is_tournament:
-        reports["redei"] = _redei_report(d.n, hamps)
+        reports["redei"] = _redei_report(d.n, hamps % 2)
         if d.n <= CYCLE_SUM_CAP:
             reports["mod4"] = _mod4_report(d.n, hamps, count_nontrivial_odd_cycles(d))
     if args.format == "json":

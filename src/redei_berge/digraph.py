@@ -12,7 +12,7 @@ import random
 from typing import Iterable, Iterator, Sequence
 
 from .kernel import _require_int
-from .limits import DP_VERTEX_CAP, ENUMERATION_CAP, _check_power_of_two
+from .limits import DP_VERTEX_CAP, ENUMERATION_CAP, _check_power
 
 
 class DigraphFormatError(ValueError):
@@ -133,7 +133,7 @@ def _check_stream(n: int, tournaments: bool) -> None:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     slots = n * (n - 1) // 2 if tournaments else n * n
     kind = "tournaments" if tournaments else "digraphs"
-    _check_power_of_two(slots, f"{kind} on {n} vertices", ENUMERATION_CAP, "enumeration")
+    _check_power(2, slots, f"{kind} on {n} vertices", ENUMERATION_CAP, "enumeration")
 
 
 def enumerate_digraphs(n: int) -> Iterator[Digraph]:

@@ -2,30 +2,42 @@
 congruence checks (parity of tournament path counts, the mod-4 refinement,
 and the parity link between a digraph and its complement).
 
-All three checks need only two numbers, hamps(D) and hamps(D^c), plus the
-odd-cycle count for mod 4.  Each ``verify_*`` checks its input and caps,
-counts, and hands the counts to a report builder; ``redei-berge hamps``
-counts D once and builds all three reports from hamps(D) and hamps(D^c),
-skipping mod 4 above ``CYCLE_SUM_CAP``, the cap of the cycle-sum table that
-counts the odd cycles.  It counts D^c separately only when D is not a
-tournament: the complement of a tournament T is, loops aside, its converse,
-whose Hamiltonian paths are those of T read backwards, so
-hamps(T^c) = hamps(T).  ``verify_berge`` still counts both.
+Paths are counted by two engines, one exact and one over GF(2):
 
-Paths are counted by one route, the subset DP of Bellman and Held--Karp
-with one packed ``int`` per vertex subset S instead of one count per
-(S, last vertex) state.  Field v of the entry for S, of
-``factorial(n).bit_length()`` bits, counts the paths that cover exactly S
-and then take one arc to v.  Every field stays at most n!, below 2 to
-the field width, so no field carries into the next and the count is
-exact.  The subsets are walked as pairs of a high-half and a low-half
-subset, each listing its members from a small cached table
-(:func:`_members`), so no vertex outside a subset is ever tested.  Its
-brute-force check, depth-first extension of partial paths, is
+- :func:`_count_dp`, the exact count, is the subset DP of Bellman and
+  Held--Karp with one packed ``int`` per vertex subset S instead of one
+  count per (S, last vertex) state.  Field v of the entry for S, of
+  ``factorial(n).bit_length()`` bits, counts the paths that cover exactly
+  S and then take one arc to v.  Every field stays at most n!, below 2 to
+  the field width, so no field carries into the next and the count is
+  exact.  The subsets are walked as pairs of a high-half and a low-half
+  subset, each listing its members from a small cached table
+  (:func:`_members`), so no vertex outside a subset is ever tested.  It
+  serves :func:`count_hamiltonian_paths` (the count ``hamps`` prints, the
+  Berge report's ``hamps``, the ``zeta`` and ``lemmas`` checks) and
+  :func:`verify_mod4`.
+- :func:`_path_parity`, hamps mod 2, keeps one 2^n-bit ``int`` per vertex
+  v whose bit S is the parity of the paths that cover exactly S and end
+  at v, and extends all of them by one arc per round with XOR, AND and
+  shift: no loop over subsets.  It serves the checks that need only a
+  parity: :func:`verify_redei`, and hamps(D^c) in :func:`verify_berge`
+  and in ``redei-berge hamps``.
+
+Both refuse more than ``DP_VERTEX_CAP`` vertices before building
+anything: :func:`_path_parity` itself, the exact DP through
+:func:`count_hamiltonian_paths`.  Their brute-force check, depth-first extension of partial paths, is
 :func:`oracles.count_hamiltonian_paths_by_backtracking`.  Loops never
 matter to paths: a path visits distinct vertices, so diagonal arcs are
 dropped before counting.  The zero-vertex digraph has exactly one
 Hamiltonian path (the empty list) by convention.
+
+``redei-berge hamps`` runs one exact count, of D, and builds all three
+reports from it: Berge's with the parity of D^c, Rédei's, and mod 4 with
+the odd cycles, skipped above ``CYCLE_SUM_CAP``, the cap of the cycle-sum
+table that counts them.  For a tournament T it reads the parity of T^c
+from hamps(T): the complement of a tournament is, loops aside, its
+converse, whose Hamiltonian paths are those of T read backwards, so
+hamps(T^c) = hamps(T).
 
 The cycle-sum table (weighted Hamiltonian cycles of every vertex subset,
 where a single vertex reads its diagonal weight) and the set-partition sum
@@ -102,6 +114,47 @@ def _count_dp(d: Digraph) -> int:
             append(total)
     full = (1 << n) - 1
     return sum(out[full ^ bit] >> shift & field for bit, shift, _ in vertices)
+
+
+def _path_parity(d: Digraph) -> int:
+    """hamps(d) mod 2, from a bit-sliced table over GF(2): one ``int`` per
+    vertex v, whose bit S is the parity of the paths that cover exactly S
+    and end at v.  Round k takes every path on k vertices one arc further:
+    for each v, the XOR of its predecessors' ints, cut to the sets without
+    v and shifted left by 2^v (S to S + {v}).  So each of the n - 1 rounds
+    does O(n^2) word-parallel operations on 2^n-bit ``int``s, and no loop
+    visits a subset.
+
+    >>> _path_parity(Digraph(3, [(0, 1), (1, 1), (2, 2)]).complement())
+    0
+    >>> _path_parity(Digraph(3, [(0, 1), (1, 2), (2, 0)]))
+    1
+    """
+    _check_cap(d.n, "vertices", DP_VERTEX_CAP, "path-count")
+    n = d.n
+    if not n:
+        return 1  # the empty path
+    top = (1 << n) - 1  # the bit of the full set
+    rounds = []
+    for v in range(n):
+        # the sets without v: 2^v set bits, 2^v clear, repeated
+        without = (1 << (1 << v)) - 1
+        step = 2 << v
+        while step <= top:
+            without |= without << step
+            step <<= 1
+        preds = [u for u, row in enumerate(d.rows) if u != v and row >> v & 1]
+        rounds.append((preds, without, 1 << v))
+    ends = [1 << (1 << v) for v in range(n)]  # one path {v} ending at each v
+    for _ in range(n - 1):
+        grown = []
+        for preds, without, shift in rounds:
+            paths = 0
+            for u in preds:
+                paths ^= ends[u]
+            grown.append((paths & without) << shift)
+        ends = grown
+    return sum(end >> top for end in ends) & 1
 
 
 @cache
@@ -204,16 +257,15 @@ def count_nontrivial_odd_cycles(d: Digraph) -> int:
     sets of size at least 3."""
     _check_cap(d.n, "vertices", CYCLE_SUM_CAP, "cycle-sum")
     sums = _cycle_sums(d.n, _indicator(d))
-    return sum(c for S, c in enumerate(sums) if S.bit_count() in range(3, d.n + 1, 2))
+    return sum(c for S, c in enumerate(sums) if (k := S.bit_count()) & 1 and k > 1)
 
 
-def _redei_report(n: int, hamps: int) -> dict:
+def _redei_report(n: int, hamps_mod2: int) -> dict:
     return {
         "theorem": "redei",
         "n": n,
-        "hamps": str(hamps),
-        "hamps_mod2": hamps % 2,
-        "pass": hamps % 2 == 1,
+        "hamps_mod2": hamps_mod2,
+        "pass": hamps_mod2 == 1,
     }
 
 
@@ -231,23 +283,24 @@ def _mod4_report(n: int, hamps: int, odd_cycles: int) -> dict:
     }
 
 
-def _berge_report(n: int, hamps: int, hamps_complement: int) -> dict:
+def _berge_report(n: int, hamps: int, complement_mod2: int) -> dict:
     return {
         "theorem": "berge",
         "n": n,
         "hamps": str(hamps),
-        "hamps_complement": str(hamps_complement),
         "lhs_mod2": hamps % 2,
-        "rhs_mod2": hamps_complement % 2,
-        "pass": hamps % 2 == hamps_complement % 2,
+        "rhs_mod2": complement_mod2,
+        "pass": hamps % 2 == complement_mod2,
     }
 
 
 def verify_redei(d: Digraph) -> dict:
-    """Check that a tournament has an odd number of Hamiltonian paths."""
+    """Check that a tournament has an odd number of Hamiltonian paths, from
+    the GF(2) path table; the cap refuses before it is built."""
     if not d.is_tournament():
         raise ValueError("input digraph is not a tournament")
-    return _redei_report(d.n, count_hamiltonian_paths(d))
+    _check_cap(d.n, "vertices", DP_VERTEX_CAP, "path-count")
+    return _redei_report(d.n, _path_parity(d))
 
 
 def verify_mod4(d: Digraph) -> dict:
@@ -263,9 +316,8 @@ def verify_mod4(d: Digraph) -> dict:
 
 def verify_berge(d: Digraph) -> dict:
     """Check that a digraph and its complement have Hamiltonian-path counts
-    of the same parity."""
+    of the same parity: the exact count of d, which the report carries, and
+    the GF(2) parity of its complement."""
     return _berge_report(
-        d.n,
-        count_hamiltonian_paths(d),
-        count_hamiltonian_paths(d.complement()),
+        d.n, count_hamiltonian_paths(d), _path_parity(d.complement())
     )

@@ -21,9 +21,11 @@ FACTORIAL_CAP = 9
 # about 0.25 s each and 22 MB (2-CPU machine).
 CYCLE_SUM_CAP = 12
 
-# Path DP over vertex subsets, one packed int of n fields per subset.  Above
-# ~18 vertices its 2^n-entry table dominates memory (about 215 MB at 20
-# vertices); 22 is the hard refusal point.
+# The two path engines.  The exact DP keeps one packed int of n fields per
+# vertex subset: above ~18 vertices its 2^n-entry table dominates memory
+# (about 215 MB at 20 vertices).  The GF(2) parity table keeps one 2^n-bit
+# int per vertex, about 25 MB peak at 20 vertices.  22 is the hard refusal
+# point of both.
 DP_VERTEX_CAP = 22
 
 # Signed sums over the subsets of a finite set (2^size terms).
@@ -45,10 +47,13 @@ def _check_cap(count: int, unit: str, cap: int, name: str) -> None:
         raise CapExceededError(f"{count} {unit} exceeds the {name} cap of {cap}")
 
 
-def _check_power_of_two(exponent: int, unit: str, cap: int, name: str) -> None:
-    """Refuses 2^exponent above ``cap`` by comparing exponents, so a huge
-    count is never built; the count is written out below 2^64 and as
-    "2^<exponent>" from there."""
-    if exponent >= cap.bit_length():
-        count = 1 << exponent if exponent < 64 else f"2^{exponent}"
+def _check_power(base: int, exponent: int, unit: str, cap: int, name: str) -> None:
+    """Refuses base^exponent above ``cap`` by comparing the exponent first
+    (base^exponent >= 2^exponent for base >= 2), so a huge count is never
+    built.  The count is written out while exponent times the bit length
+    of base - 1 stays below 64, which keeps it below 2^64, and is named
+    "<base>^<exponent>" from there."""
+    if base > 1 and exponent >= cap.bit_length() or base**exponent > cap:
+        small = exponent * (base - 1).bit_length() < 64  # base^exponent < 2^64
+        count = base**exponent if small else f"{base}^{exponent}"
         raise CapExceededError(f"{count} {unit} exceeds the {name} cap of {cap}")

@@ -241,28 +241,37 @@ class TestHamps:
         ids=["tournament-n9", "tournament-n13", "digraph"],
     )
     def test_counts_each_digraph_once(self, capsys, monkeypatch, d):
-        # a digraph needs hamps(D) and hamps(D^c) for Berge's report; a
-        # tournament's complement is its converse with loops, whose count
-        # is hamps(D) again, so one path count serves all three reports
+        # one exact count, of D; Berge's report needs only the parity of
+        # hamps(D^c), read from the GF(2) table, and a tournament's
+        # complement is its converse with loops, whose count is hamps(D)
+        # again, so one path count serves all three reports
         counted = []
+        parities = []
         tables = []
         count_dp = hamilton._count_dp
+        path_parity = hamilton._path_parity
         cycle_sums = hamilton._cycle_sums
 
         def counting_dp(g):
             counted.append(g)
             return count_dp(g)
 
+        def counting_parity(g):
+            parities.append(g)
+            return path_parity(g)
+
         def recording_sums(*args):
             tables.append(args)
             return cycle_sums(*args)
 
         monkeypatch.setattr(hamilton, "_count_dp", counting_dp)
+        monkeypatch.setattr(cli, "_path_parity", counting_parity)
         monkeypatch.setattr(hamilton, "_cycle_sums", recording_sums)
         spec = format_digraph(d).replace("\n", ";")
         code, out, _ = run(capsys, "hamps", "--arcs", spec, "--format", "json")
         assert code == 0
-        assert counted == ([d] if d.is_tournament() else [d, d.complement()])
+        assert counted == [d]
+        assert parities == ([] if d.is_tournament() else [d.complement()])
         payload = json.loads(out)
         if d.n > 12:
             assert tables == [] and "mod4" not in payload

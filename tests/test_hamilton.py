@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -21,7 +22,13 @@ from redei_berge import (
     verify_redei,
 )
 from redei_berge import hamilton
-from redei_berge.hamilton import _count_dp, _cycle_sums, _members, _partition_sum
+from redei_berge.hamilton import (
+    _count_dp,
+    _cycle_sums,
+    _members,
+    _partition_sum,
+    _path_parity,
+)
 from redei_berge.oracles import (
     count_hamiltonian_paths_by_backtracking,
     d_cycle_excess,
@@ -109,6 +116,62 @@ class TestCounting:
             assert len(members) == 1 << k
             for x, listed in enumerate(members):
                 assert list(listed) == [v for v in range(k) if x >> v & 1]
+
+
+class TestPathParity:
+    """The GF(2) path table against the exact DP and the backtracking
+    oracle, loops included."""
+
+    def test_matches_exact_dp_through_n16(self):
+        # every size, so every shift 2^v and every without-v mask is used;
+        # above 12 one digraph and one tournament keep the exact DP cheap,
+        # and a tournament's complement has the tournament's count
+        for n in range(17):
+            seeds = range(3) if n <= 12 else range(1)
+            for seed in seeds:
+                d = random_digraph(n, 0.5, seed=seed)
+                t = random_tournament(n, seed=seed)
+                hamps_t = _count_dp(t) % 2
+                assert _path_parity(d) == _count_dp(d) % 2
+                assert _path_parity(t) == hamps_t == 1
+                assert _path_parity(t.complement()) == hamps_t
+                if n <= 12:
+                    complement = d.complement()
+                    assert _path_parity(complement) == _count_dp(complement) % 2
+            assert _path_parity(Digraph(n)) == (n <= 1)
+            complete = Digraph.from_rows(n, ((1 << n) - 1,) * n)  # loops too
+            assert _path_parity(complete) == math.factorial(n) % 2
+
+    def test_matches_backtracking_through_n10(self):
+        rng = random.Random(67)
+        digraphs = [Digraph(0), Digraph(1), Digraph(1, [(0, 0)])]  # one path each
+        for n in range(11):
+            for p in (0.25, 0.5):
+                digraphs.append(random_digraph(n, p, seed=rng.getrandbits(32)))
+        for d in digraphs:
+            assert _path_parity(d) == count_hamiltonian_paths_by_backtracking(d) % 2
+        assert [_path_parity(d) for d in digraphs[:3]] == [1, 1, 1]
+
+    def test_cap(self):
+        refusal = "^23 vertices exceeds the path-count cap of 22$"
+        with pytest.raises(CapExceededError, match=refusal):
+            _path_parity(Digraph(23))
+
+    def test_table_keeps_2n_bits_per_vertex(self):
+        # Three rows of n ints of 2^n bits (the ends, the grown ends, the
+        # without-v masks).  Without the mask no parity changes, since a
+        # walk shifted onto a set that holds v lands on fewer members than
+        # the round's paths and never reaches the full set, but the ints
+        # grow about n/2-fold.
+        n = 14
+        d = random_digraph(n, 0.5, seed=3)
+        tracemalloc.start()
+        try:
+            _path_parity(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * n * 2**n // 8
 
 
 class TestTournamentComplement:
@@ -234,14 +297,13 @@ class TestCycleSumEngine:
 class TestRedei:
     def test_transitive_tournament_has_one_path(self):
         report = verify_redei(transitive_tournament(5))
-        assert report["hamps"] == "1"
+        assert report["hamps_mod2"] == 1
         assert report["pass"]
 
     def test_three_cycle_tournament(self):
         d = Digraph(3, [(0, 1), (1, 2), (2, 0)])
         report = verify_redei(d)
-        assert report["hamps"] == "3"
-        assert report["pass"]
+        assert report == {"theorem": "redei", "n": 3, "hamps_mod2": 1, "pass": True}
 
     def test_zero_vertex_tournament(self):
         assert verify_redei(Digraph(0))["pass"]
@@ -307,10 +369,16 @@ class TestMod4:
 
 class TestBerge:
     def test_example(self):
+        # hamps 0 against 4 paths in the complement
         report = verify_berge(THREE_LOOP)
-        assert report["hamps"] == "0"
-        assert report["hamps_complement"] == "4"
-        assert report["pass"]
+        assert report == {
+            "theorem": "berge",
+            "n": 3,
+            "hamps": "0",
+            "lhs_mod2": 0,
+            "rhs_mod2": 0,
+            "pass": True,
+        }
 
     def test_exhaustive_n3(self):
         for n in range(4):
@@ -323,6 +391,19 @@ class TestBerge:
             n = rng.randint(0, 7)
             d = random_digraph(n, 0.5, seed=rng.getrandbits(32))
             assert verify_berge(d)["pass"]
+
+
+class TestParityCaps:
+    @pytest.mark.parametrize("verify", [verify_redei, verify_berge])
+    def test_refused_before_either_engine(self, monkeypatch, verify):
+        def no_count(*args):
+            raise AssertionError("counted before the cap check")
+
+        monkeypatch.setattr(hamilton, "_count_dp", no_count)
+        monkeypatch.setattr(hamilton, "_path_parity", no_count)
+        refusal = "^23 vertices exceeds the path-count cap of 22$"
+        with pytest.raises(CapExceededError, match=refusal):
+            verify(random_tournament(23, seed=5))
 
 
 class TestSignedPermutationCount:

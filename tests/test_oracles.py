@@ -330,8 +330,17 @@ class TestPolyaSum:
                 )
 
     def test_colourings_capped_before_enumeration(self):
-        with pytest.raises(CapExceededError, match="colourings"):
+        refusal = "^387420489 cycle colourings exceeds the enumeration cap of 16777216$"
+        with pytest.raises(CapExceededError, match=refusal):
             polya_sum(tuple(range(9)))  # 9^9 colourings
+
+    @pytest.mark.parametrize("c", [26, 2000])
+    def test_colourings_compared_by_cycle_count(self, c):
+        # from 2^64 up the count is named, not written out: 2000^2000 has
+        # 6,602 digits, more than int-to-str converts
+        refusal = rf"^{c}\^{c} cycle colourings exceeds the enumeration cap of 16777216$"
+        with pytest.raises(CapExceededError, match=refusal):
+            polya_sum(tuple(range(c)))
 
 
 class TestSignedSubsetSum:
