@@ -1,16 +1,17 @@
 """Hamiltonian-path counting and the classical congruences.
 
-Counting uses dynamic programming over vertex subsets, one packed integer
-per subset with a field per vertex wide enough that no count carries into
-the next; the brute-force backtracking count from ``redei_berge.oracles``
-cross-checks it.  On tournaments the count is always odd, and modulo 4 it
-is determined by the number of nontrivial odd cycles; for any digraph the
-count has the same parity as the complement's.  Redei's and Berge's
-statements need only parities, so their reports read them from a GF(2)
-table, one bit per (vertex set, last vertex) packed into one integer per
-vertex: the Redei report carries ``hamps_mod2`` alone, and the Berge
-report the exact count of the digraph beside the parity of its
-complement's (``rhs_mod2``).
+Counting uses dynamic programming over vertex subsets.  The vertices are
+split into a low and a high half, and the table keeps one packed integer
+per (high-half set, end vertex) with a field per low-half set, wide
+enough that no count carries into the next; the brute-force backtracking
+count from ``redei_berge.oracles`` cross-checks it.  On tournaments the
+count is always odd, and modulo 4 it is determined by the number of
+nontrivial odd cycles; for any digraph the count has the same parity as
+the complement's.  Redei's and Berge's statements need only parities,
+so their reports read them from a GF(2) table, one bit per (vertex set,
+last vertex) packed into one integer per vertex: the Redei report
+carries ``hamps_mod2`` alone, and the Berge report the exact count of
+the digraph beside the parity of its complement's (``rhs_mod2``).
 """
 
 from redei_berge import (

@@ -5,17 +5,18 @@ and the parity link between a digraph and its complement).
 Paths are counted by two engines, one exact and one over GF(2):
 
 - :func:`_count_dp`, the exact count, is the subset DP of Bellman and
-  Held--Karp with one packed ``int`` per vertex subset S instead of one
-  count per (S, last vertex) state.  Field v of the entry for S, of
-  ``factorial(n).bit_length()`` bits, counts the paths that cover exactly
-  S and then take one arc to v.  Every field stays at most n!, below 2 to
-  the field width, so no field carries into the next and the count is
-  exact.  The subsets are walked as pairs of a high-half and a low-half
-  subset, each listing its members from a small cached table
-  (:func:`_members`), so no vertex outside a subset is ever tested.  It
-  serves :func:`count_hamiltonian_paths` (the count ``hamps`` prints, the
-  Berge report's ``hamps``, the ``zeta`` and ``lemmas`` checks) and
-  :func:`verify_mod4`.
+  Held--Karp on a two-level table.  The first ceil(n/2) vertices form the
+  low half; for each set H of the others it keeps one ``int`` per vertex
+  v, whose field L, of ``factorial(n - 1).bit_length()`` bits, counts the
+  paths that cover exactly H + L and end at v.  A high-half end vertex
+  takes its int whole from the entries of H - v, and the low-half end
+  vertices are filled in ceil(n/2) rounds of the parity table's
+  AND-and-shift step with adds in place of XOR, so no loop visits a
+  low-half set.  No field carries into the next, so the count is exact.
+  On one 2-CPU machine (Python 3.11) it takes about 10 ms at n = 14 and
+  1.5 s at n = 20.  It serves :func:`count_hamiltonian_paths` (the count
+  ``hamps`` prints, the Berge report's ``hamps``, the ``zeta`` and
+  ``lemmas`` checks) and :func:`verify_mod4`.
 - :func:`_path_parity`, hamps mod 2, keeps one 2^n-bit ``int`` per vertex
   v whose bit S is the parity of the paths that cover exactly S and end
   at v, and extends all of them by one arc per round with XOR, AND and
@@ -43,7 +44,8 @@ The cycle-sum table (weighted Hamiltonian cycles of every vertex subset,
 where a single vertex reads its diagonal weight) and the set-partition sum
 over it are the engine behind every route in :mod:`core` and the odd-cycle
 count.  The table extends each path only through the members of the
-subsets it reads, again from :func:`_members`.  Each of those routes
+subsets it reads, from the cached member table :func:`_members` that
+also lists the exact DP's high-half sets.  Each of those routes
 refuses more than ``CYCLE_SUM_CAP`` vertices before building a table.  The
 engine runs on plain ``int``s only: a route with rational weights scales
 them to integers first and divides once per output coefficient (see
@@ -62,10 +64,12 @@ from .limits import CYCLE_SUM_CAP, DP_VERTEX_CAP, _check_cap
 
 def count_hamiltonian_paths(d: Digraph) -> int:
     """Number of directed paths visiting every vertex exactly once, by
-    dynamic programming over vertex subsets: one packed ``int`` per subset
-    S, whose field v counts the paths that cover exactly S and then take
-    one arc to v.  The fields are ``factorial(n).bit_length()`` bits wide
-    and never exceed n!, so none carries into the next.
+    dynamic programming over vertex subsets.  With the first ceil(n/2)
+    vertices as the low half, one packed ``int`` per (high-half set H,
+    vertex v) has one field per low-half set L, counting the paths that
+    cover exactly H + L and end at v.  The fields are
+    ``factorial(n - 1).bit_length()`` bits wide and none carries into the
+    next, so the count is exact.
 
     >>> count_hamiltonian_paths(Digraph(3, [(0, 1), (1, 1), (2, 2)]))
     0
@@ -77,43 +81,83 @@ def count_hamiltonian_paths(d: Digraph) -> int:
 
 
 def _count_dp(d: Digraph) -> int:
+    """hamps(d), exact, from a two-level table.  The first ceil(n/2)
+    vertices form the low half and the others the high half.  For each
+    high-half set H, in increasing order, the table keeps one ``int`` per
+    vertex v, whose field L (a low-half set), of
+    ``factorial(n - 1).bit_length()`` bits, counts the paths that cover
+    exactly H + L and end at v.
+
+    - A high v in H: the sum of its predecessors' ints for H - v, plus the
+      path {v} itself when H = {v}.  Whole-int adds, no loop over L.
+    - A low v: ceil(n/2) rounds, each setting v's int to the sum of its
+      predecessors' ints, cut to the fields without v and shifted by 2^v
+      fields (L to L + v), as :func:`_path_parity` does with XOR.  The
+      high predecessors' part of that sum is fixed for H and added once.
+      A round reads the low ints as they stand, updated or not; every
+      field only grows towards its count, so after k rounds each field
+      with |L| <= k is exact.
+
+    A field counts the paths that end at one vertex, at most (n - 1)!,
+    or, in a round's sum, the paths of a set S ending anywhere, at most
+    |S|!.  That exceeds (n - 1)! only for the full set, whose field is the
+    top one and contains v: the cut clears it, and its carry leaves the
+    int above every field, where the cut clears it too.  So no field
+    carries into the next, and the count read from the top fields of the
+    full set is exact.  The table holds 2^n n width bits at most.
+    """
     n = d.n
     if not n:
         return 1  # the empty path
-    # One field of ``width`` bits per vertex.  Every field of every partial
-    # sum below counts paths through at most n vertices, so it is at most
-    # n! < 2^width (at most (n - 1)! below the full set): no field carries
-    # into the next, and every count read back is exact.
-    width = factorial(n).bit_length()
-    field = (1 << width) - 1
-    # per vertex u: its bit, its field's shift, and its loop-free out-row
-    # with arc u -> v at bit v * width
-    vertices = []
-    for u, row in enumerate(d.rows):
-        heads = (v for v in range(n) if v != u and row >> v & 1)
-        vertices.append((1 << u, u * width, sum(1 << v * width for v in heads)))
-    # The masks are walked as (high half, low half) pairs, each half's
-    # members read from its own table, so only the members of each subset
-    # are visited and no 2^n-entry member table is built.
-    low_n = n // 2
-    low_sets = [[vertices[v] for v in m] for m in _members(low_n)]
-    high_sets = [[vertices[low_n + v] for v in m] for m in _members(n - low_n)]
-    # out[S], field v: the paths that cover exactly S, then take one arc to
-    # v; the empty set starts one path at every vertex
-    out = [sum(1 << shift for _, shift, _ in vertices)]
-    append = out.append
-    mask = 0
-    for high in high_sets:
-        for low in low_sets if high else low_sets[1:]:  # the empty set is out[0]
-            mask += 1
-            total = 0
-            for bit, shift, row in low:
-                total += (out[mask ^ bit] >> shift & field) * row
-            for bit, shift, row in high:
-                total += (out[mask ^ bit] >> shift & field) * row
-            append(total)
-    full = (1 << n) - 1
-    return sum(out[full ^ bit] >> shift & field for bit, shift, _ in vertices)
+    width = factorial(n - 1).bit_length()
+    low_n = (n + 1) // 2
+    fields = 1 << low_n
+    high_members = _members(n - low_n)
+    # per vertex v: its loop-free low predecessors, and its high
+    # predecessors as a high-half mask
+    preds = []
+    for v in range(n):
+        tails = [u for u, row in enumerate(d.rows) if u != v and row >> v & 1]
+        low = [u for u in tails if u < low_n]
+        preds.append((low, sum(1 << u - low_n for u in tails if u >= low_n)))
+    # per low vertex v: its predecessors, the fields of the low-half sets
+    # without v (2^v fields set, 2^v clear, repeated), and its shift
+    lows = []
+    for v, (low_preds, _) in enumerate(preds[:low_n]):
+        without = (1 << (width << v)) - 1
+        step = 2 << v
+        while step < fields:
+            without |= without << step * width
+            step <<= 1
+        lows.append((v, low_preds, without, width << v))
+    table = []
+    for high in range(1 << n - low_n):
+        ends = [0] * n
+        for j in high_members[high]:
+            low_preds, high_preds = preds[low_n + j]
+            below = table[high ^ 1 << j]
+            total = int(high == 1 << j)  # the path {v}
+            for u in low_preds:
+                total += below[u]
+            for k in high_members[high_preds & high]:
+                total += below[low_n + k]
+            ends[low_n + j] = total
+        # the paths that enter each low v from the high half; with H empty,
+        # the empty path, which v extends to the path {v}
+        entering = []
+        for _, high_preds in preds[:low_n]:
+            total = 0 if high else 1
+            for k in high_members[high_preds & high]:
+                total += ends[low_n + k]
+            entering.append(total)
+        for _ in range(low_n):
+            for (v, low_preds, without, shift), total in zip(lows, entering):
+                for u in low_preds:
+                    total += ends[u]
+                ends[v] = (total & without) << shift
+        table.append(ends)
+    # no int holds a bit above its top field, the full low-half set
+    return sum(end >> (fields - 1) * width for end in table[-1])
 
 
 def _path_parity(d: Digraph) -> int:

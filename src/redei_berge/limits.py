@@ -21,11 +21,12 @@ FACTORIAL_CAP = 9
 # about 0.25 s each and 22 MB (2-CPU machine).
 CYCLE_SUM_CAP = 12
 
-# The two path engines.  The exact DP keeps one packed int of n fields per
-# vertex subset: above ~18 vertices its 2^n-entry table dominates memory
-# (about 215 MB at 20 vertices).  The GF(2) parity table keeps one 2^n-bit
-# int per vertex, about 25 MB peak at 20 vertices.  22 is the hard refusal
-# point of both.
+# The two path engines.  The exact DP keeps one packed int of 2^ceil(n/2)
+# fields per (high-half vertex set, vertex), 2^n n fields of about
+# log2((n - 1)!) bits in all: above ~18 vertices that table dominates
+# memory (about 130 MB peak at 20 vertices).  The GF(2) parity table keeps
+# one 2^n-bit int per vertex, about 25 MB peak at 20 vertices.  22 is the
+# hard refusal point of both.
 DP_VERTEX_CAP = 22
 
 # Signed sums over the subsets of a finite set (2^size terms).

@@ -6,7 +6,12 @@ import tracemalloc
 
 import pytest
 
-from conftest import FIVE_TOURNAMENT, THREE_LOOP, transitive_tournament
+from conftest import (
+    FIVE_TOURNAMENT,
+    THREE_LOOP,
+    transitive_tournament,
+    weighted_path_sum,
+)
 from redei_berge import (
     CapExceededError,
     Digraph,
@@ -57,8 +62,10 @@ class TestCounting:
 
     def test_complete_loop_free(self):
         # n! paths, the most any n-vertex digraph has: every field of the
-        # packed counts reaches its bound, so a field too narrow carries
-        for n in range(13):
+        # full set's ints reaches (n - 1)!, the most its width holds, and
+        # the round sums' top field reaches n!, whose carry the cut must
+        # clear, so a field too narrow or an uncut carry changes the count
+        for n in range(15):
             loop_free = [(u, v) for u in range(n) for v in range(n) if u != v]
             assert count_hamiltonian_paths(Digraph(n, loop_free)) == math.factorial(n)
             looped = Digraph(n, loop_free + [(v, v) for v in range(n)])
@@ -102,13 +109,29 @@ class TestCounting:
             assert by_dp == count_hamiltonian_paths_by_backtracking(d)
 
     def test_halves_of_unequal_size(self):
-        # the DP walks the masks as (high half, low half) pairs, and at odd n
-        # the high half holds one vertex more
+        # the low half is the first ceil(n/2) vertices, so at odd n it
+        # holds one vertex more than the high half
         rng = random.Random(59)
         for n in (1, 3, 5, 7, 9):
             for p in (0.3, 0.6, 0.9):
                 d = random_digraph(n, p, seed=rng.getrandbits(32))
                 assert _count_dp(d) == count_hamiltonian_paths_by_backtracking(d)
+
+    def test_exact_dp_field_table_memory(self):
+        # 2^(n/2) high-half sets, n ints each, 2^(n/2) fields of width bits
+        # per int: 2^n n width bits, about 0.87 of it measured (a high v
+        # outside H holds 0).  A table of one int of n fields per vertex
+        # subset peaks at about 1.7 times that.
+        n = 14
+        width = math.factorial(n - 1).bit_length()
+        d = random_digraph(n, 0.5, seed=3)
+        tracemalloc.start()
+        try:
+            _count_dp(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**n * n * width // 32  # a quarter over the bits
 
     def test_member_tables(self):
         for k in range(11):
@@ -203,6 +226,35 @@ class TestBeyondTheOracle:
             ):
                 reversed_d = Digraph(n, [(v, u) for u, v in d.arcs()])
                 assert count_hamiltonian_paths(reversed_d) == count_hamiltonian_paths(d)
+
+    def test_held_karp_oracle_at_11_and_12_vertices(self):
+        # conftest's Held--Karp sum over the complete digraph, with unit
+        # weights on the non-loop arcs, shares no code with the package
+        for n in (11, 12):
+            for d in (
+                random_digraph(n, 0.5, seed=5),
+                random_tournament(n, seed=5),
+                random_digraph(n, 0.2, seed=5),
+            ):
+                s = [
+                    [int(u != v and row >> v & 1) for v in range(n)]
+                    for u, row in enumerate(d.rows)
+                ]
+                assert count_hamiltonian_paths(d) == weighted_path_sum(n, s)
+
+    def test_relabelling_across_the_halves_keeps_the_count(self):
+        # v -> v + ceil(n/2) mod n moves every low vertex into the high
+        # half, but one at odd n, where the low half is one vertex larger
+        for n in range(13, 17):
+            low_n = (n + 1) // 2
+            for d in (
+                random_digraph(n, 0.5, seed=n),
+                random_tournament(n, seed=n),
+            ):
+                moved = Digraph(
+                    n, [((u + low_n) % n, (v + low_n) % n) for u, v in d.arcs()]
+                )
+                assert count_hamiltonian_paths(moved) == count_hamiltonian_paths(d)
 
     def test_spot_checks_at_15_and_16_vertices(self):
         assert count_hamiltonian_paths(transitive_tournament(16)) == 1
