@@ -10,23 +10,28 @@ Paths are counted by two engines, one exact and one over GF(2):
   v, whose field L, of ``factorial(n - 1).bit_length()`` bits, counts the
   paths that cover exactly H + L and end at v.  A high-half end vertex
   takes its int whole from the entries of H - v, and the low-half end
-  vertices are filled in ceil(n/2) rounds of the parity table's
-  AND-and-shift step with adds in place of XOR, so no loop visits a
-  low-half set.  No field carries into the next, so the count is exact.
-  On one 2-CPU machine (Python 3.11) it takes about 10 ms at n = 14 and
-  1.5 s at n = 20.  It serves :func:`count_hamiltonian_paths` (the count
+  vertices are filled in ceil(n/2) in-place rounds of the AND-and-shift
+  step on the layout of :func:`_cuts`, so no loop visits a low-half set.
+  No field carries into the next, so the count is exact.  On one 2-CPU
+  machine (Python 3.11) it takes about 10 ms at n = 14 and 1.5 s at
+  n = 20.  It serves :func:`count_hamiltonian_paths` (the count
   ``hamps`` prints, the Berge report's ``hamps``, the ``zeta`` and
   ``lemmas`` checks) and :func:`verify_mod4`.
 - :func:`_path_parity`, hamps mod 2, keeps one 2^n-bit ``int`` per vertex
   v whose bit S is the parity of the paths that cover exactly S and end
-  at v, and extends all of them by one arc per round with XOR, AND and
-  shift: no loop over subsets.  It serves the checks that need only a
-  parity: :func:`verify_redei`, and hamps(D^c) in :func:`verify_berge`
-  and in ``redei-berge hamps``.
+  at v, and fills them in n in-place rounds of the same step with XOR in
+  place of adds, on the same layout at one bit per set: no loop over
+  subsets.  It serves the checks that need only a parity:
+  :func:`verify_redei`, and hamps(D^c) in :func:`verify_berge` and in
+  ``redei-berge hamps``.
 
-Both refuse more than ``DP_VERTEX_CAP`` vertices before building
-anything: :func:`_path_parity` itself, the exact DP through
-:func:`count_hamiltonian_paths`.  Their brute-force check, depth-first extension of partial paths, is
+:func:`_cuts` is the one layout of both: an ``int`` with one field per
+vertex set, and per vertex v the mask of the fields of the sets without v
+and the shift that moves each onto the set with v.  Both engines refuse
+more than ``DP_VERTEX_CAP`` vertices before building anything:
+:func:`_path_parity` itself, the exact DP through
+:func:`count_hamiltonian_paths`.  Their brute-force check, depth-first
+extension of partial paths, is
 :func:`oracles.count_hamiltonian_paths_by_backtracking`.  Loops never
 matter to paths: a path visits distinct vertices, so diagonal arcs are
 dropped before counting.  The zero-vertex digraph has exactly one
@@ -43,13 +48,14 @@ hamps(T^c) = hamps(T).
 The cycle-sum table (weighted Hamiltonian cycles of every vertex subset,
 where a single vertex reads its diagonal weight) and the set-partition sum
 over it are the engine behind every route in :mod:`core` and the odd-cycle
-count.  The table extends each path only through the members of the
-subsets it reads, from the cached member table :func:`_members` that
-also lists the exact DP's high-half sets.  Each of those routes
-refuses more than ``CYCLE_SUM_CAP`` vertices before building a table.  The
-engine runs on plain ``int``s only: a route with rational weights scales
-them to integers first and divides once per output coefficient (see
-:mod:`core`), so no ``Fraction`` enters its inner loops.
+count.  One path table serves every root of a call, and it extends each
+path only through the members of the subsets it reads, from the cached
+member table :func:`_members` that also lists the exact DP's high-half
+sets.  Each of those routes refuses more than ``CYCLE_SUM_CAP`` vertices
+before building a table.  The engine runs on plain ``int``s only: a route
+with rational weights scales them to integers first and divides once per
+output coefficient (see :mod:`core`), so no ``Fraction`` enters its inner
+loops.
 """
 
 from __future__ import annotations
@@ -92,8 +98,8 @@ def _count_dp(d: Digraph) -> int:
       path {v} itself when H = {v}.  Whole-int adds, no loop over L.
     - A low v: ceil(n/2) rounds, each setting v's int to the sum of its
       predecessors' ints, cut to the fields without v and shifted by 2^v
-      fields (L to L + v), as :func:`_path_parity` does with XOR.  The
-      high predecessors' part of that sum is fixed for H and added once.
+      fields (L to L + v), the layout of :func:`_cuts`.  The high
+      predecessors' part of that sum is fixed for H and added once.
       A round reads the low ints as they stand, updated or not; every
       field only grows towards its count, so after k rounds each field
       with |L| <= k is exact.
@@ -111,7 +117,6 @@ def _count_dp(d: Digraph) -> int:
         return 1  # the empty path
     width = factorial(n - 1).bit_length()
     low_n = (n + 1) // 2
-    fields = 1 << low_n
     high_members = _members(n - low_n)
     # per vertex v: its loop-free low predecessors, and its high
     # predecessors as a high-half mask
@@ -120,16 +125,8 @@ def _count_dp(d: Digraph) -> int:
         tails = [u for u, row in enumerate(d.rows) if u != v and row >> v & 1]
         low = [u for u in tails if u < low_n]
         preds.append((low, sum(1 << u - low_n for u in tails if u >= low_n)))
-    # per low vertex v: its predecessors, the fields of the low-half sets
-    # without v (2^v fields set, 2^v clear, repeated), and its shift
-    lows = []
-    for v, (low_preds, _) in enumerate(preds[:low_n]):
-        without = (1 << (width << v)) - 1
-        step = 2 << v
-        while step < fields:
-            without |= without << step * width
-            step <<= 1
-        lows.append((v, low_preds, without, width << v))
+    # per low vertex v: its predecessors and its cut
+    lows = [(v, preds[v][0], *cut) for v, cut in enumerate(_cuts(low_n, width))]
     table = []
     for high in range(1 << n - low_n):
         ends = [0] * n
@@ -157,17 +154,21 @@ def _count_dp(d: Digraph) -> int:
                 ends[v] = (total & without) << shift
         table.append(ends)
     # no int holds a bit above its top field, the full low-half set
-    return sum(end >> (fields - 1) * width for end in table[-1])
+    return sum(end >> ((1 << low_n) - 1) * width for end in table[-1])
 
 
 def _path_parity(d: Digraph) -> int:
     """hamps(d) mod 2, from a bit-sliced table over GF(2): one ``int`` per
     vertex v, whose bit S is the parity of the paths that cover exactly S
-    and end at v.  Round k takes every path on k vertices one arc further:
-    for each v, the XOR of its predecessors' ints, cut to the sets without
-    v and shifted left by 2^v (S to S + {v}).  So each of the n - 1 rounds
-    does O(n^2) word-parallel operations on 2^n-bit ``int``s, and no loop
-    visits a subset.
+    and end at v.  Each of n rounds sets, for each v in turn, v's int to
+    the XOR of the empty path and its predecessors' ints as they stand,
+    cut to the sets without v and shifted left by 2^v (S to S + {v}): the
+    layout of :func:`_cuts` at one bit per set, and the low-half rounds of
+    :func:`_count_dp` over GF(2).  A round recomputes every int from its
+    predecessors, so after k rounds the bit of each set of at most k
+    vertices is exact.  The table is two rows of n 2^n-bit ``int``s, the
+    ends and the masks; each round does O(n^2) word-parallel operations,
+    and no loop visits a subset.
 
     >>> _path_parity(Digraph(3, [(0, 1), (1, 1), (2, 2)]).complement())
     0
@@ -178,27 +179,36 @@ def _path_parity(d: Digraph) -> int:
     n = d.n
     if not n:
         return 1  # the empty path
-    top = (1 << n) - 1  # the bit of the full set
-    rounds = []
-    for v in range(n):
-        # the sets without v: 2^v set bits, 2^v clear, repeated
-        without = (1 << (1 << v)) - 1
-        step = 2 << v
-        while step <= top:
-            without |= without << step
-            step <<= 1
-        preds = [u for u, row in enumerate(d.rows) if u != v and row >> v & 1]
-        rounds.append((preds, without, 1 << v))
-    ends = [1 << (1 << v) for v in range(n)]  # one path {v} ending at each v
-    for _ in range(n - 1):
-        grown = []
-        for preds, without, shift in rounds:
-            paths = 0
+    rounds = [
+        ([u for u, row in enumerate(d.rows) if u != v and row >> v & 1], cut)
+        for v, cut in enumerate(_cuts(n, 1))
+    ]
+    ends = [0] * n
+    for _ in range(n):
+        for v, (preds, (without, shift)) in enumerate(rounds):
+            paths = 1  # the empty path, which the shift turns into {v}
             for u in preds:
                 paths ^= ends[u]
-            grown.append((paths & without) << shift)
-        ends = grown
+            ends[v] = (paths & without) << shift
+    top = (1 << n) - 1  # the bit of the full set
     return sum(end >> top for end in ends) & 1
+
+
+def _cuts(k: int, width: int) -> list[tuple[int, int]]:
+    """The one layout of both path engines: an ``int`` of 2^k fields of
+    ``width`` bits, field L for the set L of vertices below k.  For each
+    v < k, the mask of the fields of the sets without v (2^v fields set,
+    2^v clear, repeated) and the shift of 2^v fields, which takes L to
+    L + v."""
+    cuts = []
+    for v in range(k):
+        without = (1 << (width << v)) - 1
+        step = 2 << v
+        while step < 1 << k:
+            without |= without << step * width
+            step <<= 1
+        cuts.append((without, width << v))
+    return cuts
 
 
 @cache
@@ -217,28 +227,31 @@ def _cycle_sums(
     """For every vertex bitmask S, the sum over the cyclic orderings of S of
     the product of ``w[u][v]`` over the cyclic arcs; a single vertex v
     gives ``w[v][v]``.  Each ordering is a path from the minimal vertex of
-    S through larger vertices, closed back onto it: O(2^n n^2).  With
-    ``roots``, only the sets whose minimal vertex is below it are summed
-    (the others read 0).  The weights are plain ``int``s: a rational route
-    clears its denominators before calling in.
+    S through larger vertices, closed back onto it: O(2^n n^2).  All roots
+    share one path table, each seeded with its one-vertex path, which
+    closes through its diagonal weight.  With ``roots``, only the sets
+    whose minimal vertex is below it are summed (the others read 0).  The
+    weights are plain ``int``s: a rational route clears its denominators
+    before calling in.
     """
     sums = [0] * (1 << n)
     members = _members(n)
     support = [sum(1 << v for v in range(n) if row[v]) for row in w]
     # (mask | 1 << u) * n + u, for u outside mask, is mask * n + step[u]
     step = [(n << u) + u for u in range(n)]
+    # [mask * n + v]: the paths from the lowest vertex of mask through mask
+    # to v.  Root s reads and writes only the masks whose lowest vertex is
+    # s, so the roots share one table.
+    paths = [0] * (n << n)
     for s in range(n if roots is None else roots):
-        sums[1 << s] = w[s][s]
         above = (1 << n) - (2 << s)  # the vertices larger than s
         back = [row[s] for row in w]  # the closing arcs v -> s
-        paths = [0] * (n << n)  # [mask * n + v]: s -> ... -> v through mask, or 0
-        for v in members[support[s] & above]:
-            paths[(1 << s | 1 << v) * n + v] = w[s][v]
-        for mask in range(3 << s, 1 << n, 2 << s):  # s and larger vertices
+        paths[(1 << s) * n + s] = 1  # the path {s}, closed by w[s][s]
+        for mask in range(1 << s, 1 << n, 2 << s):  # s and larger vertices
             base = mask * n
             free = above & ~mask
             closed = 0
-            for v in members[mask & above]:
+            for v in members[mask]:
                 value = paths[base + v]
                 if value:
                     closed += value * back[v]

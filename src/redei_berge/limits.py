@@ -18,15 +18,15 @@ FACTORIAL_CAP = 9
 # (O(3^n)) behind every power-sum, definition and deformed route and the
 # odd-cycle count, and the degree of the p-to-L bridge (2^(n-1) descent
 # sets).  At 12 vertices the slowest routes, the two deformed ones, take
-# about 0.25 s each and 22 MB (2-CPU machine).
+# 0.13-0.26 s each and about 19 MB peak RSS (2-CPU machine).
 CYCLE_SUM_CAP = 12
 
 # The two path engines.  The exact DP keeps one packed int of 2^ceil(n/2)
 # fields per (high-half vertex set, vertex), 2^n n fields of about
 # log2((n - 1)!) bits in all: above ~18 vertices that table dominates
 # memory (about 130 MB peak at 20 vertices).  The GF(2) parity table keeps
-# one 2^n-bit int per vertex, about 25 MB peak at 20 vertices.  22 is the
-# hard refusal point of both.
+# two rows of one 2^n-bit int per vertex, the ends and the masks, about
+# 23 MB peak at 20 vertices.  22 is the hard refusal point of both.
 DP_VERTEX_CAP = 22
 
 # Signed sums over the subsets of a finite set (2^size terms).

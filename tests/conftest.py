@@ -6,7 +6,9 @@ has 4 Hamiltonian paths.  ``GESSEL`` produces the mixed-sign expansion
 p[3] - p[2,1] + p[1,1,1].  ``REMARK`` has a 2-cycle yet a subtraction-free
 expansion.  ``FIVE_TOURNAMENT`` is a 5-vertex tournament with 9 Hamiltonian
 paths.  ``weighted_path_sum`` is a Held--Karp subset DP over weighted
-Hamiltonian paths in ``Fraction`` arithmetic, written without the package.
+Hamiltonian paths in ``Fraction`` arithmetic, and ``weighted_cycle_sums`` one
+over the weighted Hamiltonian cycles of every vertex set in ``int``s, both
+written without the package.
 """
 
 from fractions import Fraction
@@ -57,3 +59,26 @@ def weighted_path_sum(n: int, s) -> Fraction:
                     if not mask >> u & 1:
                         ending[mask | 1 << u][u] += value * s[v][u]
     return sum(ending[full], Fraction(0))
+
+
+def weighted_cycle_sums(n: int, w, roots: int) -> list[int]:
+    """For every vertex bitmask S whose lowest vertex r is below ``roots``,
+    the sum over the cyclic orderings of S of the product of w[u][v] over
+    the cyclic arcs, a single vertex reading w[r][r]; 0 for the other sets.
+    For each root r, ending[H][v] sums the paths from r that cover exactly
+    r and the vertices above it in H (bit i of H for vertex r + 1 + i) and
+    end at v."""
+    sums = [0] * (1 << n)
+    for r in range(roots):
+        above = n - r - 1
+        ending = [[0] * n for _ in range(1 << above)]
+        ending[0][r] = 1
+        for high in range(1 << above):
+            mask = 1 << r | high << r + 1
+            for v, value in enumerate(ending[high]):
+                if value:
+                    sums[mask] += value * w[v][r]
+                    for u in range(r + 1, n):
+                        if not mask >> u & 1:
+                            ending[high | 1 << u - r - 1][u] += value * w[v][u]
+    return sums
