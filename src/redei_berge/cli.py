@@ -18,13 +18,14 @@ echoed in edge-list format), 2 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from functools import cache
+from functools import cache, partial
+from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -258,9 +259,12 @@ def _stream(
 
 
 def _sweep_chunk(
-    target: str, spec: tuple, start: int, stop: int, keep_going: bool
+    target: str, spec: tuple, jobs: int, keep_going: bool, k: int
 ) -> list[tuple[int, str, dict]]:
+    """The failures in range k of ``jobs``: indices total*k // jobs up to
+    total*(k+1) // jobs of ``_stream(*spec)``, rebuilt in this process."""
     check = _CHECKS[target][1]
+    start, stop = spec[2] * k // jobs, spec[2] * (k + 1) // jobs
     failures = []
     for i, d in enumerate(itertools.islice(_stream(*spec), start, stop), start):
         ok, detail = check(d)
@@ -275,23 +279,20 @@ def _run_sweep(
     target: str, spec: tuple, jobs: int, keep_going: bool
 ) -> tuple[int, list[tuple[int, str, dict]]]:
     """Returns (instances checked, failures as (index, edge list, detail)) over
-    the ``spec[2]`` instances of ``_stream(*spec)``.  Worker k rebuilds that
-    stream and checks indices total*k // jobs up to total*(k+1) // jobs, so
-    reports do not depend on the job count and no instance list is held."""
+    the ``spec[2]`` instances of ``_stream(*spec)``, split into ``jobs``
+    ranges (:func:`_sweep_chunk`), so reports do not depend on the job count
+    and no instance list is held.  The ranges are read in order, and without
+    ``keep_going`` the first that fails ends the sweep; leaving the pool
+    stops the workers still checking later ranges."""
     total = spec[2]
     jobs = max(1, min(jobs, total))
-    if jobs == 1:
-        failures = _sweep_chunk(target, spec, 0, total, keep_going)
-    else:
-        bounds = [total * k // jobs for k in range(jobs + 1)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_sweep_chunk, target, spec, *bounds[k : k + 2], keep_going)
-                for k in range(jobs)
-            ]
-            failures = [failure for future in futures for failure in future.result()]
-    if failures and not keep_going:
-        return failures[0][0] + 1, failures[:1]
+    chunk = partial(_sweep_chunk, target, spec, jobs, keep_going)
+    failures = []
+    with Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        for found in (pool.imap if pool else map)(chunk, range(jobs)):
+            if found and not keep_going:
+                return found[0][0] + 1, found
+            failures += found
     return total, failures
 
 

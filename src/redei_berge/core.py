@@ -40,6 +40,7 @@ import json
 import math
 import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -234,12 +235,14 @@ def _unique_keys(items: list[tuple[str, object]]) -> dict:
     return data
 
 
+@dataclass(frozen=True, slots=True)
 class ArcWeights:
     """A rational weight t(u, v) for every ordered vertex pair; the shifted
     weight is s(u, v) = t(u, v) + 1.  Drives the deformed Redei--Berge
     function.  Unstated pairs weigh 0."""
 
-    __slots__ = ("n", "_t")
+    n: int
+    _t: dict[tuple[int, int], Fraction]
 
     def __init__(self, n: int, weights: dict[tuple[int, int], Rational] | None = None):
         _require_int(n, "vertex count")
@@ -257,9 +260,6 @@ class ArcWeights:
                 table[(u, v)] = coeff
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_t", table)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ArcWeights is immutable")
 
     def t(self, u: int, v: int) -> Fraction:
         return self._t.get((u, v), Fraction(0))
@@ -329,13 +329,6 @@ class ArcWeights:
             named[pair] = key
             table[pair] = _parse_rational(value, f"weight of {key!r}")
         return cls(n, table)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ArcWeights)
-            and self.n == other.n
-            and self._t == other._t
-        )
 
     def __repr__(self) -> str:
         return f"ArcWeights({self.n}, {dict(sorted(self._t.items()))!r})"

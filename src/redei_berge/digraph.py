@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .kernel import _require_int
@@ -23,6 +24,7 @@ class DigraphFormatError(ValueError):
         self.line = line
 
 
+@dataclass(frozen=True, slots=True)
 class Digraph:
     """Immutable digraph on vertices 0..n-1.
 
@@ -35,7 +37,8 @@ class Digraph:
     [(0, 0), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
     """
 
-    __slots__ = ("n", "rows")
+    n: int
+    rows: tuple[int, ...]
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         _require_int(n, "vertex count")
@@ -69,12 +72,6 @@ class Digraph:
         object.__setattr__(d, "n", n)
         object.__setattr__(d, "rows", tuple(rows))
         return d
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Digraph is immutable")
-
-    def __reduce__(self):
-        return (Digraph.from_rows, (self.n, self.rows))
 
     def has_arc(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -110,16 +107,6 @@ class Digraph:
                 if self.has_arc(u, v) and self.has_arc(v, u):
                     return False
         return True
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Digraph)
-            and self.n == other.n
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash(("Digraph", self.n, self.rows))
 
     def __repr__(self) -> str:
         return f"Digraph({self.n}, {sorted(self.arcs())!r})"

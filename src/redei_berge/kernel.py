@@ -49,7 +49,7 @@ def partition_of(lengths: Iterable[int]) -> tuple[int, ...]:
     return parts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DescentSet:
     """A subset of {1, ..., n-1}, with the ambient n kept explicit.
 

@@ -23,8 +23,9 @@ CYCLE_SUM_CAP = 12
 
 # The two path engines.  The exact DP keeps one packed int of 2^ceil(n/2)
 # fields per (high-half vertex set, vertex), 2^n n fields of about
-# log2((n - 1)!) bits in all: above ~18 vertices that table dominates
-# memory (about 130 MB peak at 20 vertices).  The GF(2) parity table keeps
+# log2((n - 1)!) bits in all, of which it frees each set's ints after
+# their last reader: above ~18 vertices that table dominates memory
+# (about 75 MB peak at 20 vertices).  The GF(2) parity table keeps
 # two rows of one 2^n-bit int per vertex, the ends and the masks, about
 # 23 MB peak at 20 vertices.  22 is the hard refusal point of both.
 DP_VERTEX_CAP = 22

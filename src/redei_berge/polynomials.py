@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Mapping
@@ -56,6 +57,7 @@ def _partition_sort_key(parts: tuple[int, ...]) -> tuple:
     return (-sum(parts), tuple(-p for p in parts))
 
 
+@dataclass(frozen=True, slots=True)
 class PowerSumPolynomial:
     """Element of the symmetric-function ring written in the power-sum basis.
 
@@ -70,7 +72,7 @@ class PowerSumPolynomial:
     Fraction(4, 1)
     """
 
-    __slots__ = ("terms",)
+    terms: dict[tuple[int, ...], Fraction]
 
     def __init__(self, terms: Mapping[tuple[int, ...], Rational] = ()):
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -88,9 +90,6 @@ class PowerSumPolynomial:
         f = object.__new__(cls)
         object.__setattr__(f, "terms", terms)
         return f
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PowerSumPolynomial is immutable")
 
     def __add__(self, other: "PowerSumPolynomial") -> "PowerSumPolynomial":
         terms = dict(self.terms)
@@ -202,9 +201,6 @@ class PowerSumPolynomial:
         }
         return json.dumps(ordered)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PowerSumPolynomial) and self.terms == other.terms
-
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
@@ -284,12 +280,14 @@ def _descent_key(n: int, key: DescentSet) -> DescentSet:
     return key
 
 
+@dataclass(frozen=True, slots=True)
 class FundamentalQSym:
     """Homogeneous degree-n quasisymmetric function written in the
     fundamental basis: a map from descent sets (all sharing the same n)
     to rational coefficients."""
 
-    __slots__ = ("n", "terms")
+    n: int
+    terms: dict[DescentSet, Fraction]
 
     def __init__(self, n: int, terms: Mapping[DescentSet, Rational] = ()):
         _require_int(n, "degree")
@@ -313,9 +311,6 @@ class FundamentalQSym:
         object.__setattr__(f, "terms", terms)
         return f
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FundamentalQSym is immutable")
-
     def coefficient(self, key: DescentSet) -> Fraction:
         return self.terms.get(_descent_key(self.n, key), Fraction(0))
 
@@ -323,13 +318,6 @@ class FundamentalQSym:
         """Evaluation at x_1 = 1, rest 0: the coefficient of the empty
         descent set (every other fundamental vanishes there)."""
         return self.terms.get(DescentSet(self.n, ()), Fraction(0))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FundamentalQSym)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
 
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.terms.items())))

@@ -1,8 +1,20 @@
 """The public API is the paper's routes, the digraph model, the two bases
 and the cap error; oracles and kernel helpers are imported from their
-modules."""
+modules.  Its values are immutable and picklable."""
+
+import pickle
+from fractions import Fraction
+
+import pytest
 
 import redei_berge
+from redei_berge import (
+    ArcWeights,
+    DescentSet,
+    Digraph,
+    FundamentalQSym,
+    PowerSumPolynomial,
+)
 
 PUBLIC = [
     "ArcWeights",
@@ -54,7 +66,7 @@ def test_star_import_binds_exactly_the_public_names():
 # shows up here first.
 CLASS_NAMES = {
     "ArcWeights": ["from_digraph", "from_json", "n", "random", "s", "t", "updated"],
-    "DescentSet": ["composition"],
+    "DescentSet": ["composition", "members", "n"],
     "Digraph": [
         "arcs",
         "complement",
@@ -95,3 +107,31 @@ def test_only_power_sums_have_arithmetic_operators():
         "__sub__",
     ]
     assert not operators & set(vars(redei_berge.FundamentalQSym))
+
+
+VALUES = [
+    (Digraph(3, [(0, 1), (1, 1), (2, 2)]), ["n", "rows"]),
+    (ArcWeights(2, {(0, 1): Fraction(-1, 2)}), ["n", "_t"]),
+    (PowerSumPolynomial({(2, 1): 3, (): 1}), ["terms"]),
+    (FundamentalQSym(3, {DescentSet(3, frozenset({1})): 2}), ["n", "terms"]),
+    (DescentSet(4, frozenset({1, 3})), ["n", "members"]),
+]
+
+
+@pytest.mark.parametrize(
+    "value, fields", VALUES, ids=[type(value).__name__ for value, _ in VALUES]
+)
+def test_values_are_immutable_and_picklable(value, fields):
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value) and copy == value
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(copy, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == copy
+    if isinstance(value, ArcWeights):  # its weights are a dict
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(copy) == hash(value)

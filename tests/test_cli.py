@@ -1,7 +1,9 @@
 import io
 import json
+import multiprocessing
 import random
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -32,13 +34,14 @@ def run(capsys, *argv):
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """A stand-in pool that records its size and runs chunks inline, so no
-    process is started whatever --jobs says; returns the recorded sizes."""
+    """A stand-in pool that records its size and maps ranges inline, in
+    order and lazily as ``Pool.imap`` does, so no process is started
+    whatever --jobs says; returns the recorded sizes."""
     sizes = []
 
     class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, processes):
+            sizes.append(processes)
 
         def __enter__(self):
             return self
@@ -46,11 +49,9 @@ def inline_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            result = fn(*args)
-            return type("Done", (), {"result": lambda self: result})()
+        imap = staticmethod(map)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "Pool", InlinePool)
     return sizes
 
 
@@ -426,6 +427,38 @@ class TestVerify:
         assert code == 0
         assert err == ""
         assert "lemmas: 2/2 pass" in out
+
+    def test_random_two_cycle_free_stream(self, capsys):
+        instances = list(cli._stream("two-cycle-free", False, 50, 6, 3))
+        assert len(instances) == 50
+        assert all(d.is_two_cycle_free() for d in instances)
+        assert max(len(list(d.arcs())) for d in instances) > 6
+        argv = ["--random", "50", "--max-n", "6", "--seed", "3", "--jobs", "1"]
+        code, out, _ = run(capsys, "verify", "thm3", *argv)
+        assert code == 0 and "thm3: 50/50 pass" in out
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the workers see the injected check only when forked",
+    )
+    def test_first_failure_stops_the_workers(self, capsys, monkeypatch):
+        # at --jobs 2 the 16 digraphs split into #0-7 and #8-15: #0 fails,
+        # and #8, the first of the later range, would take 30 s
+        def broken(d):
+            if sum(row << (u * d.n) for u, row in enumerate(d.rows)) == 8:
+                time.sleep(30)
+            return d.rows != (0, 0), {}
+
+        monkeypatch.setitem(cli._CHECKS, "zeta", ("digraph", broken, 9))
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        args = ["verify", "zeta", "--exhaustive", "2"]
+        serial = run(capsys, *args, "--jobs", "1")
+        start = time.monotonic()
+        assert run(capsys, *args, "--jobs", "2") == serial
+        assert time.monotonic() - start < 5
+        assert multiprocessing.active_children() == []
+        code, out, _ = serial
+        assert code == 1 and "zeta: 0/1 pass" in out
 
     def test_random_sweep_reproducible(self, capsys):
         args = ["verify", "berge", "--random", "20", "--max-n", "5", "--seed", "7"]

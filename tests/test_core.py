@@ -308,6 +308,19 @@ class TestPowerSumRoutes:
         with pytest.raises(ValueError):
             redei_berge_two_cycle_free(REMARK)
 
+    @pytest.mark.parametrize(
+        "terms, member",
+        [
+            ({(1, 1, 1): 3, (3,): 2, (5, 3, 1): 4}, True),
+            ({(1, 1): 1, (2,): 2}, False),  # an even part
+            ({(1,): Fraction(1, 2)}, False),  # not an integer
+            ({(1, 1): -1}, False),  # negative
+            ({(3, 3, 1): 2}, False),  # two parts above 1 ask for 4 | c
+        ],
+    )
+    def test_doubled_odd_cone_membership(self, terms, member):
+        assert in_doubled_odd_cone(P(terms)) is member
+
     def test_acyclic_path_digraph(self):
         d = Digraph(3, [(0, 1), (1, 2)])
         f = redei_berge_two_cycle_free(d)

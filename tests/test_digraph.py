@@ -64,6 +64,17 @@ class TestConstruction:
             Digraph.from_rows(n, rows)
 
     @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([0, 1, 2], "expected 2 rows, got 3"),
+            ([1, 4], "row bitmask has bits outside 0..n-1"),  # 4 is vertex 2
+        ],
+    )
+    def test_from_rows_rejects_bad_rows(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Digraph.from_rows(2, rows)
+
+    @pytest.mark.parametrize(
         "generate",
         [
             random_digraph,

@@ -2,9 +2,11 @@
 listing or permutation: the n! sums live only in the oracles, which only
 the command line imports.  The cycle-sum engine imports no ``fractions``.
 Every size cap is enforced by the one refusal helper in ``limits``, whose
-message names the count and the cap."""
+message names the count and the cap.  Every value type is a frozen slotted
+dataclass, with no hand-written immutability."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -52,6 +54,30 @@ def test_production_module_enumerates_no_permutations(module):
     path = Path(redei_berge.__file__).with_name(module)
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert not names_used(tree) & ENUMERATORS
+
+
+HAND_WRITTEN = {"__setattr__", "__delattr__", "__reduce__", "__slots__"}
+
+
+@pytest.mark.parametrize("module", PRODUCTION)
+def test_value_types_are_frozen_slotted_dataclasses(module):
+    path = Path(redei_berge.__file__).with_name(module)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = {
+        node.name if isinstance(node, ast.FunctionDef) else node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    assert not defined & HAND_WRITTEN
+    loaded = importlib.import_module(f"redei_berge.{module[:-3]}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            if issubclass(getattr(loaded, node.name), BaseException):
+                continue
+            assert [ast.unparse(d) for d in node.decorator_list] == [
+                "dataclass(frozen=True, slots=True)"
+            ], node.name
 
 
 def imported_modules(tree: ast.AST) -> set[str]:
