@@ -67,7 +67,7 @@ class Digraph:
             raise ValueError(f"expected {n} rows, got {len(rows)}")
         mask = (1 << n) - 1
         if any(r & ~mask for r in rows):
-            raise ValueError("row bitmask has bits outside 0..n-1")
+            raise ValueError(f"row bitmask has bits outside 0..{n - 1}")
         d = cls.__new__(cls)
         object.__setattr__(d, "n", n)
         object.__setattr__(d, "rows", tuple(rows))

@@ -53,11 +53,14 @@ over it are the engine behind every route in :mod:`core` and the odd-cycle
 count.  One path table serves every root of a call, and it extends each
 path only through the members of the subsets it reads, from the cached
 member table :func:`_members` that also lists the exact DP's high-half
-sets.  Each of those routes refuses more than ``CYCLE_SUM_CAP`` vertices
-before building a table.  The engine runs on plain ``int``s only: a route
-with rational weights scales them to integers first and divides once per
-output coefficient (see :mod:`core`), so no ``Fraction`` enters its inner
-loops.
+sets.  The partition sum keeps one list of terms per covered vertex set,
+indexed by the partitions of its size in the canonical order of the cached
+table :func:`_partition_table`, which also says where each term goes when
+a block is added; so its result comes out in canonical order.  Each of
+those routes refuses more than ``CYCLE_SUM_CAP`` vertices before building
+a table.  The engine runs on plain ``int``s only: a route with rational
+weights scales them to integers first and divides once per output
+coefficient (see :mod:`core`), so no ``Fraction`` enters its inner loops.
 """
 
 from __future__ import annotations
@@ -276,25 +279,61 @@ def _cycle_sums(
     return sums
 
 
+@cache
+def _partition_table(n: int) -> tuple[tuple, tuple]:
+    """``shapes[c]``, the partitions of each c <= n in canonical order
+    (largest first part first, then the same on the rest), and
+    ``grow[c][k][i]``, the index of ``shapes[c][i]`` plus a part k among
+    ``shapes[c + k]`` (``grow[c][0]`` is empty: no block is empty).  Every
+    caller is capped, so the cache holds at most ``CYCLE_SUM_CAP + 1``
+    tables."""
+    shapes = [((),)]
+    for c in range(1, n + 1):
+        shapes.append(
+            tuple(
+                (first, *rest)
+                for first in range(c, 0, -1)
+                for rest in shapes[c - first]
+                if not rest or rest[0] <= first
+            )
+        )
+    index = [{shape: i for i, shape in enumerate(row)} for row in shapes]
+    grow = []
+    for c, row in enumerate(shapes):
+        into = [()]
+        for k in range(1, n - c + 1):
+            grown = [tuple(sorted((*shape, k), reverse=True)) for shape in row]
+            into.append(tuple(index[c + k][shape] for shape in grown))
+        grow.append(tuple(into))
+    return tuple(shapes), tuple(grow)
+
+
 def _partition_sum(n: int, block_weight: Sequence[int]) -> dict[tuple[int, ...], int]:
     """Sum, over the set partitions of 0..n-1, of the product of the
     ``int``s ``block_weight[B]`` over the blocks B (bitmasks), keyed by the
-    partition of block sizes.  The next block always holds the lowest
-    uncovered vertex, so each set partition is built once: O(3^n) block
-    choices.
+    partition of block sizes, in canonical order.  The next block always
+    holds the lowest uncovered vertex, so each set partition is built once:
+    O(3^n) block choices.
 
-    A state's partition is one packed ``int``: field k, of
-    ``n.bit_length()`` bits, holds the number of blocks of size k.  No size
-    occurs more than n times, so no field carries into the next, and adding
-    a block of size k adds ``1 << k * bits``.
+    The state of a covered set of c vertices is a list of terms, one per
+    partition of c in the order of :func:`_partition_table`, freed once
+    read.  Each state lists its nonzero terms once, and a block of size k
+    adds each into the term of its shape grown by k.
     """
-    bits = n.bit_length()
+    shapes, grow = _partition_table(n)
     full = (1 << n) - 1
-    states: dict[int, dict[int, int]] = {0: {0: 1}}
+    states: list[list[int] | None] = [None] * (1 << n)
+    states[0] = [1]
     for covered in range(full):
-        terms = states.pop(covered, None)
-        if not terms:
+        terms = states[covered]
+        if terms is None:
             continue
+        states[covered] = None
+        live = [(i, t) for i, t in enumerate(terms) if t]
+        if not live:
+            continue
+        c = covered.bit_count()
+        moves = grow[c]
         low = ~covered & (covered + 1)  # the lowest uncovered vertex
         rest = full & ~covered & ~low
         sub = rest
@@ -302,20 +341,18 @@ def _partition_sum(n: int, block_weight: Sequence[int]) -> dict[tuple[int, ...],
             block = sub | low
             weight = block_weight[block]
             if weight:
-                step = 1 << block.bit_count() * bits
-                target = states.setdefault(covered | block, {})
-                for shape, coeff in terms.items():
-                    grown = shape + step
-                    target[grown] = target.get(grown, 0) + coeff * weight
+                k = block.bit_count()
+                target = states[covered | block]
+                if target is None:
+                    target = states[covered | block] = [0] * len(shapes[c + k])
+                g = moves[k]
+                for i, t in live:
+                    target[g[i]] += t * weight
             if not sub:
                 break
             sub = (sub - 1) & rest
-    field = (1 << bits) - 1
-    return {
-        tuple(k for k in range(n, 0, -1) for _ in range(shape >> k * bits & field)): c
-        for shape, c in states.get(full, {}).items()
-        if c
-    }
+    terms = states[full]
+    return {shape: t for shape, t in zip(shapes[n], terms or ()) if t}
 
 
 def _indicator(d: Digraph) -> list[list[int]]:

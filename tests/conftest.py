@@ -8,7 +8,9 @@ expansion.  ``FIVE_TOURNAMENT`` is a 5-vertex tournament with 9 Hamiltonian
 paths.  ``weighted_path_sum`` is a Held--Karp subset DP over weighted
 Hamiltonian paths in ``Fraction`` arithmetic, and ``weighted_cycle_sums`` one
 over the weighted Hamiltonian cycles of every vertex set in ``int``s, both
-written without the package.
+written without the package.  ``packed_partition_sum`` is the package's
+set-partition sum on packed-field shape keys in place of list-indexed ones,
+the oracle of that sum.
 """
 
 from fractions import Fraction
@@ -82,3 +84,45 @@ def weighted_cycle_sums(n: int, w, roots: int) -> list[int]:
                         if not mask >> u & 1:
                             ending[high | 1 << u - r - 1][u] += value * w[v][u]
     return sums
+
+
+def packed_partition_sum(n: int, block_weight) -> dict[tuple[int, ...], int]:
+    """Sum, over the set partitions of 0..n-1, of the product of the
+    ``int``s ``block_weight[B]`` over the blocks B (bitmasks), keyed by the
+    partition of block sizes.  The next block always holds the lowest
+    uncovered vertex, so each set partition is built once: O(3^n) block
+    choices.
+
+    A state's partition is one packed ``int``: field k, of
+    ``n.bit_length()`` bits, holds the number of blocks of size k.  No size
+    occurs more than n times, so no field carries into the next, and adding
+    a block of size k adds ``1 << k * bits``.
+    """
+    bits = n.bit_length()
+    full = (1 << n) - 1
+    states: dict[int, dict[int, int]] = {0: {0: 1}}
+    for covered in range(full):
+        terms = states.pop(covered, None)
+        if not terms:
+            continue
+        low = ~covered & (covered + 1)  # the lowest uncovered vertex
+        rest = full & ~covered & ~low
+        sub = rest
+        while True:
+            block = sub | low
+            weight = block_weight[block]
+            if weight:
+                step = 1 << block.bit_count() * bits
+                target = states.setdefault(covered | block, {})
+                for shape, coeff in terms.items():
+                    grown = shape + step
+                    target[grown] = target.get(grown, 0) + coeff * weight
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+    field = (1 << bits) - 1
+    return {
+        tuple(k for k in range(n, 0, -1) for _ in range(shape >> k * bits & field)): c
+        for shape, c in states.get(full, {}).items()
+        if c
+    }

@@ -67,7 +67,7 @@ class TestConstruction:
         "rows, message",
         [
             ([0, 1, 2], "expected 2 rows, got 3"),
-            ([1, 4], "row bitmask has bits outside 0..n-1"),  # 4 is vertex 2
+            ([1, 4], "row bitmask has bits outside 0..1"),  # 4 is vertex 2
         ],
     )
     def test_from_rows_rejects_bad_rows(self, rows, message):

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     FIVE_TOURNAMENT,
     THREE_LOOP,
+    packed_partition_sum,
     transitive_tournament,
     weighted_cycle_sums,
     weighted_path_sum,
@@ -35,6 +36,7 @@ from redei_berge.hamilton import (
     _indicator,
     _members,
     _partition_sum,
+    _partition_table,
     _path_parity,
 )
 from redei_berge.oracles import (
@@ -43,7 +45,7 @@ from redei_berge.oracles import (
     is_cycle,
     mixed_cycle_permutations,
 )
-from redei_berge.polynomials import _cleared
+from redei_berge.polynomials import _cleared, _partition_sort_key
 
 
 def brute_force_odd_cycles(d: Digraph) -> int:
@@ -308,7 +310,8 @@ class TestCycleSumEngine:
         assert _partition_sum(0, [1]) == {(): 1}
 
     def test_partition_sum_at_the_cap_keeps_every_packed_field_apart(self):
-        # (1,) * 12 fills all four bits of its field: a carry would move it
+        # every shape of 12 is reached, each from the term lists of its
+        # shapes less one part: the Bell(12) set partitions over 77 shapes
         terms = _partition_sum(12, [1] * 4096)
         assert sum(terms.values()) == 4_213_597  # Bell(12)
         assert len(terms) == 77
@@ -316,6 +319,53 @@ class TestCycleSumEngine:
             orders = math.prod(math.factorial(part) for part in shape)
             repeats = math.prod(math.factorial(shape.count(k)) for k in set(shape))
             assert count == math.factorial(12) // (orders * repeats)
+
+    def test_partition_table_lists_every_partition_in_canonical_order(self):
+        shapes, grow = _partition_table(12)
+        counts = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]  # p(c)
+        assert [len(row) for row in shapes] == counts
+        for c, row in enumerate(shapes):
+            assert list(row) == sorted(row, key=_partition_sort_key)
+            assert all(sum(shape) == c for shape in row)
+            for k in range(1, 13 - c):
+                grown = [shapes[c + k][i] for i in grow[c][k]]
+                assert grown == [tuple(sorted((*shape, k), reverse=True)) for shape in row]
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_partition_sum_matches_the_packed_oracle_with_zeros(self, n):
+        rng = random.Random(700 + n)
+        for _ in range(20):
+            weights = [rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(1 << n)]
+            terms = _partition_sum(n, weights)
+            assert terms == packed_partition_sum(n, weights)
+            assert list(terms) == sorted(terms, key=_partition_sort_key)
+
+    @pytest.mark.parametrize("kind", ["signed", "tournament", "deformed", "apex"])
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_partition_sum_matches_the_packed_oracle_on_route_weights(self, kind, n):
+        # the block weights each route hands the partition sum
+        if kind == "signed":
+            t = [[-arc for arc in row] for row in _indicator(random_digraph(n, seed=n))]
+            s = [[value + 1 for value in row] for row in t]
+            weights = [a - b for a, b in zip(_cycle_sums(n, s), _cycle_sums(n, t))]
+        elif kind == "tournament":
+            here = _cycle_sums(n, _indicator(random_tournament(n, seed=n)))
+            weights = [
+                1 if S.bit_count() == 1 else 2 * here[S] if S.bit_count() % 2 else 0
+                for S in range(1 << n)
+            ]
+        elif kind == "deformed":
+            w = ArcWeights.random(n, seed=n)
+            t, scales = _cleared([[w.t(u, v) for v in range(n)] for u in range(n)])
+            s = [[value + scale for value in row] for row, scale in zip(t, scales)]
+            weights = [a - b for a, b in zip(_cycle_sums(n, s), _cycle_sums(n, t))]
+        else:
+            rows = _indicator(random_digraph(n, seed=n).complement())
+            apex = [[1] * (n + 1)] + [[1, *row] for row in rows]
+            weights = _cycle_sums(n + 1, apex, roots=1)[1::2]
+        terms = _partition_sum(n, weights)
+        assert terms == packed_partition_sum(n, weights)
+        assert list(terms) == sorted(terms, key=_partition_sort_key)
 
     def test_cycle_sums_match_cyclic_orderings_with_signed_weights(self):
         # every cyclic ordering of every subset, its minimal vertex first
