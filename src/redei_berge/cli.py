@@ -28,6 +28,7 @@ from functools import cache, partial
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator, Sequence
 
+from . import hamilton
 from .core import (
     ArcWeights,
     _matches_definition,
@@ -39,25 +40,14 @@ from .core import (
 )
 from .digraph import (
     Digraph,
-    _check_stream,
+    _exhaustive,
     _random_digraph,
     _random_tournament,
-    enumerate_digraphs,
     enumerate_tournaments,
     format_digraph,
     parse_digraph,
 )
-from .hamilton import (
-    _berge_report,
-    _mod4_report,
-    _path_parity,
-    _redei_report,
-    count_hamiltonian_paths,
-    count_nontrivial_odd_cycles,
-    verify_berge,
-    verify_mod4,
-    verify_redei,
-)
+from .hamilton import count_hamiltonian_paths, verify_berge, verify_mod4, verify_redei
 from .limits import (
     CYCLE_SUM_CAP,
     DP_VERTEX_CAP,
@@ -217,14 +207,6 @@ _CHECKS: dict[str, tuple[str, Callable[[Digraph], tuple[bool, dict]], int]] = {
 # ------------------------------------------------------------- sweeps
 
 
-def _exhaustive_instances(kind: str, n: int) -> Iterable[Digraph]:
-    if kind == "tournament":
-        return enumerate_tournaments(n)
-    if kind == "two-cycle-free":
-        return (d for d in enumerate_digraphs(n) if d.is_two_cycle_free())
-    return enumerate_digraphs(n)
-
-
 def _random_two_cycle_free(rng: random.Random, n: int) -> Digraph:
     arcs = []
     for u in range(n):
@@ -254,7 +236,7 @@ def _stream(
 ) -> Iterable[Digraph]:
     """A sweep's instances, rebuilt from plain values in any process."""
     if exhaustive:
-        return _exhaustive_instances(kind, max_n)
+        return _exhaustive(kind, max_n)[1]
     return _random_instances(kind, count, max_n, seed)
 
 
@@ -320,50 +302,38 @@ def _cmd_deformed(args: argparse.Namespace) -> int:
 
 
 def _cmd_hamps(args: argparse.Namespace) -> int:
-    d = _read_digraph(args)
-    hamps = count_hamiltonian_paths(d)
-    is_tournament = d.is_tournament()
-    # a tournament's complement is, loops aside, its converse: the same
-    # paths read backwards; any other complement needs only its parity
-    complement_mod2 = hamps % 2 if is_tournament else _path_parity(d.complement())
-    reports = {"berge": _berge_report(d.n, hamps, complement_mod2)}
-    if is_tournament:
-        reports["redei"] = _redei_report(d.n, hamps % 2)
-        if d.n <= CYCLE_SUM_CAP:
-            reports["mod4"] = _mod4_report(d.n, hamps, count_nontrivial_odd_cycles(d))
+    report = hamilton._hamps_report(_read_digraph(args))
     if args.format == "json":
-        payload = {"n": d.n, "hamps": str(hamps), "tournament": is_tournament}
-        payload.update(reports)
-        print(json.dumps(payload))
+        print(json.dumps(report))
     else:
-        print(f"n = {d.n}")
-        print(f"hamps = {hamps}")
-        if not is_tournament:
+        print(f"n = {report['n']}")
+        print(f"hamps = {report['hamps']}")
+        if not report["tournament"]:
             print("redei/mod4: skipped (not a tournament)")
         else:
-            r = reports["redei"]
+            r = report["redei"]
             print(f"redei: {'pass' if r['pass'] else 'FAIL'} (count mod 2 = {r['hamps_mod2']})")
-            if "mod4" in reports:
-                m = reports["mod4"]
+            if "mod4" in report:
+                m = report["mod4"]
                 print(
                     f"mod4: {'pass' if m['pass'] else 'FAIL'} "
                     f"({m['lhs_mod4']} vs 1 + 2*{m['odd_cycles']} = {m['rhs_mod4']} mod 4)"
                 )
             else:
                 print(f"mod4: skipped (above the cycle-sum cap of {CYCLE_SUM_CAP})")
-        b = reports["berge"]
+        b = report["berge"]
         print(
             f"berge: {'pass' if b['pass'] else 'FAIL'} "
             f"(hamps {b['lhs_mod2']} vs complement {b['rhs_mod2']} mod 2)"
         )
-    return 0 if all(r["pass"] for r in reports.values()) else 1
+    return 0 if all(r["pass"] for r in report.values() if isinstance(r, dict)) else 1
 
 
-def _check_sweep_size(args: argparse.Namespace, kind: str, cap: int) -> None:
-    """Refuses, before any instance is built or checked, a sweep whose sizes
-    are negative or above the target's cap, whose exhaustive stream or
-    random count is above the enumeration cap, or whose worker count is
-    below 1."""
+def _check_sweep_size(args: argparse.Namespace, kind: str, cap: int) -> int:
+    """The number of instances of the sweep.  Refuses, before any instance
+    is built or checked, a sweep whose sizes are negative or above the
+    target's cap, whose exhaustive stream or random count is above the
+    enumeration cap, or whose worker count is below 1."""
     if args.exhaustive is not None:
         flag, n = "--exhaustive", args.exhaustive
     elif args.random < 0:
@@ -374,26 +344,24 @@ def _check_sweep_size(args: argparse.Namespace, kind: str, cap: int) -> None:
     if n < 0:
         raise ValueError(f"{flag} must be nonnegative, got {n}")
     _check_cap(n, f"vertices ({flag})", cap, args.target)
-    if args.exhaustive is not None:
-        _check_stream(n, tournaments=kind == "tournament")
+    total = args.random if args.exhaustive is None else _exhaustive(kind, n)[0]
     if args.jobs is not None and args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    return total
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     kind, _check, cap = _CHECKS[args.target]
-    _check_sweep_size(args, kind, cap)
+    total = _check_sweep_size(args, kind, cap)
     preamble_failures: list[str] = []
     if args.target == "lemmas":
         preamble_failures = _lemma_preamble()
     n = args.exhaustive
     if n is not None:
-        pairs = n * (n - 1) // 2
-        lengths = {"tournament": 2**pairs, "two-cycle-free": 2**n * 3**pairs}
-        spec = (kind, True, lengths.get(kind, 2 ** (n * n)), n, args.seed)
+        spec = (kind, True, total, n, args.seed)
         mode = {"mode": "exhaustive", "n": n}
     else:
-        spec = (kind, False, args.random, args.max_n, args.seed)
+        spec = (kind, False, total, args.max_n, args.seed)
         mode = {
             "mode": "random",
             "count": args.random,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from .kernel import _require_int
@@ -112,15 +113,38 @@ class Digraph:
         return f"Digraph({self.n}, {sorted(self.arcs())!r})"
 
 
-def _check_stream(n: int, tournaments: bool) -> None:
-    """Refuses a stream of all the tournaments (or all the digraphs) on n
-    vertices longer than ``ENUMERATION_CAP``, before its first instance."""
+def _exhaustive(kind: str, n: int) -> tuple[int, Iterator[Digraph]]:
+    """The number of digraphs of ``kind`` ("digraph", "tournament" or
+    "two-cycle-free") on n vertices and a stream of them, refused above
+    ``ENUMERATION_CAP`` before any instance is built.  Each loop or vertex
+    pair is a slot with a fixed tuple of arc choices (None for no arc), and
+    the stream runs through every combination, the first slot fastest:
+
+    - digraphs: the n^2 positions (u, v), row-major, each absent or present;
+    - tournaments: the pairs u < v, lexicographic, each v -> u or u -> v;
+    - two-cycle-free: the n loops, each absent or present, then the pairs
+      u < v, each empty, u -> v or v -> u.
+    """
     _require_int(n, "vertex count")
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    slots = n * (n - 1) // 2 if tournaments else n * n
-    kind = "tournaments" if tournaments else "digraphs"
-    _check_power(2, slots, f"{kind} on {n} vertices", ENUMERATION_CAP, "enumeration")
+    npairs = n * (n - 1) // 2
+    powers, unit = {
+        "digraph": ([(2, n * n)], "digraphs"),
+        "tournament": ([(2, npairs)], "tournaments"),
+        "two-cycle-free": ([(2, n), (3, npairs)], "two-cycle-free digraphs"),
+    }[kind]
+    _check_power(powers, f"{unit} on {n} vertices", ENUMERATION_CAP, "enumeration")
+    pairs = list(itertools.combinations(range(n), 2))
+    if kind == "digraph":
+        slots = [(None, (u, v)) for u in range(n) for v in range(n)]
+    elif kind == "tournament":
+        slots = [((v, u), (u, v)) for u, v in pairs]
+    else:
+        slots = [(None, (u, u)) for u in range(n)]
+        slots += [(None, (u, v), (v, u)) for u, v in pairs]
+    choices = itertools.product(*reversed(slots))  # its last argument fastest
+    return prod(map(len, slots)), (Digraph(n, filter(None, c)) for c in choices)
 
 
 def enumerate_digraphs(n: int) -> Iterator[Digraph]:
@@ -130,12 +154,7 @@ def enumerate_digraphs(n: int) -> Iterator[Digraph]:
     The arc positions are ordered row-major; digraph number i contains the
     j-th position iff bit j of i is set.
     """
-    _check_stream(n, tournaments=False)
-    positions = [(u, v) for u in range(n) for v in range(n)]
-    for index in range(1 << len(positions)):
-        yield Digraph(
-            n, (positions[j] for j in range(len(positions)) if index >> j & 1)
-        )
+    yield from _exhaustive("digraph", n)[1]
 
 
 def enumerate_tournaments(n: int) -> Iterator[Digraph]:
@@ -145,16 +164,7 @@ def enumerate_tournaments(n: int) -> Iterator[Digraph]:
     of the index set means the j-th pair is oriented u -> v, clear means
     v -> u.
     """
-    _check_stream(n, tournaments=True)
-    pairs = list(itertools.combinations(range(n), 2))
-    for index in range(1 << len(pairs)):
-        yield Digraph(
-            n,
-            (
-                (u, v) if index >> j & 1 else (v, u)
-                for j, (u, v) in enumerate(pairs)
-            ),
-        )
+    yield from _exhaustive("tournament", n)[1]
 
 
 def random_digraph(

@@ -24,8 +24,8 @@ Paths are counted by two engines, one exact and one over GF(2):
   at v, and fills them in n in-place rounds of the same step with XOR in
   place of adds, on the same layout at one bit per set: no loop over
   subsets.  It serves the checks that need only a parity:
-  :func:`verify_redei`, and hamps(D^c) in :func:`verify_berge` and in
-  ``redei-berge hamps``.
+  :func:`verify_redei`, and hamps(D^c) of a D that is not a tournament
+  in Berge's report.
 
 :func:`_cuts` is the one layout of both: an ``int`` with one field per
 vertex set, and per vertex v the mask of the fields of the sets without v
@@ -39,13 +39,14 @@ matter to paths: a path visits distinct vertices, so diagonal arcs are
 dropped before counting.  The zero-vertex digraph has exactly one
 Hamiltonian path (the empty list) by convention.
 
-``redei-berge hamps`` runs one exact count, of D, and builds all three
+The reports are built here.  :func:`_hamps_report`, the whole output of
+``redei-berge hamps``, runs one exact count, of D, and builds all three
 reports from it: Berge's with the parity of D^c, Rédei's, and mod 4 with
 the odd cycles, skipped above ``CYCLE_SUM_CAP``, the cap of the cycle-sum
-table that counts them.  For a tournament T it reads the parity of T^c
-from hamps(T): the complement of a tournament is, loops aside, its
-converse, whose Hamiltonian paths are those of T read backwards, so
-hamps(T^c) = hamps(T).
+table that counts them.  Berge's report, shared with :func:`verify_berge`,
+reads the parity of T^c for a tournament T from hamps(T): the complement
+of a tournament is, loops aside, its converse, whose Hamiltonian paths are
+those of T read backwards, so hamps(T^c) = hamps(T).
 
 The cycle-sum table (weighted Hamiltonian cycles of every vertex subset,
 where a single vertex reads its diagonal weight) and the set-partition sum
@@ -391,15 +392,34 @@ def _mod4_report(n: int, hamps: int, odd_cycles: int) -> dict:
     }
 
 
-def _berge_report(n: int, hamps: int, complement_mod2: int) -> dict:
+def _berge_report(d: Digraph, hamps: int, tournament: bool) -> dict:
+    """Berge's report from hamps(d).  The parity of hamps(d^c) is read from
+    the GF(2) table, or, for a tournament, is hamps mod 2: its complement is,
+    loops aside, its converse, whose paths are those of d read backwards."""
+    complement_mod2 = hamps % 2 if tournament else _path_parity(d.complement())
     return {
         "theorem": "berge",
-        "n": n,
+        "n": d.n,
         "hamps": str(hamps),
         "lhs_mod2": hamps % 2,
         "rhs_mod2": complement_mod2,
         "pass": hamps % 2 == complement_mod2,
     }
+
+
+def _hamps_report(d: Digraph) -> dict:
+    """The payload of ``redei-berge hamps``: hamps(d), exact, and every
+    report built from it (Rédei's and mod 4, up to ``CYCLE_SUM_CAP``, for a
+    tournament only)."""
+    hamps = count_hamiltonian_paths(d)
+    tournament = d.is_tournament()
+    report = {"n": d.n, "hamps": str(hamps), "tournament": tournament}
+    report["berge"] = _berge_report(d, hamps, tournament)
+    if tournament:
+        report["redei"] = _redei_report(d.n, hamps % 2)
+        if d.n <= CYCLE_SUM_CAP:
+            report["mod4"] = _mod4_report(d.n, hamps, count_nontrivial_odd_cycles(d))
+    return report
 
 
 def verify_redei(d: Digraph) -> dict:
@@ -424,7 +444,5 @@ def verify_mod4(d: Digraph) -> dict:
 def verify_berge(d: Digraph) -> dict:
     """Check that a digraph and its complement have Hamiltonian-path counts
     of the same parity: the exact count of d, which the report carries, and
-    the GF(2) parity of its complement."""
-    return _berge_report(
-        d.n, count_hamiltonian_paths(d), _path_parity(d.complement())
-    )
+    the parity of its complement (see :func:`_berge_report`)."""
+    return _berge_report(d, count_hamiltonian_paths(d), d.is_tournament())

@@ -9,6 +9,8 @@ and every refusal states the count, its unit and the cap.
 
 from __future__ import annotations
 
+from math import prod
+
 # n! enumerations of listings or permutations, and the backtracking over
 # linear arc subsets (at most A000262(n), 4,596,553 at 9 vertices): the
 # oracles and the lemma battery.  9! = 362,880 listings take about a second.
@@ -36,8 +38,9 @@ DP_VERTEX_CAP = 22
 # Signed sums over the subsets of a finite set (2^size terms).
 SUBSET_CAP = 24
 
-# Instance streams: all digraphs or tournaments on n vertices, random
-# sweeps, cycle colourings.
+# Instance streams, counted by their own instances: all the digraphs,
+# tournaments or two-cycle-free digraphs on n vertices, random sweeps,
+# cycle colourings.
 ENUMERATION_CAP = 2**24
 
 
@@ -52,13 +55,14 @@ def _check_cap(count: int, unit: str, cap: int, name: str) -> None:
         raise CapExceededError(f"{count} {unit} exceeds the {name} cap of {cap}")
 
 
-def _check_power(base: int, exponent: int, unit: str, cap: int, name: str) -> None:
-    """Refuses base^exponent above ``cap`` by comparing the exponent first
-    (base^exponent >= 2^exponent for base >= 2), so a huge count is never
-    built.  The count is written out while exponent times the bit length
-    of base - 1 stays below 64, which keeps it below 2^64, and is named
-    "<base>^<exponent>" from there."""
-    if base > 1 and exponent >= cap.bit_length() or base**exponent > cap:
-        small = exponent * (base - 1).bit_length() < 64  # base^exponent < 2^64
-        count = base**exponent if small else f"{base}^{exponent}"
-        raise CapExceededError(f"{count} {unit} exceeds the {name} cap of {cap}")
+def _check_power(powers: list[tuple[int, int]], unit: str, cap: int, name: str) -> None:
+    """Refuses the product of base^exponent over ``powers`` above ``cap`` by
+    bounding its bit length first (base^exponent >= 2^exponent for base
+    >= 2), so no count of 2^128 or more is ever built.  A refused count is
+    written out below 2^64 and named "<base>^<exponent> * ..." from there;
+    every cap is below 2^64."""
+    bits = sum(e * (b.bit_length() - 1) for b, e in powers if b > 1)  # 2^bits <= count
+    count = prod(b**e for b, e in powers) if bits < 64 else 1 << 64
+    if count > cap:
+        text = " * ".join(f"{b}^{e}" for b, e in powers) if count >> 64 else count
+        raise CapExceededError(f"{text} {unit} exceeds the {name} cap of {cap}")

@@ -308,7 +308,7 @@ def polya_sum(sigma: Sequence[int]) -> FundamentalQSym:
     n = len(sigma)
     cycles = cycles_of(sigma)
     c = len(cycles)
-    _check_power(c, c, "cycle colourings", ENUMERATION_CAP, "enumeration")
+    _check_power([(c, c)], "cycle colourings", ENUMERATION_CAP, "enumeration")
     monomial: dict[frozenset[int], int] = {}  # cut set of alpha -> count
     for colours in itertools.product(range(c), repeat=c):
         used = set(colours)

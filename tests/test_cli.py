@@ -266,7 +266,7 @@ class TestHamps:
             return cycle_sums(*args)
 
         monkeypatch.setattr(hamilton, "_count_dp", counting_dp)
-        monkeypatch.setattr(cli, "_path_parity", counting_parity)
+        monkeypatch.setattr(hamilton, "_path_parity", counting_parity)
         monkeypatch.setattr(hamilton, "_cycle_sums", recording_sums)
         spec = format_digraph(d).replace("\n", ";")
         code, out, _ = run(capsys, "hamps", "--arcs", spec, "--format", "json")
@@ -337,22 +337,6 @@ class TestVerify:
             )
             assert code == 0, target
             assert expected in out, (target, out)
-        # the JSON count, worked out without walking the stream, is its length
-        for target, kind in [
-            ("zeta", "digraph"),
-            ("redei", "tournament"),
-            ("thm3", "two-cycle-free"),
-        ]:
-            length = [
-                sum(1 for _ in cli._exhaustive_instances(kind, n)) for n in range(4)
-            ]
-            counts = []
-            for n in range(4):
-                argv = ["--exhaustive", str(n), "--jobs", "1", "--format", "json"]
-                code, out, _ = run(capsys, "verify", target, *argv)
-                assert code == 0, (target, n)
-                counts.append(json.loads(out)["instances"])
-            assert counts == length, target
 
     @pytest.mark.parametrize(
         "target, n, per_instance", [("thm2", "4", 2), ("thm3", "3", 1)]
@@ -624,6 +608,12 @@ class TestVerify:
                 "--exhaustive 8",
                 "268435456 tournaments on 8 vertices exceeds the enumeration cap",
             ),
+            (
+                "thm3",
+                "--exhaustive 6",
+                "918330048 two-cycle-free digraphs on 6 vertices exceeds the "
+                "enumeration cap of 16777216",
+            ),
             ("zeta", "--random -3", "--random must be nonnegative, got -3"),
             ("zeta", "--random 3 --max-n -1", "--max-n must be nonnegative"),
             ("zeta", "--exhaustive -1", "--exhaustive must be nonnegative"),
@@ -644,7 +634,7 @@ class TestVerify:
         monkeypatch.setitem(cli._CHECKS, target, (kind, no_work, cap))
         monkeypatch.setattr(cli, "_lemma_preamble", no_work)
         monkeypatch.setattr(cli, "_random_instances", no_work)
-        monkeypatch.setattr(cli, "_exhaustive_instances", no_work)
+        monkeypatch.setattr(cli, "_stream", no_work)
         code, out, err = run(capsys, "verify", target, *argv.split(), "--jobs", "1")
         assert code == 2
         assert out == ""
@@ -656,13 +646,29 @@ class TestVerify:
             raise AssertionError("work started before the --jobs check")
 
         monkeypatch.setattr(cli, "_random_instances", no_work)
-        monkeypatch.setattr(cli, "_exhaustive_instances", no_work)
+        monkeypatch.setattr(cli, "_stream", no_work)
         monkeypatch.setattr(cli, "_run_sweep", no_work)
         for argv in (["--exhaustive", "2"], ["--random", "3"]):
             code, out, err = run(capsys, "verify", "zeta", *argv, "--jobs", jobs)
             assert code == 2
             assert out == ""
             assert f"--jobs must be at least 1, got {jobs}" in err
+
+    def test_two_cycle_free_stream_sized_by_its_own_count(self, capsys, monkeypatch):
+        # 2^5 * 3^10 = 1,889,568 two-cycle-free digraphs on 5 vertices are
+        # under the cap, though the 2^25 digraphs they are drawn from are not
+        calls = []
+
+        def recorded(target, spec, jobs, keep_going):
+            calls.append((target, spec))
+            return 0, []
+
+        monkeypatch.setattr(cli, "_run_sweep", recorded)
+        argv = ["--exhaustive", "5", "--jobs", "1", "--format", "json"]
+        code, out, err = run(capsys, "verify", "thm3", *argv)
+        assert (code, err) == (0, "")
+        assert calls == [("thm3", ("two-cycle-free", True, 1889568, 5, 0))]
+        assert json.loads(out)["instances"] == 1889568
 
     def test_sizes_at_the_cap_are_accepted(self, capsys):
         code, out, _ = run(

@@ -223,6 +223,72 @@ class TestEnumeration:
         ):
             next(generate(n))
 
+    @pytest.mark.parametrize(
+        "n, count",
+        [
+            (6, "918330048"),
+            (7, "1338925209984"),
+            (8, "5856458868470016"),  # below 2^64, so written out
+            (9, "2^9 * 3^36"),
+            (3000, "2^3000 * 3^4498500"),
+        ],
+    )
+    def test_two_cycle_free_stream_refused_by_its_own_count(self, n, count):
+        # the refusal comes before the stream or its count is built
+        message = f"{count} two-cycle-free digraphs on {n} vertices"
+        with pytest.raises(
+            CapExceededError,
+            match=f"^{re.escape(message)} exceeds the enumeration cap of 16777216$",
+        ):
+            digraph._exhaustive("two-cycle-free", n)
+
+
+def digraphs_by_counting(n):
+    """The docstring's order: digraph i holds the j-th row-major position
+    iff bit j of i is set."""
+    positions = [(u, v) for u in range(n) for v in range(n)]
+    for i in range(1 << len(positions)):
+        yield Digraph(n, (a for j, a in enumerate(positions) if i >> j & 1))
+
+
+def tournaments_by_counting(n):
+    """The docstring's order: in tournament i the j-th pair u < v is
+    oriented u -> v iff bit j of i is set."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for i in range(1 << len(pairs)):
+        yield Digraph(
+            n, ((u, v) if i >> j & 1 else (v, u) for j, (u, v) in enumerate(pairs))
+        )
+
+
+STREAMS = {
+    "digraph": (range(5), lambda d: True),
+    "tournament": (range(7), Digraph.is_tournament),
+    "two-cycle-free": (range(5), Digraph.is_two_cycle_free),
+}
+
+
+class TestExhaustiveStreams:
+    @pytest.mark.parametrize(
+        "kind, n", [(kind, n) for kind, (sizes, _) in STREAMS.items() for n in sizes]
+    )
+    def test_count_is_the_number_of_distinct_instances_of_the_kind(self, kind, n):
+        count, stream = digraph._exhaustive(kind, n)
+        instances = list(stream)
+        assert len(instances) == len(set(instances)) == count
+        assert all(d.n == n and STREAMS[kind][1](d) for d in instances)
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_two_cycle_free_is_the_filtered_digraph_stream(self, n):
+        filtered = {d for d in enumerate_digraphs(n) if d.is_two_cycle_free()}
+        assert set(digraph._exhaustive("two-cycle-free", n)[1]) == filtered
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_binary_counting_order(self, n):
+        if n <= 3:
+            assert list(enumerate_digraphs(n)) == list(digraphs_by_counting(n))
+        assert list(enumerate_tournaments(n)) == list(tournaments_by_counting(n))
+
 
 class TestRandomGeneration:
     def test_deterministic_per_seed(self):

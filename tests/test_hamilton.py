@@ -526,6 +526,18 @@ class TestBerge:
             d = random_digraph(n, 0.5, seed=rng.getrandbits(32))
             assert verify_berge(d)["pass"]
 
+    def test_tournament_builds_no_parity_table(self, monkeypatch):
+        # a tournament's complement is its converse with loops, so the
+        # report reads the complement's parity from the exact count
+        def no_table(g):
+            raise AssertionError("parity table built for a tournament")
+
+        monkeypatch.setattr(hamilton, "_path_parity", no_table)
+        tournaments = [t for n in range(6) for t in enumerate_tournaments(n)]
+        for t in tournaments + [random_tournament(14, seed=5)]:
+            report = verify_berge(t)
+            assert report["pass"] and report["rhs_mod2"] == 1
+
 
 class TestParityCaps:
     @pytest.mark.parametrize("verify", [verify_redei, verify_berge])

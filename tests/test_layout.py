@@ -104,6 +104,22 @@ def test_only_the_cli_imports_the_oracles(module):
     assert imports_oracles == (module == "cli.py")
 
 
+def test_cli_imports_no_private_name_from_hamilton():
+    # the hamps reports are built in hamilton, next to the path engines
+    path = Path(redei_berge.__file__).with_name("cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "hamilton"
+        for alias in node.names
+    ]
+    assert "count_hamiltonian_paths" in imported
+    assert not [name for name in imported if name.startswith("_")]
+    builders = {"_berge_report", "_redei_report", "_mod4_report", "_path_parity"}
+    assert not names_used(tree) & (builders | {"count_nontrivial_odd_cycles"})
+
+
 def test_cycle_sum_engine_has_no_fractions():
     # rationals are cleared to ints before the engine and divided out after
     path = Path(redei_berge.__file__).with_name("hamilton.py")
