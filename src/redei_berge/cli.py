@@ -26,7 +26,7 @@ import random
 import sys
 from functools import cache, partial
 from multiprocessing import Pool
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import hamilton
 from .core import (
@@ -41,8 +41,7 @@ from .core import (
 from .digraph import (
     Digraph,
     _exhaustive,
-    _random_digraph,
-    _random_tournament,
+    _random,
     enumerate_tournaments,
     format_digraph,
     parse_digraph,
@@ -207,48 +206,28 @@ _CHECKS: dict[str, tuple[str, Callable[[Digraph], tuple[bool, dict]], int]] = {
 # ------------------------------------------------------------- sweeps
 
 
-def _random_two_cycle_free(rng: random.Random, n: int) -> Digraph:
-    arcs = []
-    for u in range(n):
-        if rng.random() < 0.5:
-            arcs.append((u, u))
-        for v in range(u + 1, n):
-            arcs.append(rng.choice([None, (u, v), (v, u)]))
-    return Digraph(n, (a for a in arcs if a is not None))
-
-
-def _random_instances(
-    kind: str, count: int, max_n: int, seed: int | None
-) -> Iterator[Digraph]:
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(0, max_n)
-        if kind == "tournament":
-            yield _random_tournament(rng, n)
-        elif kind == "two-cycle-free":
-            yield _random_two_cycle_free(rng, n)
-        else:
-            yield _random_digraph(rng, n, 0.5)
-
-
 def _stream(
     kind: str, exhaustive: bool, count: int, max_n: int, seed: int
-) -> Iterable[Digraph]:
-    """A sweep's instances, rebuilt from plain values in any process."""
+) -> Iterator[tuple[int, Sequence]]:
+    """A sweep's instances as (n, slot choices) pairs, rebuilt from plain
+    values in any process; ``Digraph(n, filter(None, choices))`` builds one."""
     if exhaustive:
-        return _exhaustive(kind, max_n)[1]
-    return _random_instances(kind, count, max_n, seed)
+        return zip(itertools.repeat(max_n), _exhaustive(kind, max_n)[1])
+    rng = random.Random(seed)
+    sizes = (rng.randint(0, max_n) for _ in range(count))
+    return ((n, _random(rng, kind, n)) for n in sizes)
 
 
 def _sweep_chunk(
     target: str, spec: tuple, jobs: int, keep_going: bool, k: int
 ) -> list[tuple[int, str, dict]]:
     """The failures in range k of ``jobs``: indices total*k // jobs up to
-    total*(k+1) // jobs of ``_stream(*spec)``, rebuilt in this process."""
+    total*(k+1) // jobs of ``_stream(*spec)``, built only inside that range."""
     check = _CHECKS[target][1]
     start, stop = spec[2] * k // jobs, spec[2] * (k + 1) // jobs
     failures = []
-    for i, d in enumerate(itertools.islice(_stream(*spec), start, stop), start):
+    for i, (n, c) in enumerate(itertools.islice(_stream(*spec), start, stop), start):
+        d = Digraph(n, filter(None, c))
         ok, detail = check(d)
         if not ok:
             failures.append((i, format_digraph(d), detail))

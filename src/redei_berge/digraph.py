@@ -3,6 +3,9 @@
 A digraph is a vertex count n plus an n x n arc-presence matrix; loops are
 allowed and survive complementation.  Arcs are stored as per-row bitmasks
 so that predicates reduce to integer bit operations.
+
+Each instance kind is one table of slots, loops or vertex pairs with their
+arc choices; the exhaustive and random streams pick one choice per slot.
 """
 
 from __future__ import annotations
@@ -113,18 +116,34 @@ class Digraph:
         return f"Digraph({self.n}, {sorted(self.arcs())!r})"
 
 
-def _exhaustive(kind: str, n: int) -> tuple[int, Iterator[Digraph]]:
-    """The number of digraphs of ``kind`` ("digraph", "tournament" or
-    "two-cycle-free") on n vertices and a stream of them, refused above
-    ``ENUMERATION_CAP`` before any instance is built.  Each loop or vertex
-    pair is a slot with a fixed tuple of arc choices (None for no arc), and
-    the stream runs through every combination, the first slot fastest:
+def _slots(kind: str, n: int) -> list[tuple]:
+    """The slots of ``kind`` ("digraph", "tournament" or "two-cycle-free") on
+    n vertices, each a loop or vertex pair with its tuple of arc choices
+    (None for no arc), in the order both instance streams use:
 
     - digraphs: the n^2 positions (u, v), row-major, each absent or present;
     - tournaments: the pairs u < v, lexicographic, each v -> u or u -> v;
     - two-cycle-free: the n loops, each absent or present, then the pairs
       u < v, each empty, u -> v or v -> u.
+
+    >>> _slots("tournament", 3)
+    [((1, 0), (0, 1)), ((2, 0), (0, 2)), ((2, 1), (1, 2))]
+    >>> _slots("two-cycle-free", 2)
+    [(None, (0, 0)), (None, (1, 1)), (None, (0, 1), (1, 0))]
     """
+    pairs = list(itertools.combinations(range(n), 2))
+    if kind == "digraph":
+        return [(None, (u, v)) for u in range(n) for v in range(n)]
+    if kind == "tournament":
+        return [((v, u), (u, v)) for u, v in pairs]
+    loops = [(None, (u, u)) for u in range(n)]
+    return loops + [(None, (u, v), (v, u)) for u, v in pairs]
+
+
+def _exhaustive(kind: str, n: int) -> tuple[int, Iterator[tuple]]:
+    """The number of digraphs of ``kind`` on n vertices, refused above
+    ``ENUMERATION_CAP``, and a stream of every combination of their slot
+    choices, the first slot fastest, each listed from the last slot back."""
     _require_int(n, "vertex count")
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -135,16 +154,17 @@ def _exhaustive(kind: str, n: int) -> tuple[int, Iterator[Digraph]]:
         "two-cycle-free": ([(2, n), (3, npairs)], "two-cycle-free digraphs"),
     }[kind]
     _check_power(powers, f"{unit} on {n} vertices", ENUMERATION_CAP, "enumeration")
-    pairs = list(itertools.combinations(range(n), 2))
-    if kind == "digraph":
-        slots = [(None, (u, v)) for u in range(n) for v in range(n)]
-    elif kind == "tournament":
-        slots = [((v, u), (u, v)) for u, v in pairs]
-    else:
-        slots = [(None, (u, u)) for u in range(n)]
-        slots += [(None, (u, v), (v, u)) for u, v in pairs]
-    choices = itertools.product(*reversed(slots))  # its last argument fastest
-    return prod(map(len, slots)), (Digraph(n, filter(None, c)) for c in choices)
+    slots = _slots(kind, n)  # product runs its last argument fastest
+    return prod(map(len, slots)), itertools.product(*reversed(slots))
+
+
+def _random(rng: random.Random, kind: str, n: int, arc_probability=0.5) -> list:
+    """One choice per slot of ``kind`` on n vertices, in slot order: the
+    second of two with the given probability, or any of three uniformly."""
+    return [
+        slot[rng.random() < arc_probability] if len(slot) == 2 else rng.choice(slot)
+        for slot in _slots(kind, n)
+    ]
 
 
 def enumerate_digraphs(n: int) -> Iterator[Digraph]:
@@ -154,7 +174,7 @@ def enumerate_digraphs(n: int) -> Iterator[Digraph]:
     The arc positions are ordered row-major; digraph number i contains the
     j-th position iff bit j of i is set.
     """
-    yield from _exhaustive("digraph", n)[1]
+    yield from (Digraph(n, filter(None, c)) for c in _exhaustive("digraph", n)[1])
 
 
 def enumerate_tournaments(n: int) -> Iterator[Digraph]:
@@ -164,7 +184,7 @@ def enumerate_tournaments(n: int) -> Iterator[Digraph]:
     of the index set means the j-th pair is oriented u -> v, clear means
     v -> u.
     """
-    yield from _exhaustive("tournament", n)[1]
+    yield from (Digraph(n, filter(None, c)) for c in _exhaustive("tournament", n)[1])
 
 
 def random_digraph(
@@ -173,37 +193,16 @@ def random_digraph(
     """Digraph with each of the n^2 possible arcs (loops included) present
     independently with the given probability.  Deterministic per seed."""
     _require_int(n, "vertex count")
-    return _random_digraph(random.Random(seed), n, arc_probability)
+    if not 0.0 <= arc_probability <= 1.0:
+        raise ValueError(f"arc probability {arc_probability} outside [0, 1]")
+    choices = _random(random.Random(seed), "digraph", n, arc_probability)
+    return Digraph(n, filter(None, choices))
 
 
 def random_tournament(n: int, seed: int | None = None) -> Digraph:
     """Uniformly random tournament; deterministic per seed."""
     _require_int(n, "vertex count")
-    return _random_tournament(random.Random(seed), n)
-
-
-def _random_digraph(rng: random.Random, n: int, arc_probability: float) -> Digraph:
-    if not 0.0 <= arc_probability <= 1.0:
-        raise ValueError(f"arc probability {arc_probability} outside [0, 1]")
-    return Digraph(
-        n,
-        (
-            (u, v)
-            for u in range(n)
-            for v in range(n)
-            if rng.random() < arc_probability
-        ),
-    )
-
-
-def _random_tournament(rng: random.Random, n: int) -> Digraph:
-    return Digraph(
-        n,
-        (
-            (u, v) if rng.random() < 0.5 else (v, u)
-            for u, v in itertools.combinations(range(n), 2)
-        ),
-    )
+    return Digraph(n, filter(None, _random(random.Random(seed), "tournament", n)))
 
 
 def _number(token: str) -> int | None:

@@ -10,9 +10,13 @@ Hamiltonian paths in ``Fraction`` arithmetic, and ``weighted_cycle_sums`` one
 over the weighted Hamiltonian cycles of every vertex set in ``int``s, both
 written without the package.  ``packed_partition_sum`` is the package's
 set-partition sum on packed-field shape keys in place of list-indexed ones,
-the oracle of that sum.
+the oracle of that sum.  ``drawn_digraph`` and ``drawn_tournament`` draw
+arc by arc from a ``random.Random``, the draws that ``random_digraph``,
+``random_tournament`` and the random sweeps must reproduce.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 from redei_berge import Digraph
@@ -42,6 +46,30 @@ FIVE_TOURNAMENT = Digraph(
 
 def transitive_tournament(n: int) -> Digraph:
     return Digraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def drawn_digraph(rng: random.Random, n: int, arc_probability: float) -> Digraph:
+    if not 0.0 <= arc_probability <= 1.0:
+        raise ValueError(f"arc probability {arc_probability} outside [0, 1]")
+    return Digraph(
+        n,
+        (
+            (u, v)
+            for u in range(n)
+            for v in range(n)
+            if rng.random() < arc_probability
+        ),
+    )
+
+
+def drawn_tournament(rng: random.Random, n: int) -> Digraph:
+    return Digraph(
+        n,
+        (
+            (u, v) if rng.random() < 0.5 else (v, u)
+            for u, v in itertools.combinations(range(n), 2)
+        ),
+    )
 
 
 def weighted_path_sum(n: int, s) -> Fraction:

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import THREE_LOOP
+from conftest import THREE_LOOP, drawn_digraph, drawn_tournament
 from redei_berge import (
     Digraph,
     FundamentalQSym,
@@ -412,11 +412,32 @@ class TestVerify:
         assert err == ""
         assert "lemmas: 2/2 pass" in out
 
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_random_streams_match_the_arc_by_arc_oracles(self, seed):
+        def drawn(kind):
+            rng = random.Random(seed)
+            for _ in range(60):
+                n = rng.randint(0, 12)
+                if kind == "tournament":
+                    yield n, drawn_tournament(rng, n)
+                else:
+                    yield n, drawn_digraph(rng, n, 0.5)
+
+        for kind in ("digraph", "tournament"):
+            stream = cli._stream(kind, False, 60, 12, seed)
+            built = [(n, Digraph(n, filter(None, c))) for n, c in stream]
+            assert built == list(drawn(kind))
+
     def test_random_two_cycle_free_stream(self, capsys):
-        instances = list(cli._stream("two-cycle-free", False, 50, 6, 3))
+        pairs = list(cli._stream("two-cycle-free", False, 50, 6, 3))
+        instances = [Digraph(n, filter(None, c)) for n, c in pairs]
         assert len(instances) == 50
         assert all(d.is_two_cycle_free() for d in instances)
         assert max(len(list(d.arcs())) for d in instances) > 6
+        # choices come in slot order: the n loops, then the pairs u < v
+        loops = {c is None for n, choices in pairs for c in choices[:n]}
+        states = {c and c[0] < c[1] for n, choices in pairs for c in choices[n:]}
+        assert loops == {True, False} and states == {None, True, False}
         argv = ["--random", "50", "--max-n", "6", "--seed", "3", "--jobs", "1"]
         code, out, _ = run(capsys, "verify", "thm3", *argv)
         assert code == 0 and "thm3: 50/50 pass" in out
@@ -490,24 +511,39 @@ class TestVerify:
         assert [f["index"] for f in failures] == [6, 8, 12, 13]
 
     def test_sweep_stops_before_building_the_next_instance(self, capsys, monkeypatch):
-        # random instance #k has k vertices; the check fails on #1, and
-        # building #2 would raise
+        # the check fails on instance #1, and building #2 would raise
         built = []
 
-        def draw(rng, n, arc_probability):
+        def build(n, arcs):
             assert len(built) < 2, "instance #2 was built"
-            built.append(len(built))
-            return Digraph(built[-1])
+            built.append(n)
+            return Digraph(n, arcs)
 
-        def fails_on_one_vertex(d):
-            return d.n != 1, {}
+        def fails_on_the_second(d):
+            return len(built) != 2, {}
 
-        monkeypatch.setattr(cli, "_random_digraph", draw)
-        monkeypatch.setitem(cli._CHECKS, "berge", ("digraph", fails_on_one_vertex, 22))
+        monkeypatch.setattr(cli, "Digraph", build)
+        monkeypatch.setitem(cli._CHECKS, "berge", ("digraph", fails_on_the_second, 22))
         code, out, _ = run(capsys, "verify", "berge", "--random", "5", "--jobs", "1")
         assert code == 1
         assert "1/2 pass" in out and "FAIL at instance #1" in out
-        assert built == [0, 1]
+        assert len(built) == 2
+
+    def test_sweep_range_builds_only_its_own_instances(self, monkeypatch):
+        # range 1 of 2 of the 512 digraphs on 3 vertices skips #0-255 on
+        # their slot choices and builds only #256-511
+        builds = []
+        init = Digraph.__init__
+
+        def counted(self, *args):
+            builds.append(args[0])
+            init(self, *args)
+
+        monkeypatch.setattr(Digraph, "__init__", counted)
+        monkeypatch.setitem(cli._CHECKS, "zeta", ("digraph", lambda d: (True, {}), 9))
+        spec = ("digraph", True, 512, 3, 0)
+        assert cli._sweep_chunk("zeta", spec, 2, False, 1) == []
+        assert builds == [3] * 256
 
     def test_sweep_memory_does_not_grow_with_the_count(self, capsys):
         # an instance list would peak near 11.5 MiB here
@@ -633,7 +669,6 @@ class TestVerify:
         kind, _, cap = cli._CHECKS[target]
         monkeypatch.setitem(cli._CHECKS, target, (kind, no_work, cap))
         monkeypatch.setattr(cli, "_lemma_preamble", no_work)
-        monkeypatch.setattr(cli, "_random_instances", no_work)
         monkeypatch.setattr(cli, "_stream", no_work)
         code, out, err = run(capsys, "verify", target, *argv.split(), "--jobs", "1")
         assert code == 2
@@ -645,7 +680,6 @@ class TestVerify:
         def no_work(*args):
             raise AssertionError("work started before the --jobs check")
 
-        monkeypatch.setattr(cli, "_random_instances", no_work)
         monkeypatch.setattr(cli, "_stream", no_work)
         monkeypatch.setattr(cli, "_run_sweep", no_work)
         for argv in (["--exhaustive", "2"], ["--random", "3"]):

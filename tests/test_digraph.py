@@ -6,7 +6,13 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIVE_TOURNAMENT, REMARK, THREE_LOOP
+from conftest import (
+    FIVE_TOURNAMENT,
+    REMARK,
+    THREE_LOOP,
+    drawn_digraph,
+    drawn_tournament,
+)
 from redei_berge import (
     CapExceededError,
     Digraph,
@@ -274,14 +280,15 @@ class TestExhaustiveStreams:
     )
     def test_count_is_the_number_of_distinct_instances_of_the_kind(self, kind, n):
         count, stream = digraph._exhaustive(kind, n)
-        instances = list(stream)
+        instances = [Digraph(n, filter(None, c)) for c in stream]
         assert len(instances) == len(set(instances)) == count
         assert all(d.n == n and STREAMS[kind][1](d) for d in instances)
 
     @pytest.mark.parametrize("n", range(4))
     def test_two_cycle_free_is_the_filtered_digraph_stream(self, n):
         filtered = {d for d in enumerate_digraphs(n) if d.is_two_cycle_free()}
-        assert set(digraph._exhaustive("two-cycle-free", n)[1]) == filtered
+        stream = digraph._exhaustive("two-cycle-free", n)[1]
+        assert {Digraph(n, filter(None, c)) for c in stream} == filtered
 
     @pytest.mark.parametrize("n", range(6))
     def test_binary_counting_order(self, n):
@@ -298,6 +305,16 @@ class TestRandomGeneration:
     def test_random_tournament_is_tournament(self):
         for seed in range(20):
             assert random_tournament(6, seed=seed).is_tournament()
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_draws_match_the_arc_by_arc_oracles(self, n):
+        for seed in range(8):
+            assert random_tournament(n, seed=seed) == drawn_tournament(
+                random.Random(seed), n
+            )
+            for p in (0, 0.2, 0.5, 0.8, 1):
+                expected = drawn_digraph(random.Random(seed), n, p)
+                assert random_digraph(n, p, seed=seed) == expected
 
     def test_probability_extremes(self):
         assert random_digraph(4, 0.0, seed=1) == Digraph(4)
