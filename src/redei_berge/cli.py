@@ -188,8 +188,9 @@ def _lemma_preamble() -> list[str]:
 
 
 # target: (instance kind, check, vertex cap of the routes the check calls:
-# the cycle-sum engine for the power-sum and definition forms and the odd
-# cycles, the path engines for the parities, n! for the lemmas' sweeps)
+# the cycle-sum engine for the power-sum and definition forms, the same cap
+# for the odd cycles of mod 4 (counted on the exact path table), the path
+# engines for the parities, n! for the lemmas' sweeps)
 _CHECKS: dict[str, tuple[str, Callable[[Digraph], tuple[bool, dict]], int]] = {
     "thm1": ("digraph", _check_thm1, CYCLE_SUM_CAP),
     "thm2": ("tournament", _check_thm2, CYCLE_SUM_CAP),

@@ -4,21 +4,33 @@ and the parity link between a digraph and its complement).
 
 Paths are counted by two engines, one exact and one over GF(2):
 
-- :func:`_count_dp`, the exact count, is the subset DP of Bellman and
-  Held--Karp on a two-level table.  The first ceil(n/2) vertices form the
-  low half; for each set H of the others it keeps one ``int`` per vertex
-  v, whose field L, of ``factorial(n - 1).bit_length()`` bits, counts the
-  paths that cover exactly H + L and end at v.  A high-half end vertex
-  takes its int whole from the entries of H - v, and the low-half end
-  vertices are filled in ceil(n/2) in-place rounds of the AND-and-shift
-  step on the layout of :func:`_cuts`, so no loop visits a low-half set.
-  No field carries into the next, so the count is exact.  Each set's
-  entry is freed after its last reader, so at most half of them are live
-  at once.  On one 2-CPU machine (Python 3.11) it takes about 10 ms at
-  n = 14, and 1.5 s and 75 MB peak RSS at n = 20.  It serves
-  :func:`count_hamiltonian_paths` (the count ``hamps`` prints, the Berge
-  report's ``hamps``, the ``zeta`` and ``lemmas`` checks) and
-  :func:`verify_mod4`.
+- :func:`_path_table`, the exact engine, is the subset DP of Bellman and
+  Held--Karp on a two-level table, over paths that begin at a given set of
+  start vertices.  The first ceil(k/2) of its k vertices form the low
+  half; for each set H of the others it yields one ``int`` per vertex v,
+  whose field L, of a width its caller picks, counts the paths that cover
+  exactly H + L and end at v.  A high-half end vertex takes its int whole
+  from the entries of H - v, and the low-half end vertices are filled in
+  ceil(k/2) in-place rounds of the AND-and-shift step on the layout of
+  :func:`_cuts`, so no loop visits a low-half set.  Each set's entry is
+  freed after its last reader, so at most half of them are live at once.
+  It serves two counts:
+
+  - :func:`_count_dp`, hamps, starts every vertex and reads the last
+    entry, at ``factorial(n - 1).bit_length()`` bits per field.  On one
+    2-CPU machine (Python 3.11) it takes about 10 ms at n = 14, and 1.5 s
+    and 75 MB peak RSS at n = 20.  It serves
+    :func:`count_hamiltonian_paths` (the count ``hamps`` prints, the Berge
+    report's ``hamps``, the ``zeta`` and ``lemmas`` checks) and
+    :func:`verify_mod4`.
+  - :func:`_odd_cycles`, the nontrivial odd cycles behind the mod-4
+    report, counts each cycle at its minimal vertex s as a path through
+    the vertices above s, from an out-neighbour of s to an in-neighbour:
+    one table per root.  On the same machine it takes 1.4 ms at n = 12,
+    where the cycle-sum table it replaced took 4.0 ms, and 6.7 ms at
+    n = 14, above the cap that :func:`count_nontrivial_odd_cycles` keeps.
+
+  No field carries into the next, so both counts are exact.
 - :func:`_path_parity`, hamps mod 2, keeps one 2^n-bit ``int`` per vertex
   v whose bit S is the parity of the paths that cover exactly S and end
   at v, and fills them in n in-place rounds of the same step with XOR in
@@ -42,22 +54,23 @@ Hamiltonian path (the empty list) by convention.
 The reports are built here.  :func:`_hamps_report`, the whole output of
 ``redei-berge hamps``, runs one exact count, of D, and builds all three
 reports from it: Berge's with the parity of D^c, Rédei's, and mod 4 with
-the odd cycles, skipped above ``CYCLE_SUM_CAP``, the cap of the cycle-sum
-table that counts them.  Berge's report, shared with :func:`verify_berge`,
-reads the parity of T^c for a tournament T from hamps(T): the complement
-of a tournament is, loops aside, its converse, whose Hamiltonian paths are
-those of T read backwards, so hamps(T^c) = hamps(T).
+the odd cycles, skipped above ``CYCLE_SUM_CAP``, the cap that
+:func:`count_nontrivial_odd_cycles` keeps.  Berge's report, shared with
+:func:`verify_berge`, reads the parity of T^c for a tournament T from
+hamps(T): the complement of a tournament is, loops aside, its converse,
+whose Hamiltonian paths are those of T read backwards, so
+hamps(T^c) = hamps(T).
 
 The cycle-sum table (weighted Hamiltonian cycles of every vertex subset,
 where a single vertex reads its diagonal weight) and the set-partition sum
-over it are the engine behind every route in :mod:`core` and the odd-cycle
-count.  One path table serves every root of a call, and it extends each
-path only through the members of the subsets it reads, from the cached
-member table :func:`_members` that also lists the exact DP's high-half
-sets.  The partition sum keeps one list of terms per covered vertex set,
-indexed by the partitions of its size in the canonical order of the cached
-table :func:`_partition_table`, which also says where each term goes when
-a block is added; so its result comes out in canonical order.  Each of
+over it are the engine behind every route in :mod:`core`.  One path table
+serves every root of a call, and it extends each path only through the
+members of the subsets it reads, from the cached member table
+:func:`_members` that also lists the sets of :func:`_path_table`.  The
+partition sum keeps one list of terms per covered vertex set, indexed by
+the partitions of its size in the canonical order of the cached table
+:func:`_partition_table`, which also says where each term goes when a
+block is added; so its result comes out in canonical order.  Each of
 those routes refuses more than ``CYCLE_SUM_CAP`` vertices before building
 a table.  The engine runs on plain ``int``s only: a route with rational
 weights scales them to integers first and divides once per output
@@ -68,7 +81,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .digraph import Digraph
 from .limits import CYCLE_SUM_CAP, DP_VERTEX_CAP, _check_cap
@@ -93,71 +106,96 @@ def count_hamiltonian_paths(d: Digraph) -> int:
 
 
 def _count_dp(d: Digraph) -> int:
-    """hamps(d), exact, from a two-level table.  The first ceil(n/2)
-    vertices form the low half and the others the high half.  For each
-    high-half set H, in increasing order, the table keeps one ``int`` per
-    vertex v, whose field L (a low-half set), of
-    ``factorial(n - 1).bit_length()`` bits, counts the paths that cover
-    exactly H + L and end at v.
-
-    - A high v in H: the sum of its predecessors' ints for H - v, plus the
-      path {v} itself when H = {v}.  Whole-int adds, no loop over L.
-    - A low v: ceil(n/2) rounds, each setting v's int to the sum of its
-      predecessors' ints, cut to the fields without v and shifted by 2^v
-      fields (L to L + v), the layout of :func:`_cuts`.  The high
-      predecessors' part of that sum is fixed for H and added once.
-      A round reads the low ints as they stand, updated or not; every
-      field only grows towards its count, so after k rounds each field
-      with |L| <= k is exact.
-
-    A field counts the paths that end at one vertex, at most (n - 1)!,
-    or, in a round's sum, the paths of a set S ending anywhere, at most
-    |S|!.  That exceeds (n - 1)! only for the full set, whose field is the
-    top one and contains v: the cut clears it, and its carry leaves the
-    int above every field, where the cut clears it too.  So no field
+    """hamps(d), exact, from the last entry of :func:`_path_table` with every
+    vertex a start, at ``factorial(n - 1).bit_length()`` bits per field.  A
+    field counts the paths that end at one vertex, at most (n - 1)!, or, in
+    a round's sum, the paths of a set S ending anywhere, at most |S|!.  That
+    exceeds (n - 1)! only for the full set, whose field is the top one and
+    contains the vertex it ends at: the cut clears it, and its carry leaves
+    the int above every field, where the cut clears it too.  So no field
     carries into the next, and the count read from the top fields of the
     full set is exact.
-
-    The entry of H is read last by H plus the highest high vertex outside
-    H, and freed there.  Every set that holds the top high vertex frees at
-    least the set without it, so at most half the entries, plus the one
-    being built, are live at once: of the table's 2^n n width bits, about
-    0.45 at n = 14.
     """
     n = d.n
     if not n:
         return 1  # the empty path
     width = factorial(n - 1).bit_length()
-    low_n = (n + 1) // 2
-    high_members = _members(n - low_n)
-    # per vertex v: its loop-free low predecessors, and its high
-    # predecessors as a high-half mask
-    preds = []
-    for v in range(n):
-        tails = [u for u, row in enumerate(d.rows) if u != v and row >> v & 1]
-        low = [u for u in tails if u < low_n]
-        preds.append((low, sum(1 << u - low_n for u in tails if u >= low_n)))
-    # per low vertex v: its predecessors and its cut
-    lows = [(v, preds[v][0], *cut) for v, cut in enumerate(_cuts(low_n, width))]
+    for ends in _path_table(_in_masks(d), (1 << n) - 1, width):
+        pass  # only the last entry, the full high half, is read
+    # no int holds a bit above its top field, the full low-half set
+    top = ((1 << (n + 1) // 2) - 1) * width
+    return sum(end >> top for end in ends)
+
+
+def _in_masks(d: Digraph) -> list[int]:
+    """Per vertex v, the mask of the u != v with an arc u -> v."""
+    ins = [0] * d.n
+    for u, row in enumerate(d.rows):
+        row &= ~(1 << u)
+        while row:
+            v = (row & -row).bit_length() - 1
+            ins[v] |= 1 << u
+            row &= row - 1
+    return ins
+
+
+def _path_table(preds: Sequence[int], start: int, width: int) -> Iterator[list[int]]:
+    """The exact two-level path table on k = ``len(preds)`` vertices, one
+    entry at a time: ``preds[v]`` is the mask of v's in-neighbours (no
+    loops), and a path may begin only at a vertex of the mask ``start``.
+    The first ceil(k/2) vertices form the low half and the others the high
+    half.  For each high-half set H, in increasing order, it yields one
+    ``int`` per vertex v, whose field L (a low-half set), of ``width`` bits,
+    counts the paths from ``start`` that cover exactly H + L and end at v.
+    The caller picks ``width`` so that no field carries into the next.
+
+    - A high v in H: the sum of its predecessors' ints for H - v, plus the
+      path {v} itself when H = {v} and v is a start.  Whole-int adds, no
+      loop over L.
+    - A low v: ceil(k/2) rounds, each setting v's int to the sum of its
+      predecessors' ints, cut to the fields without v and shifted by 2^v
+      fields (L to L + v), the layout of :func:`_cuts`.  The high
+      predecessors' part of that sum is fixed for H and added once.
+      A round reads the low ints as they stand, updated or not; every
+      field only grows towards its count, so after r rounds each field
+      with |L| <= r is exact.
+
+    The entry of H is read last by H plus the highest high vertex outside
+    H, and freed there.  Every set that holds the top high vertex frees at
+    least the set without it, so at most half the entries, plus the one
+    being built, are live at once: of the table's 2^k k width bits, about
+    0.45 at k = 14.
+    """
+    k = len(preds)
+    low_n = (k + 1) // 2
+    low = (1 << low_n) - 1
+    high_start = start >> low_n
+    # low_n >= k - low_n, so one member table lists both halves' sets
+    members = _members(low_n)
+    # per high vertex: its low predecessors, and its high predecessors as
+    # a high-half mask; per low vertex: its predecessors and its cut
+    highs = [(members[p & low], p >> low_n) for p in preds[low_n:]]
+    cuts = _cuts(low_n, width)
+    lows = [(v, members[preds[v] & low], *cut) for v, cut in enumerate(cuts)]
     table = []
-    for high in range(1 << n - low_n):
-        ends = [0] * n
-        for j in high_members[high]:
-            low_preds, high_preds = preds[low_n + j]
+    for high in range(1 << k - low_n):
+        ends = [0] * k
+        for j in members[high]:
+            low_preds, high_preds = highs[j]
             below = table[high ^ 1 << j]
-            total = int(high == 1 << j)  # the path {v}
+            total = high_start >> j & 1 if high == 1 << j else 0  # the path {v}
             for u in low_preds:
                 total += below[u]
-            for k in high_members[high_preds & high]:
-                total += below[low_n + k]
+            for i in members[high_preds & high]:
+                total += below[low_n + i]
             ends[low_n + j] = total
         # the paths that enter each low v from the high half; with H empty,
-        # the empty path, which v extends to the path {v}
+        # the empty path, which a start v extends to the path {v}
         entering = []
-        for _, high_preds in preds[:low_n]:
-            total = 0 if high else 1
-            for k in high_members[high_preds & high]:
-                total += ends[low_n + k]
+        for v in range(low_n):
+            total = 0 if high else start >> v & 1
+            for i in members[preds[v] >> low_n & high]:
+                total += ends[low_n + i]
             entering.append(total)
         for _ in range(low_n):
             for (v, low_preds, without, shift), total in zip(lows, entering):
@@ -165,14 +203,13 @@ def _count_dp(d: Digraph) -> int:
                     total += ends[u]
                 ends[v] = (total & without) << shift
         table.append(ends)
+        yield ends
         # H - j is read last here when j and every high vertex above it
         # are in H: each later set that holds H - j holds j too
-        j = n - low_n - 1
+        j = k - low_n - 1
         while j >= 0 and high >> j & 1:
             table[high ^ 1 << j] = None
             j -= 1
-    # no int holds a bit above its top field, the full low-half set
-    return sum(end >> ((1 << low_n) - 1) * width for end in table[-1])
 
 
 def _path_parity(d: Digraph) -> int:
@@ -362,11 +399,76 @@ def _indicator(d: Digraph) -> list[list[int]]:
 
 def count_nontrivial_odd_cycles(d: Digraph) -> int:
     """Number of rotation classes of odd length > 1 all of whose cyclic
-    arcs are present, summed from the cycle-sum table over the odd vertex
-    sets of size at least 3."""
+    arcs are present: per minimal vertex s, the paths through larger
+    vertices from an out-neighbour of s to an in-neighbour of s, over an
+    even number of vertices, counted on the exact path table (see
+    :func:`_odd_cycles`).  Loops play no part.  Refuses more than
+    ``CYCLE_SUM_CAP`` vertices, the gate of the mod-4 report, before any
+    table is built.
+
+    >>> count_nontrivial_odd_cycles(Digraph(3, [(0, 1), (1, 2), (2, 0), (0, 0)]))
+    1
+    """
     _check_cap(d.n, "vertices", CYCLE_SUM_CAP, "cycle-sum")
-    sums = _cycle_sums(d.n, _indicator(d))
-    return sum(c for S, c in enumerate(sums) if (k := S.bit_count()) & 1 and k > 1)
+    return _odd_cycles(d)
+
+
+def _odd_cycles(d: Digraph) -> int:
+    """The count of :func:`count_nontrivial_odd_cycles`, uncapped.  Each
+    cycle is counted at its minimal vertex s, as a path through vertices
+    above s from an out-neighbour of s to an in-neighbour of s: per root,
+    :func:`_path_table` on the k = n - 1 - s vertices above s, started at
+    the out-neighbours of s.  For each H the ends of the in-neighbours of s
+    are summed into one of two accumulators, by the parity of |H|; at the
+    end each is cut to the fields L with |H| + |L| even (so the cycle's set
+    has 1 + |H| + |L| vertices, odd and at least 3: every path has a
+    vertex), and the fields are folded into one once.
+
+    The fields are ``(factorial(k) << k).bit_length()`` bits wide.  A field
+    of the table counts paths of one set, at most k!; an accumulated field
+    sums them over the sets H, at most 2^k k!; and a fold adds fields of
+    one cut sum, whose total is the number of the root's cycles, at most
+    the sum over the subsets S above s of |S|!, below 2^k k!.  So neither
+    the accumulation nor the fold carries into the next field.
+    """
+    n = d.n
+    ins = _in_masks(d)
+    total = 0
+    for s in range(n - 2):  # an odd cycle through s has two more vertices
+        above = s + 1
+        out, back = d.rows[s] >> above, ins[s] >> above
+        if not out or not back:
+            continue
+        k = n - above
+        width, even, odd = _odd_layout(k)
+        closing = [v for v in range(k) if back >> v & 1]
+        sums = [0, 0]  # per parity of |H|
+        preds = [p >> above for p in ins[above:]]
+        for high, ends in enumerate(_path_table(preds, out, width)):
+            parity = high.bit_count() & 1
+            for v in closing:
+                sums[parity] += ends[v]
+        folded = (sums[0] & even) + (sums[1] & odd)
+        bits = width << (k + 1) // 2
+        while bits > width:
+            bits >>= 1
+            folded = (folded & (1 << bits) - 1) + (folded >> bits)
+        total += folded
+    return total
+
+
+@cache
+def _odd_layout(k: int) -> tuple[int, int, int]:
+    """The field width of :func:`_odd_cycles` for a root with k vertices
+    above it, and the masks of the fields L of even and of odd size on the
+    ceil(k/2)-vertex low half, built by doubling.  Every production caller
+    is capped, so k <= ``CYCLE_SUM_CAP`` - 1."""
+    width = (factorial(k) << k).bit_length()
+    even, odd = (1 << width) - 1, 0
+    for v in range((k + 1) // 2):
+        shift = width << v
+        even, odd = even | odd << shift, odd | even << shift
+    return width, even, odd
 
 
 def _redei_report(n: int, hamps_mod2: int) -> dict:

@@ -17,13 +17,17 @@ from math import prod
 FACTORIAL_CAP = 9
 
 # The cycle-sum table (O(2^n n^2)) and the set-partition sum over it
-# (O(3^n)) behind every power-sum, definition and deformed route and the
-# odd-cycle count, and the degree of the p-to-L bridge (2^(n-1) descent
-# sets).  At 12 vertices, first call in a fresh process on a 2-CPU machine,
-# the slowest routes, the two deformed ones, take 0.10-0.15 s each, the
-# power-sum route plus its definition check 0.09-0.10 s, the definition
-# route 0.07-0.08 s and the power-sum and tournament routes 0.01-0.04 s,
-# at most 19 MB peak RSS (BENCH_21.json).
+# (O(3^n)) behind every power-sum, definition and deformed route, and the
+# degree of the p-to-L bridge (2^(n-1) descent sets).  At 12 vertices,
+# first call in a fresh process on a 2-CPU machine, the slowest routes,
+# the two deformed ones, take 0.10-0.15 s each, the power-sum route plus
+# its definition check 0.09-0.10 s, the definition route 0.07-0.08 s and
+# the power-sum and tournament routes 0.01-0.04 s, at most 19 MB peak RSS
+# (BENCH_21.json).  It is also, on purpose, the gate of the odd-cycle
+# count behind the mod-4 report, which runs on the exact path table and
+# would reach 22 vertices: that gate moves with this cap, since above 12
+# the count would run on every tournament `hamps` checks, at about 2.8 ms
+# at 13 vertices and 6.7 ms at 14 (1.4 ms at 12; BENCH_24.json).
 CYCLE_SUM_CAP = 12
 
 # The two path engines.  The exact DP keeps one packed int of 2^ceil(n/2)

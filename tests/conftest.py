@@ -10,7 +10,9 @@ Hamiltonian paths in ``Fraction`` arithmetic, and ``weighted_cycle_sums`` one
 over the weighted Hamiltonian cycles of every vertex set in ``int``s, both
 written without the package.  ``packed_partition_sum`` is the package's
 set-partition sum on packed-field shape keys in place of list-indexed ones,
-the oracle of that sum.  ``drawn_digraph`` and ``drawn_tournament`` draw
+the oracle of that sum.  ``cycle_sum_odd_cycles`` is the package's
+former odd-cycle count, the cycle-sum table summed over the odd vertex
+sets, the oracle of the count on the exact path table.  ``drawn_digraph`` and ``drawn_tournament`` draw
 arc by arc from a ``random.Random``, the draws that ``random_digraph``,
 ``random_tournament`` and the random sweeps must reproduce.
 """
@@ -20,6 +22,7 @@ import random
 from fractions import Fraction
 
 from redei_berge import Digraph
+from redei_berge.hamilton import _cycle_sums, _indicator
 
 THREE_LOOP = Digraph(3, [(0, 1), (1, 1), (2, 2)])
 
@@ -154,3 +157,11 @@ def packed_partition_sum(n: int, block_weight) -> dict[tuple[int, ...], int]:
         for shape, c in states.get(full, {}).items()
         if c
     }
+
+
+def cycle_sum_odd_cycles(d: Digraph) -> int:
+    """Number of nontrivial odd cycles of d: the cycle-sum table (one entry
+    per vertex set, its Hamiltonian cycles) summed over the vertex sets of
+    odd size at least 3."""
+    sums = _cycle_sums(d.n, _indicator(d))
+    return sum(c for S, c in enumerate(sums) if (k := S.bit_count()) & 1 and k > 1)

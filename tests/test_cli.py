@@ -274,10 +274,9 @@ class TestHamps:
         assert counted == [d]
         assert parities == ([] if d.is_tournament() else [d.complement()])
         payload = json.loads(out)
-        if d.n > 12:
-            assert tables == [] and "mod4" not in payload
-        else:
-            assert ("mod4" in payload) == d.is_tournament()
+        # the odd cycles are counted on the path table, at every n
+        assert tables == []
+        assert ("mod4" in payload) == (d.is_tournament() and d.n <= 12)
 
     @staticmethod
     def _reports_match_verify(capsys, d):

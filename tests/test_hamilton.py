@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     FIVE_TOURNAMENT,
     THREE_LOOP,
+    cycle_sum_odd_cycles,
     packed_partition_sum,
     transitive_tournament,
     weighted_cycle_sums,
@@ -33,11 +34,14 @@ from redei_berge import hamilton
 from redei_berge.hamilton import (
     _count_dp,
     _cycle_sums,
+    _in_masks,
     _indicator,
     _members,
+    _odd_cycles,
     _partition_sum,
     _partition_table,
     _path_parity,
+    _path_table,
 )
 from redei_berge.oracles import (
     count_hamiltonian_paths_by_backtracking,
@@ -139,6 +143,34 @@ class TestCounting:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**n * n * width // 64  # 0.625 of the bits
+
+    def test_single_starts_sum_to_the_count_through_n9(self):
+        # every path starts somewhere, so the table started at each {v} in
+        # turn, low half and high half, sums to hamps
+        for n in range(1, 10):
+            width = math.factorial(n - 1).bit_length()
+            top = ((1 << (n + 1) // 2) - 1) * width
+            for d in (random_digraph(n, 0.5, seed=n), random_tournament(n, seed=n)):
+                preds = _in_masks(d)
+                starts = []
+                for v in range(n):
+                    *_, last = _path_table(preds, 1 << v, width)
+                    starts.append(sum(end >> top for end in last))
+                assert sum(starts) == count_hamiltonian_paths(d)
+
+    def test_single_start_in_either_half(self):
+        # a relabelled directed path has one Hamiltonian path, from its
+        # first vertex: a low-half start, then a high-half one
+        n = 9
+        width = math.factorial(n - 1).bit_length()
+        top = ((1 << (n + 1) // 2) - 1) * width
+        for first in (2, 7):
+            order = [first] + [v for v in range(n) if v != first]
+            d = Digraph(n, list(zip(order, order[1:])))
+            preds = _in_masks(d)
+            for v in range(n):
+                *_, last = _path_table(preds, 1 << v, width)
+                assert sum(end >> top for end in last) == (v == first)
 
     def test_member_tables(self):
         for k in range(11):
@@ -301,6 +333,33 @@ class TestOddCycleCounting:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             count_nontrivial_odd_cycles(Digraph(13))
+
+    def test_matches_the_cycle_sum_count_through_n12(self):
+        # tournaments, and random digraphs whose loops must not count
+        for n in range(13):
+            for seed in range(2):
+                t = random_tournament(n, seed=seed)
+                d = random_digraph(n, 0.6, seed=seed)
+                assert n < 2 or any(row >> v & 1 for v, row in enumerate(d.rows))
+                assert count_nontrivial_odd_cycles(t) == cycle_sum_odd_cycles(t)
+                assert count_nontrivial_odd_cycles(d) == cycle_sum_odd_cycles(d)
+
+    def test_complete_digraph_through_n16(self):
+        # the most cycles on n vertices, so the widest fields: C(n, k) sets
+        # of each odd size k >= 3, with (k - 1)! cycles each
+        for n in range(17):
+            complete = Digraph.from_rows(n, ((1 << n) - 1,) * n)  # loops too
+            count = sum(
+                math.comb(n, k) * math.factorial(k - 1) for k in range(3, n + 1, 2)
+            )
+            assert _odd_cycles(complete) == count
+            if n <= 12:
+                assert cycle_sum_odd_cycles(complete) == count
+
+    def test_mod4_congruence_beyond_the_cap(self):
+        for n in range(13, 17):
+            t = random_tournament(n, seed=n)
+            assert _count_dp(t) % 4 == (1 + 2 * _odd_cycles(t)) % 4
 
 
 class TestCycleSumEngine:
@@ -494,6 +553,7 @@ class TestMod4:
 
         monkeypatch.setattr(hamilton, "_count_dp", no_count)
         monkeypatch.setattr(hamilton, "_cycle_sums", no_count)
+        monkeypatch.setattr(hamilton, "_path_table", no_count)
         refusal = "^13 vertices exceeds the cycle-sum cap of 12$"
         with pytest.raises(CapExceededError, match=refusal):
             verify_mod4(random_tournament(13, seed=5))
