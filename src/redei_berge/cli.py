@@ -63,9 +63,9 @@ from .oracles import (
     is_arc_set_of_path_cover,
     is_linear,
     polya_sum,
+    redei_berge_by_signed_perms,
     signed_linear_sum,
     signed_subset_sum,
-    signed_sum_per_perm,
 )
 from .polynomials import PowerSumPolynomial
 
@@ -73,24 +73,26 @@ from .polynomials import PowerSumPolynomial
 # ---------------------------------------------------------------- input
 
 
+def _read_text(path: str) -> str:
+    """The text of the file at ``path``, or of stdin for '-'."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
 def _read_digraph(args: argparse.Namespace) -> Digraph:
     if args.arcs is not None:
         return parse_digraph(args.arcs.replace(";", "\n"))
     if args.input is not None:
-        if args.input == "-":
-            return parse_digraph(sys.stdin.read())
-        with open(args.input, encoding="utf-8") as handle:
-            return parse_digraph(handle.read())
+        return parse_digraph(_read_text(args.input))
     raise ValueError("no digraph given: use --input FILE or --arcs 'n;u v;...'")
 
 
 def _read_weights(args: argparse.Namespace) -> ArcWeights:
     if args.input is None:
         raise ValueError("no weight matrix given: use --input FILE (or '-')")
-    if args.input == "-":
-        return ArcWeights.from_json(sys.stdin.read())
-    with open(args.input, encoding="utf-8") as handle:
-        return ArcWeights.from_json(handle.read())
+    return ArcWeights.from_json(_read_text(args.input))
 
 
 # ------------------------------------------------------------- checks
@@ -145,13 +147,7 @@ def _check_lemmas(d: Digraph) -> tuple[bool, dict]:
     hamps = count_hamiltonian_paths(d.complement())
     if signed_linear_sum(d) != hamps:
         failures.append("signed linear-subset sum != hamps of complement")
-    rebuilt: dict[tuple[int, ...], int] = {}
-    for sigma in itertools.permutations(range(d.n)):
-        weight = signed_sum_per_perm(d, sigma)
-        if weight:
-            key = cycle_type(sigma)
-            rebuilt[key] = rebuilt.get(key, 0) + weight
-    if PowerSumPolynomial(rebuilt) != redei_berge_powersum(d):
+    if redei_berge_by_signed_perms(d) != redei_berge_powersum(d):
         failures.append("per-permutation signed sums do not rebuild the power-sum form")
     for levels in ([1] * d.n, [1 + v % 2 for v in range(d.n)]):
         if count_friendly_listings(d, levels) != friendly_product(d, levels):
@@ -241,13 +237,11 @@ def _run_sweep(
     target: str, spec: tuple, jobs: int, keep_going: bool
 ) -> tuple[int, list[tuple[int, str, dict]]]:
     """Returns (instances checked, failures as (index, edge list, detail)) over
-    the ``spec[2]`` instances of ``_stream(*spec)``, split into ``jobs``
-    ranges (:func:`_sweep_chunk`), so reports do not depend on the job count
-    and no instance list is held.  The ranges are read in order, and without
+    the ``spec[2]`` instances of ``_stream(*spec)``, split into the ``jobs``
+    ranges that :func:`_plan` chose (:func:`_sweep_chunk`), so reports do not
+    depend on the job count and no instance list is held.  The ranges are read in order, and without
     ``keep_going`` the first that fails ends the sweep; leaving the pool
     stops the workers still checking later ranges."""
-    total = spec[2]
-    jobs = max(1, min(jobs, total))
     chunk = partial(_sweep_chunk, target, spec, jobs, keep_going)
     failures = []
     with Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
@@ -255,7 +249,7 @@ def _run_sweep(
             if found and not keep_going:
                 return found[0][0] + 1, found
             failures += found
-    return total, failures
+    return spec[2], failures
 
 
 # -------------------------------------------------------- subcommands
@@ -309,50 +303,44 @@ def _cmd_hamps(args: argparse.Namespace) -> int:
     return 0 if all(r["pass"] for r in report.values() if isinstance(r, dict)) else 1
 
 
-def _check_sweep_size(args: argparse.Namespace, kind: str, cap: int) -> int:
-    """The number of instances of the sweep.  Refuses, before any instance
-    is built or checked, a sweep whose sizes are negative or above the
-    target's cap, whose exhaustive stream or random count is above the
-    enumeration cap, or whose worker count is below 1."""
+def _plan(args: argparse.Namespace) -> tuple[tuple, dict, int]:
+    """The sweep of ``verify``: the spec of :func:`_stream`, the mode fields
+    of the JSON report and the worker count, at most the usable CPUs and
+    the instance count.  Refuses, before any instance is built or checked,
+    a sweep whose sizes are negative or above the target's cap, whose
+    exhaustive stream or random count is above the enumeration cap, or
+    whose worker count is below 1."""
+    kind, _, cap = _CHECKS[args.target]
+
+    def vertices(flag: str, n: int) -> int:
+        if n < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {n}")
+        _check_cap(n, f"vertices ({flag})", cap, args.target)
+        return n
+
     if args.exhaustive is not None:
-        flag, n = "--exhaustive", args.exhaustive
-    elif args.random < 0:
-        raise ValueError(f"--random must be nonnegative, got {args.random}")
-    else:
-        _check_cap(args.random, "random instances", ENUMERATION_CAP, "enumeration")
-        flag, n = "--max-n", args.max_n
-    if n < 0:
-        raise ValueError(f"{flag} must be nonnegative, got {n}")
-    _check_cap(n, f"vertices ({flag})", cap, args.target)
-    total = args.random if args.exhaustive is None else _exhaustive(kind, n)[0]
-    if args.jobs is not None and args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    return total
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    kind, _check, cap = _CHECKS[args.target]
-    total = _check_sweep_size(args, kind, cap)
-    preamble_failures: list[str] = []
-    if args.target == "lemmas":
-        preamble_failures = _lemma_preamble()
-    n = args.exhaustive
-    if n is not None:
-        spec = (kind, True, total, n, args.seed)
+        n = vertices("--exhaustive", args.exhaustive)
+        spec = (kind, True, _exhaustive(kind, n)[0], n, args.seed)
         mode = {"mode": "exhaustive", "n": n}
     else:
-        spec = (kind, False, total, args.max_n, args.seed)
-        mode = {
-            "mode": "random",
-            "count": args.random,
-            "max_n": args.max_n,
-            "seed": args.seed,
-        }
+        if args.random < 0:
+            raise ValueError(f"--random must be nonnegative, got {args.random}")
+        _check_cap(args.random, "random instances", ENUMERATION_CAP, "enumeration")
+        n = vertices("--max-n", args.max_n)
+        spec = (kind, False, args.random, n, args.seed)
+        mode = {"mode": "random", "count": args.random, "max_n": n, "seed": args.seed}
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))  # the CPUs this process may use
     else:
         cpus = os.cpu_count() or 1
-    jobs = min(args.jobs or cpus, cpus)
+    return spec, mode, max(1, min(args.jobs or cpus, cpus, spec[2]))
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    spec, mode, jobs = _plan(args)
+    preamble_failures = _lemma_preamble() if args.target == "lemmas" else []
     checked, failures = _run_sweep(args.target, spec, jobs, args.keep_going)
     passed = checked - len(failures)
     ok = not failures and not preamble_failures

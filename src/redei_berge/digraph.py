@@ -95,25 +95,33 @@ class Digraph:
         return Digraph.from_rows(self.n, tuple(r ^ full for r in self.rows))
 
     def is_tournament(self) -> bool:
-        """No loops, and each unordered pair carries exactly one arc."""
-        for u in range(self.n):
-            if self.has_arc(u, u):
-                return False
-            for v in range(u + 1, self.n):
-                if self.has_arc(u, v) == self.has_arc(v, u):
-                    return False
-        return True
+        """No loops, and each unordered pair carries exactly one arc: each
+        vertex's out- and in-neighbours split the other vertices."""
+        full = (1 << self.n) - 1
+        return all(
+            row ^ ins == full ^ 1 << u
+            for u, (row, ins) in enumerate(zip(self.rows, _in_masks(self)))
+        )
 
     def is_two_cycle_free(self) -> bool:
         """No distinct u, v with both (u, v) and (v, u) present; loops allowed."""
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if self.has_arc(u, v) and self.has_arc(v, u):
-                    return False
-        return True
+        return not any(row & ins for row, ins in zip(self.rows, _in_masks(self)))
 
     def __repr__(self) -> str:
         return f"Digraph({self.n}, {sorted(self.arcs())!r})"
+
+
+def _in_masks(d: Digraph) -> list[int]:
+    """Per vertex v, the mask of the u != v with an arc u -> v: a loop
+    never precedes its own vertex."""
+    ins = [0] * d.n
+    for u, row in enumerate(d.rows):
+        row &= ~(1 << u)
+        while row:
+            v = (row & -row).bit_length() - 1
+            ins[v] |= 1 << u
+            row &= row - 1
+    return ins
 
 
 def _slots(kind: str, n: int) -> list[tuple]:

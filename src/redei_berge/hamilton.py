@@ -2,77 +2,53 @@
 congruence checks (parity of tournament path counts, the mod-4 refinement,
 and the parity link between a digraph and its complement).
 
-Paths are counted by two engines, one exact and one over GF(2):
+Paths are counted by two engines on one layout, :func:`_cuts`: an ``int``
+with one field per vertex set, and per vertex v the mask of the fields of
+the sets without v and the shift that moves each onto the set with v.
+Both extend paths by that AND-and-shift step, a few whole-``int``
+operations per vertex, so their loops run over vertices, never over the
+sets the fields stand for.
 
 - :func:`_path_table`, the exact engine, is the subset DP of Bellman and
-  Held--Karp on a two-level table, over paths that begin at a given set of
-  start vertices.  The first ceil(k/2) of its k vertices form the low
-  half; for each set H of the others it yields one ``int`` per vertex v,
-  whose field L, of a width its caller picks, counts the paths that cover
-  exactly H + L and end at v.  A high-half end vertex takes its int whole
-  from the entries of H - v, and the low-half end vertices are filled in
-  ceil(k/2) in-place rounds of the AND-and-shift step on the layout of
-  :func:`_cuts`, so no loop visits a low-half set.  Each set's entry is
-  freed after its last reader, so at most half of them are live at once.
-  It serves two counts:
+  Held--Karp on a two-level table: one ``int`` per (high-half set,
+  vertex), one field per low-half set.  It serves two counts, each at a
+  field width that no count carries out of, so both are exact:
 
-  - :func:`_count_dp`, hamps, starts every vertex and reads the last
-    entry, at ``factorial(n - 1).bit_length()`` bits per field.  On one
-    2-CPU machine (Python 3.11) it takes about 10 ms at n = 14, and 1.5 s
-    and 75 MB peak RSS at n = 20.  It serves
-    :func:`count_hamiltonian_paths` (the count ``hamps`` prints, the Berge
-    report's ``hamps``, the ``zeta`` and ``lemmas`` checks) and
-    :func:`verify_mod4`.
+  - :func:`_count_dp`, hamps, behind :func:`count_hamiltonian_paths`
+    (the count ``hamps`` prints, the Berge report's ``hamps``, the
+    ``zeta`` and ``lemmas`` checks) and :func:`verify_mod4`;
   - :func:`_odd_cycles`, the nontrivial odd cycles behind the mod-4
-    report, counts each cycle at its minimal vertex s as a path through
-    the vertices above s, from an out-neighbour of s to an in-neighbour:
-    one table per root.  On the same machine it takes 1.4 ms at n = 12,
-    where the cycle-sum table it replaced took 4.0 ms, and 6.7 ms at
-    n = 14, above the cap that :func:`count_nontrivial_odd_cycles` keeps.
+    report: cycles closed at a root are paths, so each is counted at its
+    minimal vertex, one table per root.
 
-  No field carries into the next, so both counts are exact.
-- :func:`_path_parity`, hamps mod 2, keeps one 2^n-bit ``int`` per vertex
-  v whose bit S is the parity of the paths that cover exactly S and end
-  at v, and fills them in n in-place rounds of the same step with XOR in
-  place of adds, on the same layout at one bit per set: no loop over
-  subsets.  It serves the checks that need only a parity:
+- :func:`_path_parity`, hamps mod 2, is the same step over GF(2) at one
+  bit per set.  It serves the checks that need only a parity:
   :func:`verify_redei`, and hamps(D^c) of a D that is not a tournament
   in Berge's report.
 
-:func:`_cuts` is the one layout of both: an ``int`` with one field per
-vertex set, and per vertex v the mask of the fields of the sets without v
-and the shift that moves each onto the set with v.  Both engines refuse
-more than ``DP_VERTEX_CAP`` vertices before building anything:
-:func:`_path_parity` itself, the exact DP through
+Both engines refuse more than ``DP_VERTEX_CAP`` vertices before building
+anything: :func:`_path_parity` itself, the exact DP through
 :func:`count_hamiltonian_paths`.  Their brute-force check, depth-first
 extension of partial paths, is
 :func:`oracles.count_hamiltonian_paths_by_backtracking`.  Loops never
-matter to paths: a path visits distinct vertices, so diagonal arcs are
-dropped before counting.  The zero-vertex digraph has exactly one
-Hamiltonian path (the empty list) by convention.
+matter to paths: a path visits distinct vertices, so both read the
+in-neighbour masks of :func:`digraph._in_masks`, which drop them.  The
+zero-vertex digraph has exactly one Hamiltonian path (the empty list) by
+convention.
 
 The reports are built here.  :func:`_hamps_report`, the whole output of
 ``redei-berge hamps``, runs one exact count, of D, and builds all three
-reports from it: Berge's with the parity of D^c, Rédei's, and mod 4 with
-the odd cycles, skipped above ``CYCLE_SUM_CAP``, the cap that
-:func:`count_nontrivial_odd_cycles` keeps.  Berge's report, shared with
-:func:`verify_berge`, reads the parity of T^c for a tournament T from
-hamps(T): the complement of a tournament is, loops aside, its converse,
-whose Hamiltonian paths are those of T read backwards, so
-hamps(T^c) = hamps(T).
+reports from it, mod 4 only up to ``CYCLE_SUM_CAP``, the cap that
+:func:`count_nontrivial_odd_cycles` keeps.  Berge's report reads the
+parity of T^c for a tournament T from hamps(T): the complement of a
+tournament is, loops aside, its converse, whose Hamiltonian paths are
+those of T read backwards, so hamps(T^c) = hamps(T).
 
 The cycle-sum table (weighted Hamiltonian cycles of every vertex subset,
 where a single vertex reads its diagonal weight) and the set-partition sum
-over it are the engine behind every route in :mod:`core`.  One path table
-serves every root of a call, and it extends each path only through the
-members of the subsets it reads, from the cached member table
-:func:`_members` that also lists the sets of :func:`_path_table`.  The
-partition sum keeps one list of terms per covered vertex set, indexed by
-the partitions of its size in the canonical order of the cached table
-:func:`_partition_table`, which also says where each term goes when a
-block is added; so its result comes out in canonical order.  Each of
-those routes refuses more than ``CYCLE_SUM_CAP`` vertices before building
-a table.  The engine runs on plain ``int``s only: a route with rational
+over it are the engine behind every route in :mod:`core`.  Each of those
+routes refuses more than ``CYCLE_SUM_CAP`` vertices before building a
+table.  The engine runs on plain ``int``s only: a route with rational
 weights scales them to integers first and divides once per output
 coefficient (see :mod:`core`), so no ``Fraction`` enters its inner loops.
 """
@@ -83,7 +59,7 @@ from functools import cache
 from math import factorial
 from typing import Iterator, Sequence
 
-from .digraph import Digraph
+from .digraph import Digraph, _in_masks
 from .limits import CYCLE_SUM_CAP, DP_VERTEX_CAP, _check_cap
 
 
@@ -125,18 +101,6 @@ def _count_dp(d: Digraph) -> int:
     # no int holds a bit above its top field, the full low-half set
     top = ((1 << (n + 1) // 2) - 1) * width
     return sum(end >> top for end in ends)
-
-
-def _in_masks(d: Digraph) -> list[int]:
-    """Per vertex v, the mask of the u != v with an arc u -> v."""
-    ins = [0] * d.n
-    for u, row in enumerate(d.rows):
-        row &= ~(1 << u)
-        while row:
-            v = (row & -row).bit_length() - 1
-            ins[v] |= 1 << u
-            row &= row - 1
-    return ins
 
 
 def _path_table(preds: Sequence[int], start: int, width: int) -> Iterator[list[int]]:
@@ -235,8 +199,8 @@ def _path_parity(d: Digraph) -> int:
     if not n:
         return 1  # the empty path
     rounds = [
-        ([u for u, row in enumerate(d.rows) if u != v and row >> v & 1], cut)
-        for v, cut in enumerate(_cuts(n, 1))
+        ([u for u in range(n) if ins >> u & 1], cut)
+        for ins, cut in zip(_in_masks(d), _cuts(n, 1))
     ]
     ends = [0] * n
     for _ in range(n):

@@ -13,30 +13,26 @@ from math import prod
 
 # n! enumerations of listings or permutations, and the backtracking over
 # linear arc subsets (at most A000262(n), 4,596,553 at 9 vertices): the
-# oracles and the lemma battery.  9! = 362,880 listings take about a second.
+# oracles and the lemma battery, 9! = 362,880 listings per call.
 FACTORIAL_CAP = 9
 
 # The cycle-sum table (O(2^n n^2)) and the set-partition sum over it
 # (O(3^n)) behind every power-sum, definition and deformed route, and the
-# degree of the p-to-L bridge (2^(n-1) descent sets).  At 12 vertices,
-# first call in a fresh process on a 2-CPU machine, the slowest routes,
-# the two deformed ones, take 0.10-0.15 s each, the power-sum route plus
-# its definition check 0.09-0.10 s, the definition route 0.07-0.08 s and
-# the power-sum and tournament routes 0.01-0.04 s, at most 19 MB peak RSS
-# (BENCH_21.json).  It is also, on purpose, the gate of the odd-cycle
-# count behind the mod-4 report, which runs on the exact path table and
-# would reach 22 vertices: that gate moves with this cap, since above 12
-# the count would run on every tournament `hamps` checks, at about 2.8 ms
-# at 13 vertices and 6.7 ms at 14 (1.4 ms at 12; BENCH_24.json).
+# degree of the p-to-L bridge (2^(n-1) descent sets); at 12 vertices the
+# slowest of them take a tenth of a second and under 20 MB (BENCH_21.json).
+# It is also, on purpose, the gate of the odd-cycle count behind the mod-4
+# report, which runs on the exact path table and would reach 22 vertices:
+# above 12 the count would run on every tournament `hamps` checks, and it
+# costs more than the exact path count of the same tournament
+# (BENCH_24.json).
 CYCLE_SUM_CAP = 12
 
 # The two path engines.  The exact DP keeps one packed int of 2^ceil(n/2)
 # fields per (high-half vertex set, vertex), 2^n n fields of about
 # log2((n - 1)!) bits in all, of which it frees each set's ints after
-# their last reader: above ~18 vertices that table dominates memory
-# (about 75 MB peak at 20 vertices).  The GF(2) parity table keeps
-# two rows of one 2^n-bit int per vertex, the ends and the masks, about
-# 23 MB peak at 20 vertices.  22 is the hard refusal point of both.
+# their last reader: above ~18 vertices that table dominates memory.  The
+# GF(2) parity table keeps two rows of one 2^n-bit int per vertex, the
+# ends and the masks.  22 is the hard refusal point of both.
 DP_VERTEX_CAP = 22
 
 # Signed sums over the subsets of a finite set (2^size terms).

@@ -1,9 +1,10 @@
 """Counting machinery behind the power-sum formulas, exposed as
 independently testable identities: linear arc sets and path covers,
-signed inclusion-exclusion sums, level-respecting listings, the
-cycle-colouring sum, permutations filtered by their cycles, the literal
-per-cycle weight sum over all permutations, the literal listing sums of
-the definition routes, and Hamiltonian paths counted by backtracking.
+signed inclusion-exclusion sums and the power-sum form rebuilt from
+them, level-respecting listings, the cycle-colouring sum, permutations
+filtered by their cycles, the literal per-cycle weight sum over all
+permutations, the literal listing sums of the definition routes, and
+Hamiltonian paths counted by backtracking.
 
 A permutation sigma of 0..n-1 is its image tuple, ``sigma[v]`` being the
 image of v, as ``itertools.permutations(range(n))`` yields it.  A cycle is
@@ -236,6 +237,20 @@ def signed_sum_per_perm(d: Digraph, sigma: Sequence[int]) -> int:
             if is_linear(Digraph(d.n, subset)):
                 total += (-1) ** r
     return total
+
+
+def redei_berge_by_signed_perms(d: Digraph) -> PowerSumPolynomial:
+    """Sum over all n! permutations sigma of :func:`signed_sum_per_perm`
+    times p_{type sigma}: the signed power-sum form, rebuilt one
+    permutation at a time from the subsets of its common arcs."""
+    _check_cap(d.n, "vertices", FACTORIAL_CAP, "factorial")
+    terms: dict[tuple[int, ...], int] = {}
+    for sigma in itertools.permutations(range(d.n)):
+        weight = signed_sum_per_perm(d, sigma)
+        if weight:
+            key = cycle_type(sigma)
+            terms[key] = terms.get(key, 0) + weight
+    return PowerSumPolynomial(terms)
 
 
 def _check_levels(d: Digraph, levels: Sequence[int]) -> None:

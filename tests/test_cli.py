@@ -509,6 +509,54 @@ class TestVerify:
         failures = json.loads(as_json)["failures"]
         assert [f["index"] for f in failures] == [6, 8, 12, 13]
 
+    @pytest.mark.parametrize("jobs", ["1", "3"])
+    @pytest.mark.parametrize("keep_going", [[], ["--keep-going"]])
+    def test_text_and_json_reports_agree(
+        self, capsys, monkeypatch, inline_pool, jobs, keep_going
+    ):
+        # #3, #8 and #13 of the 16 digraphs fail, one in each of the ranges
+        # #0-4, #5-9 and #10-15 of --jobs 3
+        def broken(d):
+            index = sum(row << (u * d.n) for u, row in enumerate(d.rows))
+            return index % 5 != 3, {"index": index, "arcs": len(list(d.arcs()))}
+
+        monkeypatch.setitem(cli._CHECKS, "thm1", ("digraph", broken, 9))
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        args = ["verify", "thm1", "--exhaustive", "2", *keep_going, "--jobs", jobs]
+        code, text, _ = run(capsys, *args)
+        json_code, as_json, _ = run(capsys, *args, "--format", "json")
+        report = json.loads(as_json)
+        assert code == json_code == 1 and report["pass"] is False
+        header, *blocks = text.split("FAIL at instance #")
+        counts = re.fullmatch(r"thm1: (\d+)/(\d+) pass\n", header).groups()
+        assert [int(c) for c in counts] == [report["passed"], report["checked"]]
+        failures = []
+        for block in blocks:
+            index, rest = block.split("; replay with `compute` on:\n")
+            edges, detail = rest.split("detail: ")
+            failures.append(
+                {"index": int(index), "digraph": edges, "detail": json.loads(detail)}
+            )
+        assert failures == report["failures"]
+        expected = [3, 8, 13] if keep_going else [3]
+        assert [f["index"] for f in failures] == expected
+        assert report["checked"] == (16 if keep_going else 4)
+        assert inline_pool == ([3, 3] if jobs == "3" else [])
+
+    def test_plan_clamps_the_workers_once(self, monkeypatch):
+        # the worker count is at most the usable CPUs and the instance
+        # count, and at least 1 for an empty sweep
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        for argv, jobs in [
+            (["--random", "2", "--jobs", "5"], 2),
+            (["--random", "0"], 1),
+            (["--random", "20"], 8),
+            (["--random", "20", "--jobs", "3"], 3),
+            (["--exhaustive", "1", "--jobs", "4"], 2),
+        ]:
+            args = cli._parser().parse_args(["verify", "zeta", *argv])
+            assert cli._plan(args)[2] == jobs
+
     def test_sweep_stops_before_building_the_next_instance(self, capsys, monkeypatch):
         # the check fails on instance #1, and building #2 would raise
         built = []

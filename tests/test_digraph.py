@@ -154,6 +154,39 @@ class TestPredicates:
                     assert d.is_two_cycle_free()
                     assert all(not d.has_arc(v, v) for v in range(n))
 
+    def test_mask_predicates_match_pairwise_loops(self):
+        # every digraph on at most 3 vertices, then random digraphs, random
+        # tournaments and two-cycle-free digraphs, and tournaments with one
+        # pair doubled, one pair emptied or one loop added, through n = 14
+        def is_tournament(d):
+            pairs = itertools.combinations(range(d.n), 2)
+            return not any(d.has_arc(u, u) for u in range(d.n)) and all(
+                d.has_arc(u, v) != d.has_arc(v, u) for u, v in pairs
+            )
+
+        def is_two_cycle_free(d):
+            pairs = itertools.combinations(range(d.n), 2)
+            return not any(d.has_arc(u, v) and d.has_arc(v, u) for u, v in pairs)
+
+        instances = [d for n in range(4) for d in enumerate_digraphs(n)]
+        rng = random.Random(29)
+        for n in range(15):
+            for kind in ("digraph", "tournament", "two-cycle-free"):
+                instances.append(Digraph(n, filter(None, digraph._random(rng, kind, n))))
+            t = random_tournament(n, seed=rng.getrandbits(32))
+            arcs = list(t.arcs())
+            if arcs:
+                u, v = rng.choice(arcs)
+                instances += [Digraph(n, arcs + [(v, u)]), Digraph(n, set(arcs) - {(u, v)})]
+            if n:
+                instances.append(Digraph(n, arcs + [(rng.randrange(n),) * 2]))
+        verdicts = set()
+        for d in instances:
+            verdict = (d.is_tournament(), d.is_two_cycle_free())
+            assert verdict == (is_tournament(d), is_two_cycle_free(d)), d
+            verdicts.add(verdict)
+        assert verdicts == {(True, True), (False, True), (False, False)}
+
     def test_cycles_of_example_digraph(self):
         cycles = {
             verts

@@ -1,9 +1,10 @@
-"""The production routes and the modules they build on enumerate no
-listing or permutation: the n! sums live only in the oracles, which only
-the command line imports.  The cycle-sum engine imports no ``fractions``.
-Every size cap is enforced by the one refusal helper in ``limits``, whose
-message names the count and the cap.  Every value type is a frozen slotted
-dataclass, with no hand-written immutability."""
+"""The production routes, the modules they build on and the command line
+enumerate no listing or permutation: the n! sums live only in the
+oracles, which only the command line imports.  Only ``cli._plan`` reads
+the sweep flags.  The cycle-sum engine imports no ``fractions``.  Every
+size cap is enforced by the one refusal helper in ``limits``, whose
+message names the count and the cap.  Every value type is a frozen
+slotted dataclass, with no hand-written immutability."""
 
 import ast
 import importlib
@@ -26,6 +27,7 @@ from redei_berge.oracles import (
     mixed_cycle_permutations,
     polya_sum,
     redei_berge_by_listings,
+    redei_berge_by_signed_perms,
     signed_linear_sum,
     signed_subset_sum,
     signed_sum_per_perm,
@@ -49,7 +51,7 @@ def names_used(tree: ast.AST) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("module", PRODUCTION)
+@pytest.mark.parametrize("module", [*PRODUCTION, "cli.py"])
 def test_production_module_enumerates_no_permutations(module):
     path = Path(redei_berge.__file__).with_name(module)
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -120,6 +122,23 @@ def test_cli_imports_no_private_name_from_hamilton():
     assert not names_used(tree) & (builders | {"count_nontrivial_odd_cycles"})
 
 
+SWEEP_FLAGS = {"exhaustive", "random", "max_n", "seed", "jobs"}
+
+
+def test_only_the_plan_reads_the_sweep_flags():
+    # the sweep's refusals, stream spec, JSON mode and worker count are
+    # decided once, in cli._plan
+    path = Path(redei_berge.__file__).with_name("cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    readers = {
+        getattr(top, "name", None)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr in SWEEP_FLAGS
+    }
+    assert readers == {"_plan"}
+
+
 def test_cycle_sum_engine_has_no_fractions():
     # rationals are cleared to ints before the engine and divided out after
     path = Path(redei_berge.__file__).with_name("hamilton.py")
@@ -160,6 +179,7 @@ REFUSALS = [
     (redei_berge_by_listings, (Digraph(10),), FACTORIAL),
     (deformed_by_listings, (ArcWeights(10),), FACTORIAL),
     (signed_linear_sum, (Digraph(10).complement(),), FACTORIAL),
+    (redei_berge_by_signed_perms, (Digraph(10),), FACTORIAL),
     (
         signed_sum_per_perm,
         (Digraph(25, enumerate(SHIFT)), tuple(SHIFT)),

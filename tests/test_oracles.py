@@ -43,6 +43,7 @@ from redei_berge.oracles import (
     path_cover_of,
     polya_sum,
     redei_berge_by_listings,
+    redei_berge_by_signed_perms,
     signed_linear_sum,
     signed_subset_sum,
     signed_sum_per_perm,
@@ -222,13 +223,14 @@ class TestSignedSumPerPerm:
     def test_rebuilds_powersum_form_exhaustive_n3(self):
         for n in range(4):
             for d in enumerate_digraphs(n):
-                terms: dict[tuple[int, ...], int] = {}
-                for sigma in itertools.permutations(range(n)):
-                    weight = signed_sum_per_perm(d, sigma)
-                    if weight:
-                        key = cycle_type(sigma)
-                        terms[key] = terms.get(key, 0) + weight
-                assert PowerSumPolynomial(terms) == redei_berge_powersum(d)
+                assert redei_berge_by_signed_perms(d) == redei_berge_powersum(d)
+
+    def test_rebuilds_powersum_form_random_n5(self):
+        rng = random.Random(71)
+        for n in (4, 4, 4, 5, 5, 5):
+            for p in (0.3, 0.5, 0.8):
+                d = random_digraph(n, p, seed=rng.getrandbits(32))
+                assert redei_berge_by_signed_perms(d) == redei_berge_powersum(d)
 
 
 class TestFriendlyListings:
