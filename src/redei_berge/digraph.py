@@ -95,13 +95,8 @@ class Digraph:
         return Digraph.from_rows(self.n, tuple(r ^ full for r in self.rows))
 
     def is_tournament(self) -> bool:
-        """No loops, and each unordered pair carries exactly one arc: each
-        vertex's out- and in-neighbours split the other vertices."""
-        full = (1 << self.n) - 1
-        return all(
-            row ^ ins == full ^ 1 << u
-            for u, (row, ins) in enumerate(zip(self.rows, _in_masks(self)))
-        )
+        """No loops, and each unordered pair carries exactly one arc."""
+        return _is_tournament(self.rows, _in_masks(self))
 
     def is_two_cycle_free(self) -> bool:
         """No distinct u, v with both (u, v) and (v, u) present; loops allowed."""
@@ -122,6 +117,14 @@ def _in_masks(d: Digraph) -> list[int]:
             ins[v] |= 1 << u
             row &= row - 1
     return ins
+
+
+def _is_tournament(rows: Sequence[int], ins: Sequence[int]) -> bool:
+    """Whether the digraph with out-neighbour masks ``rows`` and in-neighbour
+    masks ``ins`` (of :func:`_in_masks`) is a tournament: each vertex's out-
+    and in-neighbours split the other vertices."""
+    full = (1 << len(rows)) - 1
+    return all(row ^ i == full ^ 1 << u for u, (row, i) in enumerate(zip(rows, ins)))
 
 
 def _slots(kind: str, n: int) -> list[tuple]:

@@ -24,7 +24,7 @@ FACTORIAL_CAP = 9
 # report, which runs on the exact path table and would reach 22 vertices:
 # above 12 the count would run on every tournament `hamps` checks, and it
 # costs more than the exact path count of the same tournament
-# (BENCH_24.json).
+# (BENCH_24.json; 4.0 against 2.8 ms at 14 vertices, BENCH_26.json).
 CYCLE_SUM_CAP = 12
 
 # The two path engines.  The exact DP keeps one packed int of 2^ceil(n/2)

@@ -245,17 +245,24 @@ class TestHamps:
         # one exact count, of D; Berge's report needs only the parity of
         # hamps(D^c), read from the GF(2) table, and a tournament's
         # complement is its converse with loops, whose count is hamps(D)
-        # again, so one path count serves all three reports
+        # again, so one path count serves all three reports; the masks of D
+        # are built once, for the tournament test and both counts
         counted = []
         parities = []
         tables = []
+        masked = []
         count_dp = hamilton._count_dp
         path_parity = hamilton._path_parity
         cycle_sums = hamilton._cycle_sums
+        in_masks = hamilton._in_masks
 
-        def counting_dp(g):
-            counted.append(g)
-            return count_dp(g)
+        def counting_dp(preds):
+            counted.append(preds)
+            return count_dp(preds)
+
+        def recording_masks(g):
+            masked.append(g)
+            return in_masks(g)
 
         def counting_parity(g):
             parities.append(g)
@@ -268,11 +275,14 @@ class TestHamps:
         monkeypatch.setattr(hamilton, "_count_dp", counting_dp)
         monkeypatch.setattr(hamilton, "_path_parity", counting_parity)
         monkeypatch.setattr(hamilton, "_cycle_sums", recording_sums)
+        monkeypatch.setattr(hamilton, "_in_masks", recording_masks)
         spec = format_digraph(d).replace("\n", ";")
         code, out, _ = run(capsys, "hamps", "--arcs", spec, "--format", "json")
         assert code == 0
-        assert counted == [d]
-        assert parities == ([] if d.is_tournament() else [d.complement()])
+        assert counted == [hamilton._run_order(in_masks(d))]
+        complement = [] if d.is_tournament() else [d.complement()]
+        assert parities == complement
+        assert masked == [d] + complement  # the parity table builds its own
         payload = json.loads(out)
         # the odd cycles are counted on the path table, at every n
         assert tables == []

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     FIVE_TOURNAMENT,
@@ -42,6 +43,8 @@ from redei_berge.hamilton import (
     _partition_table,
     _path_parity,
     _path_table,
+    _run_order,
+    _sweeps,
 )
 from redei_berge.oracles import (
     count_hamiltonian_paths_by_backtracking,
@@ -125,7 +128,8 @@ class TestCounting:
         for n in (1, 3, 5, 7, 9):
             for p in (0.3, 0.6, 0.9):
                 d = random_digraph(n, p, seed=rng.getrandbits(32))
-                assert _count_dp(d) == count_hamiltonian_paths_by_backtracking(d)
+                by_dp = _count_dp(_in_masks(d))
+                assert by_dp == count_hamiltonian_paths_by_backtracking(d)
 
     def test_exact_dp_field_table_memory(self):
         # 2^(n/2) high-half sets, n ints each, 2^(n/2) fields of width bits
@@ -136,9 +140,10 @@ class TestCounting:
         n = 14
         width = math.factorial(n - 1).bit_length()
         d = random_digraph(n, 0.5, seed=3)
+        preds = _in_masks(d)
         tracemalloc.start()
         try:
-            _count_dp(d)
+            _count_dp(preds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -180,6 +185,139 @@ class TestCounting:
                 assert list(listed) == [v for v in range(k) if x >> v & 1]
 
 
+def descending_low_path(k: int, seed: int) -> Digraph:
+    """A k-vertex digraph whose low half holds the path low_n - 1 -> ... ->
+    1 -> 0, every arc of it a back arc, and no other back arc: the sweep
+    bound is ceil(k/2), the most it can be.  The high half's path low_n ->
+    ... -> k - 1 -> low_n - 1 makes a Hamiltonian path end with that whole
+    run, so every sweep is needed; the other arcs are random."""
+    rng = random.Random(seed)
+    low_n = (k + 1) // 2
+    forced = {(v + 1, v) for v in range(low_n - 1)}
+    forced |= {(v, v + 1) for v in range(low_n, k - 1)} | {(k - 1, low_n - 1)}
+    arcs = [
+        (u, v)
+        for u in range(k)
+        for v in range(k)
+        if (u, v) in forced
+        or u != v and (u >= low_n or v >= low_n or u < v) and rng.random() < 0.5
+    ]
+    return Digraph(k, arcs)
+
+
+def relabelled(d: Digraph, rng: random.Random) -> Digraph:
+    perm = list(range(d.n))
+    rng.shuffle(perm)
+    return Digraph(d.n, [(perm[u], perm[v]) for u, v in d.arcs()])
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The sweep count of every path table built while the test runs."""
+    counts = []
+    bound = hamilton._sweeps
+
+    def recording(low_preds):
+        counts.append(bound(low_preds))
+        return counts[-1]
+
+    monkeypatch.setattr(hamilton, "_sweeps", recording)
+    return counts
+
+
+class TestSweepBound:
+    """The low half's sweeps stop at 1 + min(#tails, #heads) of its back
+    arcs, which the vertex order of ``_run_order`` keeps small."""
+
+    @pytest.mark.parametrize("k", range(8, 13))
+    def test_tight_bound_on_a_descending_low_path(self, sweeps, k):
+        # in the natural order the bound is ceil(k/2), and a path takes
+        # every back arc, so one sweep fewer would miss it
+        for seed in range(2):
+            d = descending_low_path(k, seed=100 * k + seed)
+            preds = _in_masks(d)
+            hamps = _count_dp(preds)
+            if k <= 9:
+                assert hamps == count_hamiltonian_paths_by_backtracking(d)
+            else:
+                s = [
+                    [int(u != v and row >> v & 1) for v in range(k)]
+                    for u, row in enumerate(d.rows)
+                ]
+                assert hamps == weighted_path_sum(k, s)
+            width = math.factorial(k - 1).bit_length()
+            top = ((1 << (k + 1) // 2) - 1) * width
+            starts = 0
+            for v in range(k):
+                *_, last = _path_table(preds, 1 << v, width)
+                starts += sum(end >> top for end in last)
+            assert starts == hamps
+            assert sweeps == [(k + 1) // 2] * (k + 1)
+            assert count_hamiltonian_paths(d) == hamps  # in the run order
+            sweeps.clear()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 14).flatmap(
+            lambda k: st.lists(st.integers(0, (1 << k) - 1), min_size=k, max_size=k)
+        )
+    )
+    def test_bound_never_exceeds_half_the_vertices(self, masks):
+        k = len(masks)
+        low_n = (k + 1) // 2
+        low = (1 << low_n) - 1
+        preds = [p & ~(1 << v) for v, p in enumerate(masks)]  # no loops
+        assert 1 <= _sweeps([p & low for p in preds[:low_n]]) <= max(low_n, 1)
+        assert _sweeps([p & low for p in _run_order(preds)[:low_n]]) <= max(low_n, 1)
+
+    def test_transitive_tournament_runs_one_sweep_per_table(self, sweeps):
+        rng = random.Random(89)
+        for n in (5, 9, 12):
+            t = relabelled(transitive_tournament(n), rng)
+            assert count_hamiltonian_paths(t) == 1
+            assert count_nontrivial_odd_cycles(t) == 0
+            assert sweeps and set(sweeps) == {1}
+            sweeps.clear()
+            # a run takes a source of the rest: the order is the acyclic one
+            assert _run_order(_in_masks(t)) == _in_masks(transitive_tournament(n))
+
+    def test_sweeps_pinned_on_a_random_tournament(self, sweeps):
+        # measured once: the natural order needs 6 sweeps, the run order 3
+        t = random_tournament(14, seed=5)
+        assert _count_dp(_in_masks(t)) == count_hamiltonian_paths(t)
+        assert sweeps == [6, 3]
+
+
+class TestRunOrder:
+    """Both path engines run on the relabelled masks of ``_run_order``;
+    their counts do not depend on labels."""
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_count_matches_backtracking_at_every_n_through_9(self, n):
+        rng = random.Random(97 + n)
+        for _ in range(2 if n == 9 else 4):
+            for d in (
+                random_tournament(n, seed=rng.getrandbits(32)),
+                *(random_digraph(n, p, seed=rng.getrandbits(32)) for p in (0.2, 0.5, 0.8)),
+            ):
+                assert count_hamiltonian_paths(d) == count_hamiltonian_paths_by_backtracking(d)
+
+    def test_counts_unchanged_under_relabelling(self):
+        # and equal to the tables on the natural order, whose sweeps differ
+        rng = random.Random(103)
+        for n in (6, 9, 12, 14):
+            for d in (
+                random_tournament(n, seed=rng.getrandbits(32)),
+                *(random_digraph(n, p, seed=rng.getrandbits(32)) for p in (0.2, 0.5, 0.8)),
+            ):
+                hamps = _count_dp(_in_masks(d))
+                odd = _odd_cycles(_in_masks(d))
+                for _ in range(2):
+                    moved = relabelled(d, rng)
+                    assert count_hamiltonian_paths(moved) == hamps
+                    assert _odd_cycles(_run_order(_in_masks(moved))) == odd
+
+
 class TestPathParity:
     """The GF(2) path table against the exact DP and the backtracking
     oracle, loops included."""
@@ -193,13 +331,14 @@ class TestPathParity:
             for seed in seeds:
                 d = random_digraph(n, 0.5, seed=seed)
                 t = random_tournament(n, seed=seed)
-                hamps_t = _count_dp(t) % 2
-                assert _path_parity(d) == _count_dp(d) % 2
+                hamps_t = count_hamiltonian_paths(t) % 2
+                assert _path_parity(d) == count_hamiltonian_paths(d) % 2
                 assert _path_parity(t) == hamps_t == 1
                 assert _path_parity(t.complement()) == hamps_t
                 if n <= 12:
                     complement = d.complement()
-                    assert _path_parity(complement) == _count_dp(complement) % 2
+                    hamps_c = count_hamiltonian_paths(complement)
+                    assert _path_parity(complement) == hamps_c % 2
             assert _path_parity(Digraph(n)) == (n <= 1)
             complete = Digraph.from_rows(n, ((1 << n) - 1,) * n)  # loops too
             assert _path_parity(complete) == math.factorial(n) % 2
@@ -335,7 +474,8 @@ class TestOddCycleCounting:
             count_nontrivial_odd_cycles(Digraph(13))
 
     def test_matches_the_cycle_sum_count_through_n12(self):
-        # tournaments, and random digraphs whose loops must not count
+        # tournaments, and random digraphs at densities 0.2 to 0.8, whose
+        # loops must not count
         for n in range(13):
             for seed in range(2):
                 t = random_tournament(n, seed=seed)
@@ -343,6 +483,9 @@ class TestOddCycleCounting:
                 assert n < 2 or any(row >> v & 1 for v, row in enumerate(d.rows))
                 assert count_nontrivial_odd_cycles(t) == cycle_sum_odd_cycles(t)
                 assert count_nontrivial_odd_cycles(d) == cycle_sum_odd_cycles(d)
+                for p in (0.2, 0.5, 0.8):
+                    d = random_digraph(n, p, seed=100 + seed)
+                    assert count_nontrivial_odd_cycles(d) == cycle_sum_odd_cycles(d)
 
     def test_complete_digraph_through_n16(self):
         # the most cycles on n vertices, so the widest fields: C(n, k) sets
@@ -352,14 +495,15 @@ class TestOddCycleCounting:
             count = sum(
                 math.comb(n, k) * math.factorial(k - 1) for k in range(3, n + 1, 2)
             )
-            assert _odd_cycles(complete) == count
+            assert _odd_cycles(_in_masks(complete)) == count
             if n <= 12:
                 assert cycle_sum_odd_cycles(complete) == count
 
     def test_mod4_congruence_beyond_the_cap(self):
         for n in range(13, 17):
             t = random_tournament(n, seed=n)
-            assert _count_dp(t) % 4 == (1 + 2 * _odd_cycles(t)) % 4
+            hamps = count_hamiltonian_paths(t)
+            assert hamps % 4 == (1 + 2 * _odd_cycles(_in_masks(t))) % 4
 
 
 class TestCycleSumEngine:
