@@ -25,7 +25,6 @@ import os
 import random
 import sys
 from functools import cache, partial
-from multiprocessing import Pool
 from typing import Callable, Iterator, Sequence
 
 from . import hamilton
@@ -241,7 +240,10 @@ def _run_sweep(
     ranges that :func:`_plan` chose (:func:`_sweep_chunk`), so reports do not
     depend on the job count and no instance list is held.  The ranges are read in order, and without
     ``keep_going`` the first that fails ends the sweep; leaving the pool
-    stops the workers still checking later ranges."""
+    stops the workers still checking later ranges.  ``multiprocessing`` is
+    imported here, so only a sweep pays for it."""
+    from multiprocessing import Pool
+
     chunk = partial(_sweep_chunk, target, spec, jobs, keep_going)
     failures = []
     with Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:

@@ -32,23 +32,30 @@ class DigraphFormatError(ValueError):
 class Digraph:
     """Immutable digraph on vertices 0..n-1.
 
-    ``rows[u]`` has bit v set iff (u, v) is an arc.
+    ``rows[u]`` has bit v set iff (u, v) is an arc, and ``ins[v]`` has bit
+    u set iff (u, v) is an arc with u != v: the in-neighbour masks that
+    both path engines read, built with ``rows``.  A loop never precedes
+    its own vertex, so ``ins`` drops it.
 
     >>> d = Digraph(3, [(0, 1), (1, 1), (2, 2)])
     >>> d.has_arc(0, 1), d.has_arc(1, 0)
     (True, False)
     >>> sorted(d.complement().arcs())
     [(0, 0), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+    >>> d.ins, d.complement().ins
+    ((0, 1, 0), (6, 4, 3))
     """
 
     n: int
     rows: tuple[int, ...]
+    ins: tuple[int, ...]
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         _require_int(n, "vertex count")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         rows = [0] * n
+        ins = [0] * n
         for u, v in arcs:
             if type(u) is not int or type(v) is not int:  # bool is refused too
                 bad = v if type(u) is int else u
@@ -58,8 +65,14 @@ class Digraph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) outside 0..{n - 1}")
             rows[u] |= 1 << v
+            ins[v] |= (u != v) << u  # no loop
+        self._fill(n, rows, ins)
+
+    def _fill(self, n: int, rows: Sequence[int], ins: Sequence[int]) -> "Digraph":
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "ins", tuple(ins))
+        return self
 
     @classmethod
     def from_rows(cls, n: int, rows: Sequence[int]) -> "Digraph":
@@ -69,13 +82,13 @@ class Digraph:
             _require_int(r, "row")
         if len(rows) != n:
             raise ValueError(f"expected {n} rows, got {len(rows)}")
-        mask = (1 << n) - 1
-        if any(r & ~mask for r in rows):
+        if any(row >> n for row in rows):  # a negative row too
             raise ValueError(f"row bitmask has bits outside 0..{n - 1}")
-        d = cls.__new__(cls)
-        object.__setattr__(d, "n", n)
-        object.__setattr__(d, "rows", tuple(rows))
-        return d
+        ins = [
+            sum((row >> v & 1) << u for u, row in enumerate(rows) if u != v)
+            for v in range(n)
+        ]
+        return cls.__new__(cls)._fill(n, rows, ins)
 
     def has_arc(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -92,39 +105,23 @@ class Digraph:
     def complement(self) -> "Digraph":
         """Digraph on the same vertices whose arcs are exactly the non-arcs."""
         full = (1 << self.n) - 1
-        return Digraph.from_rows(self.n, tuple(r ^ full for r in self.rows))
+        rows = [r ^ full for r in self.rows]
+        ins = [full ^ i ^ 1 << v for v, i in enumerate(self.ins)]
+        return Digraph.__new__(Digraph)._fill(self.n, rows, ins)
 
     def is_tournament(self) -> bool:
-        """No loops, and each unordered pair carries exactly one arc."""
-        return _is_tournament(self.rows, _in_masks(self))
+        """No loops, and each unordered pair carries exactly one arc: each
+        vertex's out- and in-neighbours split the other vertices."""
+        full = (1 << self.n) - 1
+        pairs = enumerate(zip(self.rows, self.ins))
+        return all(row ^ i == full ^ 1 << u for u, (row, i) in pairs)
 
     def is_two_cycle_free(self) -> bool:
         """No distinct u, v with both (u, v) and (v, u) present; loops allowed."""
-        return not any(row & ins for row, ins in zip(self.rows, _in_masks(self)))
+        return not any(row & i for row, i in zip(self.rows, self.ins))
 
     def __repr__(self) -> str:
         return f"Digraph({self.n}, {sorted(self.arcs())!r})"
-
-
-def _in_masks(d: Digraph) -> list[int]:
-    """Per vertex v, the mask of the u != v with an arc u -> v: a loop
-    never precedes its own vertex."""
-    ins = [0] * d.n
-    for u, row in enumerate(d.rows):
-        row &= ~(1 << u)
-        while row:
-            v = (row & -row).bit_length() - 1
-            ins[v] |= 1 << u
-            row &= row - 1
-    return ins
-
-
-def _is_tournament(rows: Sequence[int], ins: Sequence[int]) -> bool:
-    """Whether the digraph with out-neighbour masks ``rows`` and in-neighbour
-    masks ``ins`` (of :func:`_in_masks`) is a tournament: each vertex's out-
-    and in-neighbours split the other vertices."""
-    full = (1 << len(rows)) - 1
-    return all(row ^ i == full ^ 1 << u for u, (row, i) in enumerate(zip(rows, ins)))
 
 
 def _slots(kind: str, n: int) -> list[tuple]:

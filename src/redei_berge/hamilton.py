@@ -30,25 +30,25 @@ sets the fields stand for.
     root, on a suffix of that order.
 
 - :func:`_path_parity`, hamps mod 2, is the same step over GF(2) at one
-  bit per set.  It serves the checks that need only a parity:
-  :func:`verify_redei`, and hamps(D^c) of a D that is not a tournament
-  in Berge's report.
+  bit per set, with every vertex in the low half: it runs the same
+  1 + min(#tails, #heads) rounds, on the same order.  It serves the
+  checks that need only a parity: :func:`verify_redei`, and hamps(D^c) of
+  a D that is not a tournament in Berge's report.
 
-Both engines refuse more than ``DP_VERTEX_CAP`` vertices before building
-anything: :func:`_path_parity` itself, the exact DP through
-:func:`count_hamiltonian_paths`.  Their brute-force check, depth-first
-extension of partial paths, is
+The public entry points refuse more than ``DP_VERTEX_CAP`` vertices
+before either engine builds anything.  Their brute-force check,
+depth-first extension of partial paths, is
 :func:`oracles.count_hamiltonian_paths_by_backtracking`.  Loops never
-matter to paths: a path visits distinct vertices, so both read the
-in-neighbour masks of :func:`digraph._in_masks`, which drop them.  The
+matter to paths: a path visits distinct vertices, so both read
+``Digraph.ins``, the in-neighbour masks, which drop them.  The
 zero-vertex digraph has exactly one Hamiltonian path (the empty list) by
 convention.
 
 The reports are built here.  :func:`_hamps_report`, the whole output of
-``redei-berge hamps``, builds D's in-neighbour masks and its order once,
-runs one exact count, of D, and builds all three
-reports from it, mod 4 only up to ``CYCLE_SUM_CAP``, the cap that
-:func:`count_nontrivial_odd_cycles` keeps.  Berge's report reads the
+``redei-berge hamps``, orders D's vertices once, runs one exact count, of
+D, and builds all three reports from it, mod 4 only up to
+``CYCLE_SUM_CAP``, the cap that :func:`count_nontrivial_odd_cycles`
+keeps.  Berge's report reads the
 parity of T^c for a tournament T from hamps(T): the complement of a
 tournament is, loops aside, its converse, whose Hamiltonian paths are
 those of T read backwards, so hamps(T^c) = hamps(T).
@@ -68,18 +68,19 @@ from functools import cache
 from math import factorial
 from typing import Iterator, Sequence
 
-from .digraph import Digraph, _in_masks, _is_tournament
+from .digraph import Digraph
 from .limits import CYCLE_SUM_CAP, DP_VERTEX_CAP, _check_cap
 
 
 def count_hamiltonian_paths(d: Digraph) -> int:
     """Number of directed paths visiting every vertex exactly once, by
-    dynamic programming over vertex subsets.  With the first ceil(n/2)
-    vertices of the order of :func:`_run_order` as the low half, one
-    packed ``int`` per (high-half set H, vertex v) has one field per
-    low-half set L, counting the paths that cover exactly H + L and end at
-    v.  The fields are ``factorial(n - 1).bit_length()`` bits wide and
-    none carries into the next, so the count is exact.
+    dynamic programming over vertex subsets.  With the first
+    min(ceil(n/2), 7) vertices of the order of :func:`_run_order` as the
+    low half (:func:`_low_n`), one packed ``int`` per (high-half set H,
+    vertex v) has one field per low-half set L, counting the paths that
+    cover exactly H + L and end at v.  The fields are
+    ``factorial(n - 1).bit_length()`` bits wide and none carries into the
+    next, so the count is exact.
 
     >>> count_hamiltonian_paths(Digraph(3, [(0, 1), (1, 1), (2, 2)]))
     0
@@ -87,7 +88,7 @@ def count_hamiltonian_paths(d: Digraph) -> int:
     4
     """
     _check_cap(d.n, "vertices", DP_VERTEX_CAP, "path-count")
-    return _count_dp(_run_order(_in_masks(d)))
+    return _count_dp(_run_order(d.ins))
 
 
 def _count_dp(preds: Sequence[int]) -> int:
@@ -109,7 +110,7 @@ def _count_dp(preds: Sequence[int]) -> int:
     for ends in _path_table(preds, (1 << n) - 1, width):
         pass  # only the last entry, the full high half, is read
     # no int holds a bit above its top field, the full low-half set
-    top = ((1 << (n + 1) // 2) - 1) * width
+    top = ((1 << _low_n(n)) - 1) * width
     return sum(end >> top for end in ends)
 
 
@@ -159,10 +160,11 @@ def _path_table(preds: Sequence[int], start: int, width: int) -> Iterator[list[i
     """The exact two-level path table on k = ``len(preds)`` vertices, one
     entry at a time: ``preds[v]`` is the mask of v's in-neighbours (no
     loops), and a path may begin only at a vertex of the mask ``start``.
-    The first ceil(k/2) vertices form the low half and the others the high
-    half.  For each high-half set H, in increasing order, it yields one
-    ``int`` per vertex v, whose field L (a low-half set), of ``width`` bits,
-    counts the paths from ``start`` that cover exactly H + L and end at v.
+    The first min(ceil(k/2), 7) vertices form the low half
+    (:func:`_low_n`) and the others the high half.  For each high-half set
+    H, in increasing order, it yields one ``int`` per vertex v, whose field
+    L (a low-half set), of ``width`` bits, counts the paths from ``start``
+    that cover exactly H + L and end at v.
     The caller picks ``width`` so that no field carries into the next.
 
     - A high v in H: the sum of its predecessors' ints for H - v, plus the
@@ -183,9 +185,14 @@ def _path_table(preds: Sequence[int], start: int, width: int) -> Iterator[list[i
     smaller sets give in full.  A path enters each vertex once and leaves
     it once, so its back arcs have distinct tails and distinct heads, and
     there are at most min(#tails, #heads) of them.  The last low vertex
-    heads no back arc, so the bound is at most ceil(k/2), the sweeps a
-    worst-case order needs; on the order of :func:`_run_order` it is far
-    smaller.
+    heads no back arc, so the bound is at most the low half's size, the
+    sweeps a worst-case order needs; on the order of :func:`_run_order` it
+    is far smaller.
+
+    The cap of 7 low vertices trades the low half's int arithmetic, about
+    low_n^2 adds of 2^low_n-field ints per high set, against the
+    interpreter's work per high set, 2^(k - low_n) of them: above 14
+    vertices a low half of ceil(k/2) is slower.
 
     The entry of H is read last by H plus the highest high vertex outside
     H, and freed there.  Every set that holds the top high vertex frees at
@@ -194,11 +201,10 @@ def _path_table(preds: Sequence[int], start: int, width: int) -> Iterator[list[i
     0.45 at k = 14.
     """
     k = len(preds)
-    low_n = (k + 1) // 2
+    low_n = _low_n(k)
     low = (1 << low_n) - 1
     high_start = start >> low_n
-    # low_n >= k - low_n, so one member table lists both halves' sets
-    members = _members(low_n)
+    members = _members(max(low_n, k - low_n))  # both halves' sets
     # per high vertex: its low predecessors, and its high predecessors as
     # a high-half mask; per low vertex: its predecessors and its cut
     highs = [(members[p & low], p >> low_n) for p in preds[low_n:]]
@@ -240,6 +246,12 @@ def _path_table(preds: Sequence[int], start: int, width: int) -> Iterator[list[i
             j -= 1
 
 
+def _low_n(k: int) -> int:
+    """The size of the low half of a k-vertex path table: ceil(k/2), but
+    at most 7 (see :func:`_path_table`)."""
+    return min((k + 1) // 2, 7)
+
+
 def _sweeps(low_preds: Sequence[int]) -> int:
     """The in-place sweeps that fill :func:`_path_table`'s low half, whose
     vertices' in-neighbours inside it are ``low_preds``: 1 + the smaller
@@ -259,49 +271,53 @@ def _sweeps(low_preds: Sequence[int]) -> int:
     return 1 + min(heads.bit_count(), tails.bit_count())
 
 
-def _path_parity(d: Digraph) -> int:
-    """hamps(d) mod 2, from a bit-sliced table over GF(2): one ``int`` per
-    vertex v, whose bit S is the parity of the paths that cover exactly S
-    and end at v.  Each of n rounds sets, for each v in turn, v's int to
-    the XOR of the empty path and its predecessors' ints as they stand,
-    cut to the sets without v and shifted left by 2^v (S to S + {v}): the
-    layout of :func:`_cuts` at one bit per set, and the low-half sweeps of
-    :func:`_path_table` over GF(2).  A round recomputes every int from its
-    predecessors, so after k rounds the bit of each set of at most k
-    vertices is exact.  The table is two rows of n 2^n-bit ``int``s, the
-    ends and the masks; each round does O(n^2) word-parallel operations,
-    and no loop visits a subset.
+def _path_parity(preds: Sequence[int]) -> int:
+    """hamps mod 2 of the digraph whose in-neighbour masks are ``preds`` (no
+    loops), from a bit-sliced table over GF(2): one ``int`` per vertex v,
+    whose bit S is the parity of the paths that cover exactly S and end at
+    v.  A round sets, for each v in turn, v's int to the XOR of the empty
+    path and its predecessors' ints as they stand, cut to the sets without
+    v and shifted left by 2^v (S to S + {v}): the layout of :func:`_cuts`
+    at one bit per set.  A round is the same linear recomputation as a
+    low-half sweep of :func:`_path_table`, with every vertex low, so after
+    r rounds the table holds every path with fewer than r back arcs u -> v,
+    u > v, over GF(2) as over the integers, and it runs the
+    :func:`_sweeps` of ``preds``, 1 + min(#tails, #heads) <= n rounds.  The
+    table is two rows of n 2^n-bit ``int``s, the ends and the masks; each
+    round does O(n^2) word-parallel operations, and no loop visits a subset.
 
-    >>> _path_parity(Digraph(3, [(0, 1), (1, 1), (2, 2)]).complement())
+    >>> _path_parity(Digraph(3, [(0, 1), (1, 1), (2, 2)]).complement().ins)
     0
-    >>> _path_parity(Digraph(3, [(0, 1), (1, 2), (2, 0)]))
+    >>> _path_parity(Digraph(3, [(0, 1), (1, 2), (2, 0)]).ins)
     1
     """
-    _check_cap(d.n, "vertices", DP_VERTEX_CAP, "path-count")
-    n = d.n
+    n = len(preds)
     if not n:
         return 1  # the empty path
-    rounds = [
-        ([u for u in range(n) if ins >> u & 1], cut)
-        for ins, cut in zip(_in_masks(d), _cuts(n, 1))
+    steps = [
+        ([u for u in range(n) if p >> u & 1], *cut)
+        for p, cut in zip(preds, _cuts(n, 1))
     ]
     ends = [0] * n
-    for _ in range(n):
-        for v, (preds, (without, shift)) in enumerate(rounds):
+    for _ in range(_sweeps(preds)):
+        for v, (us, without, shift) in enumerate(steps):
             paths = 1  # the empty path, which the shift turns into {v}
-            for u in preds:
+            for u in us:
                 paths ^= ends[u]
             ends[v] = (paths & without) << shift
     top = (1 << n) - 1  # the bit of the full set
     return sum(end >> top for end in ends) & 1
 
 
-def _cuts(k: int, width: int) -> list[tuple[int, int]]:
+@cache
+def _cuts(k: int, width: int) -> tuple[tuple[int, int], ...]:
     """The one layout of both path engines: an ``int`` of 2^k fields of
     ``width`` bits, field L for the set L of vertices below k.  For each
     v < k, the mask of the fields of the sets without v (2^v fields set,
     2^v clear, repeated) and the shift of 2^v fields, which takes L to
-    L + v."""
+    L + v.  Cached: each root of :func:`_odd_cycles` and every table of a
+    sweep reuse it.  The largest, the parity's ``_cuts(22, 1)``, is 22
+    masks of 2^22 bits, about 11 MB."""
     cuts = []
     for v in range(k):
         without = (1 << (width << v)) - 1
@@ -310,7 +326,7 @@ def _cuts(k: int, width: int) -> list[tuple[int, int]]:
             without |= without << step * width
             step <<= 1
         cuts.append((without, width << v))
-    return cuts
+    return tuple(cuts)
 
 
 @cache
@@ -458,7 +474,7 @@ def count_nontrivial_odd_cycles(d: Digraph) -> int:
     1
     """
     _check_cap(d.n, "vertices", CYCLE_SUM_CAP, "cycle-sum")
-    return _odd_cycles(_run_order(_in_masks(d)))
+    return _odd_cycles(_run_order(d.ins))
 
 
 def _odd_cycles(preds: Sequence[int]) -> int:
@@ -498,7 +514,7 @@ def _odd_cycles(preds: Sequence[int]) -> int:
             for v in closing:
                 sums[parity] += ends[v]
         folded = (sums[0] & even) + (sums[1] & odd)
-        bits = width << (k + 1) // 2
+        bits = width << _low_n(k)
         while bits > width:
             bits >>= 1
             folded = (folded & (1 << bits) - 1) + (folded >> bits)
@@ -510,11 +526,11 @@ def _odd_cycles(preds: Sequence[int]) -> int:
 def _odd_layout(k: int) -> tuple[int, int, int]:
     """The field width of :func:`_odd_cycles` for a root with k vertices
     above it, and the masks of the fields L of even and of odd size on the
-    ceil(k/2)-vertex low half, built by doubling.  Every production caller
+    low half of :func:`_low_n`, built by doubling.  Every production caller
     is capped, so k <= ``CYCLE_SUM_CAP`` - 1."""
     width = (factorial(k) << k).bit_length()
     even, odd = (1 << width) - 1, 0
-    for v in range((k + 1) // 2):
+    for v in range(_low_n(k)):
         shift = width << v
         even, odd = even | odd << shift, odd | even << shift
     return width, even, odd
@@ -547,7 +563,10 @@ def _berge_report(d: Digraph, hamps: int, tournament: bool) -> dict:
     """Berge's report from hamps(d).  The parity of hamps(d^c) is read from
     the GF(2) table, or, for a tournament, is hamps mod 2: its complement is,
     loops aside, its converse, whose paths are those of d read backwards."""
-    complement_mod2 = hamps % 2 if tournament else _path_parity(d.complement())
+    if tournament:
+        complement_mod2 = hamps % 2
+    else:
+        complement_mod2 = _path_parity(_run_order(d.complement().ins))
     return {
         "theorem": "berge",
         "n": d.n,
@@ -561,12 +580,10 @@ def _berge_report(d: Digraph, hamps: int, tournament: bool) -> dict:
 def _hamps_report(d: Digraph) -> dict:
     """The payload of ``redei-berge hamps``: hamps(d), exact, and every
     report built from it (Rédei's and mod 4, up to ``CYCLE_SUM_CAP``, for a
-    tournament only), from one build of its in-neighbour masks and one
-    order of its vertices."""
+    tournament only), on one order of its vertices."""
     _check_cap(d.n, "vertices", DP_VERTEX_CAP, "path-count")
-    ins = _in_masks(d)
-    tournament = _is_tournament(d.rows, ins)
-    preds = _run_order(ins)
+    tournament = d.is_tournament()
+    preds = _run_order(d.ins)
     hamps = _count_dp(preds)
     report = {"n": d.n, "hamps": str(hamps), "tournament": tournament}
     report["berge"] = _berge_report(d, hamps, tournament)
@@ -582,22 +599,19 @@ def verify_redei(d: Digraph) -> dict:
     the GF(2) path table; the cap refuses before it is built."""
     if not d.is_tournament():
         raise ValueError("input digraph is not a tournament")
-    return _redei_report(d.n, _path_parity(d))
+    _check_cap(d.n, "vertices", DP_VERTEX_CAP, "path-count")
+    return _redei_report(d.n, _path_parity(_run_order(d.ins)))
 
 
 def verify_mod4(d: Digraph) -> dict:
     """Check that a tournament's Hamiltonian-path count is congruent to
-    1 + 2 * (number of nontrivial odd cycles) modulo 4.  The odd cycles
-    are counted first, so the cycle cap refuses before any path is
-    counted.  Both counts share one build of the in-neighbour masks and one
-    order of the vertices."""
-    ins = _in_masks(d)
-    if not _is_tournament(d.rows, ins):
+    1 + 2 * (number of nontrivial odd cycles) modulo 4: the mod-4 report
+    of :func:`_hamps_report`, after both refusals, so the cycle cap refuses
+    before any path is counted."""
+    if not d.is_tournament():
         raise ValueError("input digraph is not a tournament")
     _check_cap(d.n, "vertices", CYCLE_SUM_CAP, "cycle-sum")
-    preds = _run_order(ins)
-    odd_cycles = _odd_cycles(preds)
-    return _mod4_report(d.n, _count_dp(preds), odd_cycles)
+    return _hamps_report(d)["mod4"]
 
 
 def verify_berge(d: Digraph) -> dict:

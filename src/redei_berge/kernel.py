@@ -25,14 +25,10 @@ def _require_int(value: object, what: str) -> None:
         raise ValueError(f"{what} {value!r} is not an integer")
 
 
-def is_composition(parts: Sequence[int]) -> bool:
-    """True if every part is a positive integer (bools excluded)."""
-    return all(type(p) is int and p >= 1 for p in parts)
-
-
 def is_partition(parts: Sequence[int]) -> bool:
-    """True if the parts are positive and weakly decreasing."""
-    if not is_composition(parts):
+    """True if every part is a positive integer (bools excluded) and the
+    parts weakly decrease."""
+    if not all(type(p) is int and p >= 1 for p in parts):
         return False
     return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
 

@@ -27,12 +27,12 @@ FACTORIAL_CAP = 9
 # (BENCH_24.json; 4.0 against 2.8 ms at 14 vertices, BENCH_26.json).
 CYCLE_SUM_CAP = 12
 
-# The two path engines.  The exact DP keeps one packed int of 2^ceil(n/2)
-# fields per (high-half vertex set, vertex), 2^n n fields of about
-# log2((n - 1)!) bits in all, of which it frees each set's ints after
-# their last reader: above ~18 vertices that table dominates memory.  The
-# GF(2) parity table keeps two rows of one 2^n-bit int per vertex, the
-# ends and the masks.  22 is the hard refusal point of both.
+# The two path engines.  The exact DP keeps one packed int of
+# 2^min(ceil(n/2), 7) fields per (high-half vertex set, vertex), 2^n n
+# fields of about log2((n - 1)!) bits in all, of which it frees each set's
+# ints after their last reader: above ~18 vertices that table dominates
+# memory.  The GF(2) parity table keeps two rows of one 2^n-bit int per
+# vertex, the ends and the masks.  22 is the hard refusal point of both.
 DP_VERTEX_CAP = 22
 
 # Signed sums over the subsets of a finite set (2^size terms).

@@ -72,6 +72,7 @@ CLASS_NAMES = {
         "complement",
         "from_rows",
         "has_arc",
+        "ins",
         "is_tournament",
         "is_two_cycle_free",
         "n",

@@ -1,10 +1,14 @@
 import io
 import json
 import multiprocessing
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -51,7 +55,7 @@ def inline_pool(monkeypatch):
 
         imap = staticmethod(map)
 
-    monkeypatch.setattr(cli, "Pool", InlinePool)
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)  # cli imports it per sweep
     return sizes
 
 
@@ -245,28 +249,23 @@ class TestHamps:
         # one exact count, of D; Berge's report needs only the parity of
         # hamps(D^c), read from the GF(2) table, and a tournament's
         # complement is its converse with loops, whose count is hamps(D)
-        # again, so one path count serves all three reports; the masks of D
-        # are built once, for the tournament test and both counts
+        # again, so one path count serves all three reports; each table
+        # reads the masks its digraph was built with, in the order of
+        # _run_order
         counted = []
         parities = []
         tables = []
-        masked = []
         count_dp = hamilton._count_dp
         path_parity = hamilton._path_parity
         cycle_sums = hamilton._cycle_sums
-        in_masks = hamilton._in_masks
 
         def counting_dp(preds):
             counted.append(preds)
             return count_dp(preds)
 
-        def recording_masks(g):
-            masked.append(g)
-            return in_masks(g)
-
-        def counting_parity(g):
-            parities.append(g)
-            return path_parity(g)
+        def counting_parity(preds):
+            parities.append(preds)
+            return path_parity(preds)
 
         def recording_sums(*args):
             tables.append(args)
@@ -275,18 +274,17 @@ class TestHamps:
         monkeypatch.setattr(hamilton, "_count_dp", counting_dp)
         monkeypatch.setattr(hamilton, "_path_parity", counting_parity)
         monkeypatch.setattr(hamilton, "_cycle_sums", recording_sums)
-        monkeypatch.setattr(hamilton, "_in_masks", recording_masks)
         spec = format_digraph(d).replace("\n", ";")
         code, out, _ = run(capsys, "hamps", "--arcs", spec, "--format", "json")
         assert code == 0
-        assert counted == [hamilton._run_order(in_masks(d))]
-        complement = [] if d.is_tournament() else [d.complement()]
+        assert counted == [hamilton._run_order(d.ins)]
+        tournament = d.is_tournament()
+        complement = [] if tournament else [hamilton._run_order(d.complement().ins)]
         assert parities == complement
-        assert masked == [d] + complement  # the parity table builds its own
         payload = json.loads(out)
         # the odd cycles are counted on the path table, at every n
         assert tables == []
-        assert ("mod4" in payload) == (d.is_tournament() and d.n <= 12)
+        assert ("mod4" in payload) == (tournament and d.n <= 12)
 
     @staticmethod
     def _reports_match_verify(capsys, d):
@@ -844,3 +842,18 @@ class TestMain:
         assert [code for code, _, _ in together] == [0, 2, 0, 0]
         assert "unrecognized arguments: --frobnicate" in together[1][2]
         assert len(built) == 1
+
+    def test_import_leaves_multiprocessing_to_the_sweeps(self):
+        # only a sweep at --jobs above 1 starts a pool, so a fresh process
+        # that imports the front end does not import multiprocessing
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = "import sys, redei_berge.cli; print('multiprocessing' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.stdout == "False\n"

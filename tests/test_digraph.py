@@ -129,6 +129,43 @@ class TestComplement:
             assert d.complement().complement() == d
 
 
+def transpose(d: Digraph) -> tuple[int, ...]:
+    """The in-neighbour masks of d, loops dropped, read from ``has_arc``."""
+    return tuple(
+        sum(1 << u for u in range(d.n) if u != v and d.has_arc(u, v))
+        for v in range(d.n)
+    )
+
+
+class TestInNeighbourMasks:
+    def test_every_constructor_builds_the_transpose(self):
+        # every digraph on at most 3 vertices, then seeded random digraphs
+        # and tournaments through 14 vertices, each built four ways and
+        # complemented, which flips ins without the loops
+        rng = random.Random(137)
+        digraphs = [d for n in range(4) for d in enumerate_digraphs(n)]
+        for n in range(15):
+            for p in (0.2, 0.5, 0.8):
+                digraphs.append(random_digraph(n, p, seed=rng.getrandbits(32)))
+            digraphs.append(random_tournament(n, seed=rng.getrandbits(32)))
+        for d in digraphs:
+            for g in (
+                d,
+                Digraph(d.n, d.arcs()),
+                Digraph.from_rows(d.n, d.rows),
+                parse_digraph(format_digraph(d)),
+            ):
+                assert g.ins == transpose(d)
+                assert g.complement().ins == transpose(g.complement())
+                assert g.complement().complement().ins == g.ins
+
+    def test_loops_stay_out_of_ins(self):
+        looped = Digraph(2, [(0, 0), (0, 1), (1, 1)])
+        assert looped.ins == (0, 1)
+        assert looped.complement().ins == (2, 0)
+        assert Digraph.from_rows(2, (0b11, 0b10)).ins == (0, 1)
+
+
 class TestPredicates:
     def test_five_tournament(self):
         assert FIVE_TOURNAMENT.is_tournament()

@@ -35,8 +35,8 @@ from redei_berge import hamilton
 from redei_berge.hamilton import (
     _count_dp,
     _cycle_sums,
-    _in_masks,
     _indicator,
+    _low_n,
     _members,
     _odd_cycles,
     _partition_sum,
@@ -128,7 +128,7 @@ class TestCounting:
         for n in (1, 3, 5, 7, 9):
             for p in (0.3, 0.6, 0.9):
                 d = random_digraph(n, p, seed=rng.getrandbits(32))
-                by_dp = _count_dp(_in_masks(d))
+                by_dp = _count_dp(d.ins)
                 assert by_dp == count_hamiltonian_paths_by_backtracking(d)
 
     def test_exact_dp_field_table_memory(self):
@@ -140,7 +140,7 @@ class TestCounting:
         n = 14
         width = math.factorial(n - 1).bit_length()
         d = random_digraph(n, 0.5, seed=3)
-        preds = _in_masks(d)
+        preds = d.ins
         tracemalloc.start()
         try:
             _count_dp(preds)
@@ -156,7 +156,7 @@ class TestCounting:
             width = math.factorial(n - 1).bit_length()
             top = ((1 << (n + 1) // 2) - 1) * width
             for d in (random_digraph(n, 0.5, seed=n), random_tournament(n, seed=n)):
-                preds = _in_masks(d)
+                preds = d.ins
                 starts = []
                 for v in range(n):
                     *_, last = _path_table(preds, 1 << v, width)
@@ -172,7 +172,7 @@ class TestCounting:
         for first in (2, 7):
             order = [first] + [v for v in range(n) if v != first]
             d = Digraph(n, list(zip(order, order[1:])))
-            preds = _in_masks(d)
+            preds = d.ins
             for v in range(n):
                 *_, last = _path_table(preds, 1 << v, width)
                 assert sum(end >> top for end in last) == (v == first)
@@ -235,7 +235,7 @@ class TestSweepBound:
         # every back arc, so one sweep fewer would miss it
         for seed in range(2):
             d = descending_low_path(k, seed=100 * k + seed)
-            preds = _in_masks(d)
+            preds = d.ins
             hamps = _count_dp(preds)
             if k <= 9:
                 assert hamps == count_hamiltonian_paths_by_backtracking(d)
@@ -279,12 +279,12 @@ class TestSweepBound:
             assert sweeps and set(sweeps) == {1}
             sweeps.clear()
             # a run takes a source of the rest: the order is the acyclic one
-            assert _run_order(_in_masks(t)) == _in_masks(transitive_tournament(n))
+            assert _run_order(t.ins) == list(transitive_tournament(n).ins)
 
     def test_sweeps_pinned_on_a_random_tournament(self, sweeps):
         # measured once: the natural order needs 6 sweeps, the run order 3
         t = random_tournament(14, seed=5)
-        assert _count_dp(_in_masks(t)) == count_hamiltonian_paths(t)
+        assert _count_dp(t.ins) == count_hamiltonian_paths(t)
         assert sweeps == [6, 3]
 
 
@@ -310,53 +310,74 @@ class TestRunOrder:
                 random_tournament(n, seed=rng.getrandbits(32)),
                 *(random_digraph(n, p, seed=rng.getrandbits(32)) for p in (0.2, 0.5, 0.8)),
             ):
-                hamps = _count_dp(_in_masks(d))
-                odd = _odd_cycles(_in_masks(d))
+                hamps = _count_dp(d.ins)
+                odd = _odd_cycles(d.ins)
                 for _ in range(2):
                     moved = relabelled(d, rng)
                     assert count_hamiltonian_paths(moved) == hamps
-                    assert _odd_cycles(_run_order(_in_masks(moved))) == odd
+                    assert _odd_cycles(_run_order(moved.ins)) == odd
+
+
+def parities(d: Digraph) -> set[int]:
+    """hamps(d) mod 2 from the GF(2) table on d's natural masks and on the
+    masks of ``_run_order``: one value when the two agree."""
+    return {_path_parity(d.ins), _path_parity(_run_order(d.ins))}
 
 
 class TestPathParity:
-    """The GF(2) path table against the exact DP and the backtracking
-    oracle, loops included."""
+    """The GF(2) path table, on natural and on relabelled masks, against
+    the exact DP and the backtracking oracle, loops included."""
 
     def test_matches_exact_dp_through_n16(self):
         # every size, so every shift 2^v and every without-v mask is used;
-        # above 12 one digraph and one tournament keep the exact DP cheap,
+        # above 14 one digraph and one tournament keep the exact DP cheap,
         # and a tournament's complement has the tournament's count
+        rng = random.Random(71)
         for n in range(17):
             seeds = range(3) if n <= 12 else range(1)
             for seed in seeds:
                 d = random_digraph(n, 0.5, seed=seed)
                 t = random_tournament(n, seed=seed)
                 hamps_t = count_hamiltonian_paths(t) % 2
-                assert _path_parity(d) == count_hamiltonian_paths(d) % 2
-                assert _path_parity(t) == hamps_t == 1
-                assert _path_parity(t.complement()) == hamps_t
-                if n <= 12:
+                assert parities(d) == {_count_dp(d.ins) % 2}
+                assert parities(t) == {hamps_t} == {1}
+                assert parities(t.complement()) == {hamps_t}
+                if n <= 14:
                     complement = d.complement()
-                    hamps_c = count_hamiltonian_paths(complement)
-                    assert _path_parity(complement) == hamps_c % 2
-            assert _path_parity(Digraph(n)) == (n <= 1)
+                    hamps_c = _count_dp(complement.ins) % 2
+                    assert parities(complement) == {hamps_c}
+                    for p in (0.2, 0.8):
+                        g = relabelled(random_digraph(n, p, seed=seed), rng)
+                        assert parities(g) == {_count_dp(g.ins) % 2}
+            assert parities(Digraph(n)) == {n <= 1}
             complete = Digraph.from_rows(n, ((1 << n) - 1,) * n)  # loops too
-            assert _path_parity(complete) == math.factorial(n) % 2
+            assert parities(complete) == {math.factorial(n) % 2}
 
-    def test_matches_backtracking_through_n10(self):
+    def test_matches_backtracking_through_n9(self):
         rng = random.Random(67)
         digraphs = [Digraph(0), Digraph(1), Digraph(1, [(0, 0)])]  # one path each
-        for n in range(11):
-            for p in (0.25, 0.5):
+        for n in range(10):
+            for p in (0.25, 0.5, 0.75):
                 digraphs.append(random_digraph(n, p, seed=rng.getrandbits(32)))
+            digraphs.append(random_tournament(n, seed=rng.getrandbits(32)))
         for d in digraphs:
-            assert _path_parity(d) == count_hamiltonian_paths_by_backtracking(d) % 2
-        assert [_path_parity(d) for d in digraphs[:3]] == [1, 1, 1]
+            assert parities(d) == {count_hamiltonian_paths_by_backtracking(d) % 2}
+        assert [_path_parity(d.ins) for d in digraphs[:3]] == [1, 1, 1]
 
-    def test_cap(self):
-        refusal = "^23 vertices exceeds the path-count cap of 22$"
-        with pytest.raises(CapExceededError, match=refusal):
-            _path_parity(Digraph(23))
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_descending_path_needs_every_round(self, n):
+        # n - 1 -> ... -> 1 -> 0 takes n - 1 back arcs, the most a path can,
+        # so its one Hamiltonian path reaches the full set in round n, the
+        # last the bound allows; forward arcs add paths but no back arc
+        path = [(v + 1, v) for v in range(n - 1)]
+        line = Digraph(n, path)
+        assert _sweeps(line.ins) == n
+        assert _path_parity(line.ins) == 1
+        rng = random.Random(n)
+        forward = [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.3]
+        d = Digraph(n, path + forward)
+        assert _sweeps(d.ins) == n
+        assert _path_parity(d.ins) == _count_dp(d.ins) % 2
 
     def test_table_keeps_2n_bits_per_vertex(self):
         # Two rows of n ints of 2^n bits (the ends, updated in place, and
@@ -367,7 +388,7 @@ class TestPathParity:
         d = random_digraph(n, 0.5, seed=3)
         tracemalloc.start()
         try:
-            _path_parity(d)
+            _path_parity(d.ins)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -420,10 +441,12 @@ class TestBeyondTheOracle:
                 assert count_hamiltonian_paths(d) == weighted_path_sum(n, s)
 
     def test_relabelling_across_the_halves_keeps_the_count(self):
-        # v -> v + ceil(n/2) mod n moves every low vertex into the high
-        # half, but one at odd n, where the low half is one vertex larger
+        # v -> v + low_n mod n moves every low vertex into the high half,
+        # but one at n = 13, where the low half is one vertex larger; at 15
+        # and 16 vertices the low half stops at 7 and the high half is the
+        # larger
         for n in range(13, 17):
-            low_n = (n + 1) // 2
+            low_n = _low_n(n)
             for d in (
                 random_digraph(n, 0.5, seed=n),
                 random_tournament(n, seed=n),
@@ -495,7 +518,7 @@ class TestOddCycleCounting:
             count = sum(
                 math.comb(n, k) * math.factorial(k - 1) for k in range(3, n + 1, 2)
             )
-            assert _odd_cycles(_in_masks(complete)) == count
+            assert _odd_cycles(complete.ins) == count
             if n <= 12:
                 assert cycle_sum_odd_cycles(complete) == count
 
@@ -503,7 +526,7 @@ class TestOddCycleCounting:
         for n in range(13, 17):
             t = random_tournament(n, seed=n)
             hamps = count_hamiltonian_paths(t)
-            assert hamps % 4 == (1 + 2 * _odd_cycles(_in_masks(t))) % 4
+            assert hamps % 4 == (1 + 2 * _odd_cycles(t.ins)) % 4
 
 
 class TestCycleSumEngine:
@@ -744,17 +767,26 @@ class TestBerge:
 
 
 class TestParityCaps:
-    @pytest.mark.parametrize("verify", [verify_redei, verify_berge])
-    def test_refused_before_either_engine(self, monkeypatch, verify):
-        # the parity engine checks the cap itself, then lays out its table
+    @pytest.mark.parametrize(
+        "verify, d",
+        [
+            (verify_redei, random_tournament(23, seed=5)),
+            (verify_berge, random_tournament(23, seed=5)),
+            (verify_berge, Digraph(23)),  # the parity route of Berge's report
+        ],
+        ids=["redei", "berge-tournament", "berge-digraph"],
+    )
+    def test_refused_before_either_engine(self, monkeypatch, verify, d):
+        # each entry point checks the cap before an engine lays out a table
         def no_count(*args):
             raise AssertionError("counted before the cap check")
 
         monkeypatch.setattr(hamilton, "_count_dp", no_count)
+        monkeypatch.setattr(hamilton, "_path_parity", no_count)
         monkeypatch.setattr(hamilton, "_cuts", no_count)
         refusal = "^23 vertices exceeds the path-count cap of 22$"
         with pytest.raises(CapExceededError, match=refusal):
-            verify(random_tournament(23, seed=5))
+            verify(d)
 
 
 class TestSignedPermutationCount:

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from redei_berge import DescentSet, Digraph, random_digraph
 from redei_berge.kernel import (
     all_descent_sets,
-    is_composition,
     is_partition,
     partition_of,
 )
@@ -37,7 +36,7 @@ class TestDescentSets:
         for s in all_descent_sets(n):
             alpha = s.composition()
             assert sum(alpha) == n
-            assert is_composition(alpha)
+            assert is_partition(tuple(sorted(alpha, reverse=True)))
             assert frozenset(itertools.accumulate(alpha[:-1])) == s.members
             seen.add(alpha)
         assert len(seen) == (1 << max(n - 1, 0)) if n else 1
@@ -48,10 +47,11 @@ class TestDescentSets:
         with pytest.raises(ValueError):
             DescentSet(3, {0})
 
-    def test_bad_composition_rejected(self):
-        # a bool or a float part would pass a plain ``p >= 1`` check
-        for parts in [(2, 0, 1), (True, 2), (1.0, 2), (2, 1.5)]:
-            assert not is_composition(parts)
+    def test_bad_parts_rejected(self):
+        # a bool or a float part would pass a plain ``p >= 1`` check; each
+        # tuple decreases, so only its parts can refuse it
+        for parts in [(2, 1, 0), (2, True), (2, 1.0), (2, 1.5), (-1,)]:
+            assert not is_partition(parts)
 
     @pytest.mark.parametrize(
         "n, members, bad",
