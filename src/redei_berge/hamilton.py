@@ -47,11 +47,11 @@ convention.
 The reports are built here.  :func:`_hamps_report`, the whole output of
 ``redei-berge hamps``, orders D's vertices once, runs one exact count, of
 D, and builds all three reports from it, mod 4 only up to
-``CYCLE_SUM_CAP``, the cap that :func:`count_nontrivial_odd_cycles`
-keeps.  Berge's report reads the
-parity of T^c for a tournament T from hamps(T): the complement of a
-tournament is, loops aside, its converse, whose Hamiltonian paths are
-those of T read backwards, so hamps(T^c) = hamps(T).
+``ODD_CYCLE_CAP``, the cap that :func:`count_nontrivial_odd_cycles`
+keeps.  Berge's report reads the parity of T^c for a tournament T from
+hamps(T): the complement of a tournament is, loops aside, its converse,
+whose Hamiltonian paths are those of T read backwards, so
+hamps(T^c) = hamps(T).
 
 The cycle-sum table (weighted Hamiltonian cycles of every vertex subset,
 where a single vertex reads its diagonal weight) and the set-partition sum
@@ -69,7 +69,7 @@ from math import factorial
 from typing import Iterator, Sequence
 
 from .digraph import Digraph
-from .limits import CYCLE_SUM_CAP, DP_VERTEX_CAP, _check_cap
+from .limits import DP_VERTEX_CAP, ODD_CYCLE_CAP, _check_cap
 
 
 def count_hamiltonian_paths(d: Digraph) -> int:
@@ -466,14 +466,13 @@ def count_nontrivial_odd_cycles(d: Digraph) -> int:
     :func:`_run_order`, the paths through later vertices from an
     out-neighbour of s to an in-neighbour of s, over an even number of
     vertices, counted on the exact path table (see :func:`_odd_cycles`).
-    Loops play no part.  Refuses more than
-    ``CYCLE_SUM_CAP`` vertices, the gate of the mod-4 report, before any
-    table is built.
+    Loops play no part.  Refuses more than ``ODD_CYCLE_CAP`` vertices,
+    the gate of the mod-4 report, before any table is built.
 
     >>> count_nontrivial_odd_cycles(Digraph(3, [(0, 1), (1, 2), (2, 0), (0, 0)]))
     1
     """
-    _check_cap(d.n, "vertices", CYCLE_SUM_CAP, "cycle-sum")
+    _check_cap(d.n, "vertices", ODD_CYCLE_CAP, "odd-cycle")
     return _odd_cycles(_run_order(d.ins))
 
 
@@ -527,7 +526,7 @@ def _odd_layout(k: int) -> tuple[int, int, int]:
     """The field width of :func:`_odd_cycles` for a root with k vertices
     above it, and the masks of the fields L of even and of odd size on the
     low half of :func:`_low_n`, built by doubling.  Every production caller
-    is capped, so k <= ``CYCLE_SUM_CAP`` - 1."""
+    is capped, so k <= ``ODD_CYCLE_CAP`` - 1."""
     width = (factorial(k) << k).bit_length()
     even, odd = (1 << width) - 1, 0
     for v in range(_low_n(k)):
@@ -579,7 +578,7 @@ def _berge_report(d: Digraph, hamps: int, tournament: bool) -> dict:
 
 def _hamps_report(d: Digraph) -> dict:
     """The payload of ``redei-berge hamps``: hamps(d), exact, and every
-    report built from it (Rédei's and mod 4, up to ``CYCLE_SUM_CAP``, for a
+    report built from it (Rédei's and mod 4, up to ``ODD_CYCLE_CAP``, for a
     tournament only), on one order of its vertices."""
     _check_cap(d.n, "vertices", DP_VERTEX_CAP, "path-count")
     tournament = d.is_tournament()
@@ -589,7 +588,7 @@ def _hamps_report(d: Digraph) -> dict:
     report["berge"] = _berge_report(d, hamps, tournament)
     if tournament:
         report["redei"] = _redei_report(d.n, hamps % 2)
-        if d.n <= CYCLE_SUM_CAP:
+        if d.n <= ODD_CYCLE_CAP:
             report["mod4"] = _mod4_report(d.n, hamps, _odd_cycles(preds))
     return report
 
@@ -606,11 +605,11 @@ def verify_redei(d: Digraph) -> dict:
 def verify_mod4(d: Digraph) -> dict:
     """Check that a tournament's Hamiltonian-path count is congruent to
     1 + 2 * (number of nontrivial odd cycles) modulo 4: the mod-4 report
-    of :func:`_hamps_report`, after both refusals, so the cycle cap refuses
-    before any path is counted."""
+    of :func:`_hamps_report`, after both refusals, so the odd-cycle cap
+    refuses before any path is counted."""
     if not d.is_tournament():
         raise ValueError("input digraph is not a tournament")
-    _check_cap(d.n, "vertices", CYCLE_SUM_CAP, "cycle-sum")
+    _check_cap(d.n, "vertices", ODD_CYCLE_CAP, "odd-cycle")
     return _hamps_report(d)["mod4"]
 
 

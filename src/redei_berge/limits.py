@@ -18,14 +18,16 @@ FACTORIAL_CAP = 9
 
 # The cycle-sum table (O(2^n n^2)) and the set-partition sum over it
 # (O(3^n)) behind every power-sum, definition and deformed route, and the
-# degree of the p-to-L bridge (2^(n-1) descent sets); at 12 vertices the
-# slowest of them take a tenth of a second and under 20 MB (BENCH_21.json).
-# It is also, on purpose, the gate of the odd-cycle count behind the mod-4
-# report, which runs on the exact path table and would reach 22 vertices:
-# above 12 the count would run on every tournament `hamps` checks, and it
-# costs more than the exact path count of the same tournament
-# (BENCH_24.json; 4.0 against 2.8 ms at 14 vertices, BENCH_26.json).
-CYCLE_SUM_CAP = 12
+# degree of the p-to-L bridge (2^(n-1) descent sets); at 14 vertices the
+# slowest of them, the deformed routes, take about 0.6 s and under 30 MB
+# (BENCH_30.json).
+CYCLE_SUM_CAP = 14
+
+# The exact count of the nontrivial odd cycles, one path table per root,
+# and the mod-4 report built on it.  Above 12 vertices it would cost more
+# than the exact path count of the same tournament, on every tournament
+# `hamps` checks (4.0 against 2.8 ms at 14 vertices, BENCH_26.json).
+ODD_CYCLE_CAP = 12
 
 # The two path engines.  The exact DP keeps one packed int of
 # 2^min(ceil(n/2), 7) fields per (high-half vertex set, vertex), 2^n n

@@ -10,7 +10,9 @@ Hamiltonian paths in ``Fraction`` arithmetic, and ``weighted_cycle_sums`` one
 over the weighted Hamiltonian cycles of every vertex set in ``int``s, both
 written without the package.  ``packed_partition_sum`` is the package's
 set-partition sum on packed-field shape keys in place of list-indexed ones,
-the oracle of that sum.  ``cycle_sum_odd_cycles`` is the package's
+the oracle of that sum, and ``inclusion_exclusion_partition_sum`` the same
+sum by inclusion--exclusion over vertex sets, written without the package.
+``cycle_sum_odd_cycles`` is the package's
 former odd-cycle count, the cycle-sum table summed over the odd vertex
 sets, the oracle of the count on the exact path table.  ``drawn_digraph`` and ``drawn_tournament`` draw
 arc by arc from a ``random.Random``, the draws that ``random_digraph``,
@@ -18,8 +20,10 @@ arc by arc from a ``random.Random``, the draws that ``random_digraph``,
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from operator import add, mul
 
 from redei_berge import Digraph
 from redei_berge.hamilton import _cycle_sums, _indicator
@@ -157,6 +161,64 @@ def packed_partition_sum(n: int, block_weight) -> dict[tuple[int, ...], int]:
         for shape, c in states.get(full, {}).items()
         if c
     }
+
+
+def _zeta(n: int, z: list[int]) -> list[int]:
+    """z[X] replaced by the sum of z[B] over the subsets B of X, by one
+    in-place pass per vertex on list slices: contiguous runs for the high
+    vertices, strided slices for the low ones."""
+    size = 1 << n
+    for i in range(n):
+        step = 1 << i
+        if step * step <= size // 2:  # few offsets: one strided slice each
+            for o in range(step):
+                z[step + o :: 2 * step] = map(add, z[step + o :: 2 * step], z[o :: 2 * step])
+        else:  # few runs: one contiguous slice each
+            for start in range(0, size, 2 * step):
+                high = slice(start + step, start + 2 * step)
+                z[high] = map(add, z[high], z[start : start + step])
+    return z
+
+
+def inclusion_exclusion_partition_sum(n: int, block_weight) -> dict[tuple[int, ...], int]:
+    """The sum of ``packed_partition_sum`` by inclusion--exclusion
+    (Björklund, Husfeldt and Koivisto, "Set partitioning via
+    inclusion--exclusion", SIAM J. Comput. 2009): for block sizes
+    lambda_1 >= ... >= lambda_l summing to n, sum_X (-1)^(n - |X|)
+    prod_i Z_(lambda_i)(X) counts the l-tuples of blocks of those sizes
+    that cover the n vertices, each set partition once per order of its
+    equal blocks, so dividing by prod_k m_k(lambda)! gives the coefficient.
+    Z_k is the zeta transform of the blocks of size k.
+
+    The products over X are shared along a trie of the parts of size at
+    least 2; each node closes its partition with parts of size 1, by the
+    vector ones[j] = (-1)^(n - |X|) Z_1(X)^j, which carries the sign."""
+    size = 1 << n
+    ranks = [X.bit_count() for X in range(size)]
+    zeta = {
+        k: _zeta(n, [w if r == k else 0 for w, r in zip(block_weight, ranks)])
+        for k in range(1, n + 1)
+    }
+    live = [k for k in range(n, 1, -1) if any(zeta[k])]
+    ones = [[-1 if (n - r) & 1 else 1 for r in ranks]]
+    for _ in range(n):
+        ones.append(list(map(mul, ones[-1], zeta[1])))
+    terms = {}
+
+    def extend(products: list[int], parts: tuple[int, ...], room: int) -> None:
+        total = sum(map(mul, products, ones[room]))
+        if total:
+            shape = (*parts, *(1,) * room)
+            orders = math.prod(math.factorial(shape.count(k)) for k in set(shape))
+            count, rest = divmod(total, orders)
+            assert not rest, (shape, total)
+            terms[shape] = count
+        for k in live:
+            if k <= room and (not parts or k <= parts[-1]):
+                extend(list(map(mul, products, zeta[k])), (*parts, k), room - k)
+
+    extend([1] * size, (), n)
+    return terms
 
 
 def cycle_sum_odd_cycles(d: Digraph) -> int:

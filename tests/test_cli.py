@@ -27,6 +27,7 @@ from redei_berge import (
     verify_redei,
 )
 from redei_berge import cli, core, hamilton, polynomials
+from redei_berge.limits import ODD_CYCLE_CAP
 from redei_berge.polynomials import _cut_shapes
 
 
@@ -150,10 +151,15 @@ class TestCompute:
         assert code == 2
         assert "line 2" in err
 
-    def test_cap_violation_is_exit_2(self, capsys):
-        code, _, err = run(capsys, "compute", "--arcs", "13")
-        assert code == 2
-        assert "cap" in err
+    def test_cap_violation_is_exit_2(self, capsys, monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("a table was built above the cap")
+
+        monkeypatch.setattr(core, "_cycle_sums", no_tables)
+        monkeypatch.setattr(core, "_partition_sum", no_tables)
+        code, out, err = run(capsys, "compute", "--arcs", "15")
+        assert (code, out) == (2, "")
+        assert "15 vertices exceeds the cycle-sum cap of 14" in err
 
 
 class TestDeformed:
@@ -238,7 +244,37 @@ class TestHamps:
         code, out, _ = run(capsys, "hamps", "--input", str(path))
         assert code == 0
         assert "hamps = 1" in out
-        assert "mod4: skipped (above the cycle-sum cap of 12)" in out.splitlines()
+        assert "mod4: skipped (above the odd-cycle cap of 12)" in out.splitlines()
+
+    @pytest.mark.parametrize(
+        "n, payload",
+        [
+            (
+                13,
+                '{"n": 13, "hamps": "1938191", "tournament": true, "berge": '
+                '{"theorem": "berge", "n": 13, "hamps": "1938191", "lhs_mod2": 1, '
+                '"rhs_mod2": 1, "pass": true}, "redei": {"theorem": "redei", '
+                '"n": 13, "hamps_mod2": 1, "pass": true}}\n',
+            ),
+            (
+                14,
+                '{"n": 14, "hamps": "19431499", "tournament": true, "berge": '
+                '{"theorem": "berge", "n": 14, "hamps": "19431499", "lhs_mod2": 1, '
+                '"rhs_mod2": 1, "pass": true}, "redei": {"theorem": "redei", '
+                '"n": 14, "hamps_mod2": 1, "pass": true}}\n',
+            ),
+        ],
+    )
+    def test_no_mod4_report_above_the_odd_cycle_cap(self, capsys, monkeypatch, n, payload):
+        # the cycle-sum cap is above 12, yet the mod-4 report keeps its own
+        # cap: no odd cycle is counted, and the payload is pinned whole
+        def no_count(*args):
+            raise AssertionError("odd cycles counted above their cap")
+
+        monkeypatch.setattr(hamilton, "_odd_cycles", no_count)
+        spec = format_digraph(random_tournament(n, seed=n)).replace("\n", ";")
+        code, out, _ = run(capsys, "hamps", "--arcs", spec, "--format", "json")
+        assert (code, out) == (0, payload)
 
     @pytest.mark.parametrize(
         "d",
@@ -284,7 +320,7 @@ class TestHamps:
         payload = json.loads(out)
         # the odd cycles are counted on the path table, at every n
         assert tables == []
-        assert ("mod4" in payload) == (tournament and d.n <= 12)
+        assert ("mod4" in payload) == (tournament and d.n <= ODD_CYCLE_CAP)
 
     @staticmethod
     def _reports_match_verify(capsys, d):
@@ -672,17 +708,22 @@ class TestVerify:
         [
             (
                 "thm1",
-                "--random 20 --max-n 13",
-                "13 vertices (--max-n) exceeds the thm1 cap of 12",
+                "--random 20 --max-n 15",
+                "15 vertices (--max-n) exceeds the thm1 cap of 14",
             ),
             (
                 "thm1",
-                "--exhaustive 13",
-                "13 vertices (--exhaustive) exceeds the thm1 cap of 12",
+                "--exhaustive 15",
+                "15 vertices (--exhaustive) exceeds the thm1 cap of 14",
             ),
-            ("thm2", "--random 1 --max-n 13", "exceeds the thm2 cap of 12"),
+            ("thm2", "--random 1 --max-n 15", "exceeds the thm2 cap of 14"),
             ("lemmas", "--exhaustive 10", "exceeds the lemmas cap of 9"),
             ("mod4", "--exhaustive 13", "exceeds the mod4 cap of 12"),
+            (
+                "mod4",
+                "--random 3 --max-n 13",
+                "13 vertices (--max-n) exceeds the mod4 cap of 12",
+            ),
             ("berge", "--random 1 --max-n 23", "exceeds the berge cap of 22"),
             (
                 "berge",

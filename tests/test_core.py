@@ -44,7 +44,7 @@ from redei_berge.oracles import (
 )
 
 P = PowerSumPolynomial
-ENGINE_REFUSAL = "^13 vertices exceeds the cycle-sum cap of 12$"
+ENGINE_REFUSAL = "^15 vertices exceeds the cycle-sum cap of 14$"
 
 
 def row_prime_weights(n, seed):
@@ -162,7 +162,7 @@ class TestDefinitionRoute:
 
     def test_cap(self):
         with pytest.raises(CapExceededError, match=ENGINE_REFUSAL):
-            redei_berge_by_definition(Digraph(13))
+            redei_berge_by_definition(Digraph(15))
 
 
 class TestPermutationSets:
@@ -635,10 +635,10 @@ class TestCapsBeforeWork:
 
         monkeypatch.setattr("redei_berge.core._cycle_sums", no_tables)
         for route, arg in (
-            (redei_berge_powersum, random_digraph(13, 0.5, seed=1)),
-            (redei_berge_tournament, random_tournament(13, seed=2)),
-            (redei_berge_two_cycle_free, Digraph(13, [(0, 1), (1, 2)])),
-            (deformed_powersum, ArcWeights.random(13, seed=3)),
+            (redei_berge_powersum, random_digraph(15, 0.5, seed=1)),
+            (redei_berge_tournament, random_tournament(15, seed=2)),
+            (redei_berge_two_cycle_free, Digraph(15, [(0, 1), (1, 2)])),
+            (deformed_powersum, ArcWeights.random(15, seed=3)),
         ):
             with pytest.raises(CapExceededError, match=ENGINE_REFUSAL):
                 route(arg)
@@ -649,8 +649,8 @@ class TestCapsBeforeWork:
 
         monkeypatch.setattr("redei_berge.core._cycle_sums", no_tables)
         for route, arg in (
-            (redei_berge_by_definition, random_digraph(13, 0.5, seed=4)),
-            (deformed_by_definition, ArcWeights.random(13, seed=5)),
+            (redei_berge_by_definition, random_digraph(15, 0.5, seed=4)),
+            (deformed_by_definition, ArcWeights.random(15, seed=5)),
         ):
             with pytest.raises(CapExceededError, match=ENGINE_REFUSAL):
                 route(arg)
@@ -744,38 +744,40 @@ class TestMatchesDefinition:
 
         monkeypatch.setattr(core, "_listing_monomials", no_tables)
         monkeypatch.setattr(core, "_cycle_sums", no_tables)
-        d = random_digraph(13, 0.5, seed=6)
+        d = random_digraph(15, 0.5, seed=6)
         with pytest.raises(CapExceededError, match=ENGINE_REFUSAL):
             core._matches_definition(d, P({(1,): 1}))
 
 
 class TestAtTheCycleSumCap:
-    """Differential checks at n = 10..12: above the reach of the n! oracles,
-    up to the cycle-sum cap, on a few seeded inputs per size."""
+    """Differential checks at n = 10..14: above the reach of the n! oracles,
+    up to the cycle-sum cap, on a few seeded inputs per size up to 12 and
+    one at 13 and at 14."""
 
-    @pytest.mark.parametrize("n", [10, 11, 12])
+    @pytest.mark.parametrize("n", [10, 11, 12, 13, 14])
     def test_zeta_counts_the_complements_paths(self, n):
         # independent routes: the cycle-sum engine against the path DP
-        for seed in range(2):
+        for seed in range(2 if n <= 12 else 1):
             d = random_digraph(n, 0.5, seed=100 * n + seed)
             hamps = count_hamiltonian_paths(d.complement())
             assert redei_berge_powersum(d).zeta() == hamps
 
-    @pytest.mark.parametrize("n", [10, 11, 12])
+    @pytest.mark.parametrize("n", [10, 11, 12, 13, 14])
     def test_tournament_form_matches_the_signed_form(self, n):
-        for seed in range(2):
+        for seed in range(2 if n <= 12 else 1):
             d = random_tournament(n, seed=200 * n + seed)
             f = redei_berge_powersum(d)
             assert redei_berge_tournament(d) == f
             assert in_doubled_odd_cone(f)
 
-    @pytest.mark.parametrize("n", [10, 11, 12])
+    @pytest.mark.parametrize("n", [10, 11, 12, 13, 14])
     def test_power_sum_route_matches_definition_route(self, n):
         """Cycles of D and its complement against paths of the complement,
         in the fundamental basis.  Both routes run on ``_cycle_sums`` and
         ``_partition_sum``, so this checks the two reductions to that
-        engine, not the engine itself; the zeta test above is the
-        independent check at these sizes."""
+        engine; the engine itself is checked against an inclusion--exclusion
+        sum at these sizes in ``test_hamilton.py``, and the zeta test above
+        checks the power-sum route against the path DP."""
         d = random_digraph(n, 0.5, seed=300 * n)
         f = redei_berge_powersum(d)
         assert f.to_fundamental() == redei_berge_by_definition(d)
@@ -798,11 +800,11 @@ class TestAtTheCycleSumCap:
             assert redei_berge_powersum(other) == f
             assert redei_berge_by_definition(other) == g
 
-    @pytest.mark.parametrize("n", [10, 11, 12])
+    @pytest.mark.parametrize("n", [10, 11, 12, 13])
     def test_deformed_zeta_is_the_s_weighted_path_sum(self, n):
         """Both deformed routes at x_1 = 1 against a Held--Karp DP in
         ``Fraction`` arithmetic, on rows with distinct large prime
-        denominators."""
+        denominators.  Not at 14, where that DP alone takes over 3 s."""
         w = row_prime_weights(n, 400 + n)
         paths = weighted_path_sum(n, [[w.s(u, v) for v in range(n)] for u in range(n)])
         assert deformed_powersum(w).zeta() == paths

@@ -11,6 +11,7 @@ from conftest import (
     FIVE_TOURNAMENT,
     THREE_LOOP,
     cycle_sum_odd_cycles,
+    inclusion_exclusion_partition_sum,
     packed_partition_sum,
     transitive_tournament,
     weighted_cycle_sums,
@@ -492,9 +493,15 @@ class TestOddCycleCounting:
             d = random_tournament(n, seed=seed)
             assert count_nontrivial_odd_cycles(d) == brute_force_odd_cycles(d)
 
-    def test_cap(self):
-        with pytest.raises(CapExceededError):
-            count_nontrivial_odd_cycles(Digraph(13))
+    def test_cap(self, monkeypatch):
+        def no_count(*args):
+            raise AssertionError("counted before the cap check")
+
+        monkeypatch.setattr(hamilton, "_count_dp", no_count)
+        monkeypatch.setattr(hamilton, "_odd_cycles", no_count)
+        refusal = "^13 vertices exceeds the odd-cycle cap of 12$"
+        with pytest.raises(CapExceededError, match=refusal):
+            count_nontrivial_odd_cycles(random_tournament(13, seed=5))
 
     def test_matches_the_cycle_sum_count_through_n12(self):
         # tournaments, and random digraphs at densities 0.2 to 0.8, whose
@@ -536,15 +543,15 @@ class TestCycleSumEngine:
         assert _partition_sum(0, [1]) == {(): 1}
 
     def test_partition_sum_at_the_cap_keeps_every_packed_field_apart(self):
-        # every shape of 12 is reached, each from the term lists of its
-        # shapes less one part: the Bell(12) set partitions over 77 shapes
-        terms = _partition_sum(12, [1] * 4096)
-        assert sum(terms.values()) == 4_213_597  # Bell(12)
-        assert len(terms) == 77
+        # every shape of 14 is reached, each from the term lists of its
+        # shapes less one part: the Bell(14) set partitions over 135 shapes
+        terms = _partition_sum(14, [1] * (1 << 14))
+        assert sum(terms.values()) == 190_899_322  # Bell(14)
+        assert len(terms) == 135
         for shape, count in terms.items():
             orders = math.prod(math.factorial(part) for part in shape)
             repeats = math.prod(math.factorial(shape.count(k)) for k in set(shape))
-            assert count == math.factorial(12) // (orders * repeats)
+            assert count == math.factorial(14) // (orders * repeats)
 
     def test_partition_table_lists_every_partition_in_canonical_order(self):
         shapes, grow = _partition_table(12)
@@ -592,6 +599,27 @@ class TestCycleSumEngine:
         terms = _partition_sum(n, weights)
         assert terms == packed_partition_sum(n, weights)
         assert list(terms) == sorted(terms, key=_partition_sort_key)
+
+    @pytest.mark.parametrize("n", range(10, 15))
+    def test_partition_sum_matches_inclusion_exclusion_up_to_the_cap(self, n):
+        # an independent algorithm, above the n! oracles' 9 vertices and up
+        # to the cycle-sum cap: the signed weights of redei_berge_powersum,
+        # a tournament's odd blocks, and random signed ints
+        t = [[-arc for arc in row] for row in _indicator(random_digraph(n, seed=n))]
+        s = [[value + 1 for value in row] for row in t]
+        here = _cycle_sums(n, _indicator(random_tournament(n, seed=n)))
+        rng = random.Random(800 + n)
+        for weights in (
+            [a - b for a, b in zip(_cycle_sums(n, s), _cycle_sums(n, t))],
+            [
+                1 if S.bit_count() == 1 else 2 * here[S] if S.bit_count() % 2 else 0
+                for S in range(1 << n)
+            ],
+            [rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(1 << n)],
+        ):
+            assert _partition_sum(n, weights) == inclusion_exclusion_partition_sum(
+                n, weights
+            )
 
     def test_cycle_sums_match_cyclic_orderings_with_signed_weights(self):
         # every cyclic ordering of every subset, its minimal vertex first
@@ -719,9 +747,9 @@ class TestMod4:
             raise AssertionError("counted before the checks")
 
         monkeypatch.setattr(hamilton, "_count_dp", no_count)
-        monkeypatch.setattr(hamilton, "_cycle_sums", no_count)
+        monkeypatch.setattr(hamilton, "_odd_cycles", no_count)
         monkeypatch.setattr(hamilton, "_path_table", no_count)
-        refusal = "^13 vertices exceeds the cycle-sum cap of 12$"
+        refusal = "^13 vertices exceeds the odd-cycle cap of 12$"
         with pytest.raises(CapExceededError, match=refusal):
             verify_mod4(random_tournament(13, seed=5))
         with pytest.raises(ValueError, match="not a tournament"):

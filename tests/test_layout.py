@@ -3,8 +3,10 @@ enumerate no listing or permutation: the n! sums live only in the
 oracles, which only the command line imports.  Only ``cli._plan`` reads
 the sweep flags.  The cycle-sum engine imports no ``fractions``.  Every
 size cap is enforced by the one refusal helper in ``limits``, whose
-message names the count and the cap.  Every value type is a frozen
-slotted dataclass, with no hand-written immutability."""
+message names the count and the cap, and the cycle-sum and odd-cycle
+caps are each read only by the modules of their own algorithm.  Every
+value type is a frozen slotted dataclass, with no hand-written
+immutability."""
 
 import ast
 import importlib
@@ -164,6 +166,24 @@ def test_only_limits_constructs_the_cap_error(module):
     path = Path(redei_berge.__file__).with_name(module)
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert constructs_cap_error(tree) == (module == "limits.py")
+
+
+# the cycle-sum engine's routes and the p-to-L bridge, and their verify
+# targets; the odd-cycle count, its mod-4 report and its verify target
+CAP_READERS = {
+    "CYCLE_SUM_CAP": {"cli.py", "core.py", "limits.py", "polynomials.py"},
+    "ODD_CYCLE_CAP": {"cli.py", "hamilton.py", "limits.py"},
+}
+
+
+@pytest.mark.parametrize("cap", sorted(CAP_READERS))
+def test_each_cap_is_read_only_by_its_algorithm(cap):
+    readers = set()
+    for module in MODULES:
+        path = Path(redei_berge.__file__).with_name(module)
+        if cap in names_used(ast.parse(path.read_text(encoding="utf-8"))):
+            readers.add(module)
+    assert readers == CAP_READERS[cap]
 
 
 SHIFT = [(u + 1) % 25 for u in range(25)]

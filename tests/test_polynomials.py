@@ -170,11 +170,11 @@ class TestMonomialTable:
                 assert expansion.get(mu, 0) == fillings(lam, mu), (lam, mu)
 
     def test_holds_one_entry_per_partition(self):
+        # one bridge per degree, through every partition of that degree
         for n in range(CYCLE_SUM_CAP + 1):
-            for lam in partitions_of(n):
-                P({lam: 1}).to_fundamental()
+            P({lam: 1 for lam in partitions_of(n)}).to_fundamental()
         every_partition = sum(len(partitions_of(n)) for n in range(CYCLE_SUM_CAP + 1))
-        assert every_partition == 272
+        assert every_partition == 508
         assert _monomials.cache_info().currsize <= every_partition
 
     def test_bridge_refuses_above_the_cap_before_any_table(self, monkeypatch):
@@ -183,11 +183,11 @@ class TestMonomialTable:
 
         monkeypatch.setattr(polynomials, "_monomials", no_table)
         monkeypatch.setattr(polynomials, "_cut_shapes", no_table)
-        message = "13 (degree) exceeds the cycle-sum cap of 12"
+        message = "15 (degree) exceeds the cycle-sum cap of 14"
         with pytest.raises(CapExceededError, match=f"^{re.escape(message)}$"):
-            P({(13,): 1}).to_fundamental()
+            P({(15,): 1}).to_fundamental()
         with pytest.raises(AssertionError, match="table built"):  # not refused
-            P({(12,): 1}).to_fundamental()
+            P({(14,): 1}).to_fundamental()
 
 
 class TestInvolutions:
