@@ -6,7 +6,8 @@ per (high-half set, end vertex) with a field per low-half set, wide
 enough that no count carries into the next; the brute-force backtracking
 count from ``redei_berge.oracles`` cross-checks it.  On tournaments the
 count is always odd, and modulo 4 it is determined by the number of
-nontrivial odd cycles; for any digraph the count has the same parity as
+nontrivial odd cycles, which ``redei_berge.oracles`` also counts, on the
+table of cycles through every vertex set; for any digraph the count has the same parity as
 the complement's.  Redei's and Berge's statements need only parities,
 so their reports read them from a GF(2) table, one bit per (vertex set,
 last vertex) packed into one integer per vertex: the Redei report
@@ -17,13 +18,15 @@ the digraph beside the parity of its complement's (``rhs_mod2``).
 from redei_berge import (
     Digraph,
     count_hamiltonian_paths,
-    count_nontrivial_odd_cycles,
     random_tournament,
     verify_berge,
     verify_mod4,
     verify_redei,
 )
-from redei_berge.oracles import count_hamiltonian_paths_by_backtracking
+from redei_berge.oracles import (
+    count_hamiltonian_paths_by_backtracking,
+    count_nontrivial_odd_cycles,
+)
 
 cyclic = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 print("3-cycle tournament:")

@@ -36,7 +36,6 @@ from .digraph import (
 )
 from .hamilton import (
     count_hamiltonian_paths,
-    count_nontrivial_odd_cycles,
     verify_berge,
     verify_mod4,
     verify_redei,
@@ -56,7 +55,6 @@ __all__ = [
     "FundamentalQSym",
     "PowerSumPolynomial",
     "count_hamiltonian_paths",
-    "count_nontrivial_odd_cycles",
     "deformed_by_definition",
     "deformed_powersum",
     "descent_set",

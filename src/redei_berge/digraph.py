@@ -74,22 +74,6 @@ class Digraph:
         object.__setattr__(self, "ins", tuple(ins))
         return self
 
-    @classmethod
-    def from_rows(cls, n: int, rows: Sequence[int]) -> "Digraph":
-        """Build directly from per-row out-neighbour bitmasks."""
-        _require_int(n, "vertex count")
-        for r in rows:
-            _require_int(r, "row")
-        if len(rows) != n:
-            raise ValueError(f"expected {n} rows, got {len(rows)}")
-        if any(row >> n for row in rows):  # a negative row too
-            raise ValueError(f"row bitmask has bits outside 0..{n - 1}")
-        ins = [
-            sum((row >> v & 1) << u for u, row in enumerate(rows) if u != v)
-            for v in range(n)
-        ]
-        return cls.__new__(cls)._fill(n, rows, ins)
-
     def has_arc(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 

@@ -47,11 +47,12 @@ convention.
 The reports are built here.  :func:`_hamps_report`, the whole output of
 ``redei-berge hamps``, orders D's vertices once, runs one exact count, of
 D, and builds all three reports from it, mod 4 only up to
-``ODD_CYCLE_CAP``, the cap that :func:`count_nontrivial_odd_cycles`
-keeps.  Berge's report reads the parity of T^c for a tournament T from
-hamps(T): the complement of a tournament is, loops aside, its converse,
-whose Hamiltonian paths are those of T read backwards, so
-hamps(T^c) = hamps(T).
+``ODD_CYCLE_CAP``, the cap that :func:`verify_mod4` keeps.  The odd-cycle
+count's check is :func:`oracles.count_nontrivial_odd_cycles`, on the
+cycle-sum table.  Berge's report reads the parity of T^c for a
+tournament T from hamps(T): the complement of a tournament is, loops
+aside, its converse, whose Hamiltonian paths are those of T read
+backwards, so hamps(T^c) = hamps(T).
 
 The cycle-sum table (weighted Hamiltonian cycles of every vertex subset,
 where a single vertex reads its diagonal weight) and the set-partition sum
@@ -460,27 +461,13 @@ def _indicator(d: Digraph) -> list[list[int]]:
     return [[row >> v & 1 for v in range(d.n)] for row in d.rows]
 
 
-def count_nontrivial_odd_cycles(d: Digraph) -> int:
-    """Number of rotation classes of odd length > 1 all of whose cyclic
-    arcs are present: per minimal vertex s in the order of
-    :func:`_run_order`, the paths through later vertices from an
-    out-neighbour of s to an in-neighbour of s, over an even number of
-    vertices, counted on the exact path table (see :func:`_odd_cycles`).
-    Loops play no part.  Refuses more than ``ODD_CYCLE_CAP`` vertices,
-    the gate of the mod-4 report, before any table is built.
-
-    >>> count_nontrivial_odd_cycles(Digraph(3, [(0, 1), (1, 2), (2, 0), (0, 0)]))
-    1
-    """
-    _check_cap(d.n, "vertices", ODD_CYCLE_CAP, "odd-cycle")
-    return _odd_cycles(_run_order(d.ins))
-
-
 def _odd_cycles(preds: Sequence[int]) -> int:
-    """The count of :func:`count_nontrivial_odd_cycles`, uncapped, of the
-    digraph whose in-neighbour masks are ``preds`` (no loops).  Each
-    cycle is counted at its minimal vertex s, as a path through vertices
-    above s from an out-neighbour of s to an in-neighbour of s: per root,
+    """The number of nontrivial odd cycles, rotation classes of odd length
+    > 1 all of whose cyclic arcs are present, of the digraph whose
+    in-neighbour masks are ``preds`` (no loops), uncapped: callers gate it
+    by ``ODD_CYCLE_CAP``.  Each cycle is counted at its minimal vertex s,
+    as a path through vertices above s from an out-neighbour of s to an
+    in-neighbour of s: per root,
     :func:`_path_table` on the k = n - 1 - s vertices above s, started at
     the out-neighbours of s.  For each H the ends of the in-neighbours of s
     are summed into one of two accumulators, by the parity of |H|; at the
@@ -605,12 +592,13 @@ def verify_redei(d: Digraph) -> dict:
 def verify_mod4(d: Digraph) -> dict:
     """Check that a tournament's Hamiltonian-path count is congruent to
     1 + 2 * (number of nontrivial odd cycles) modulo 4: the mod-4 report
-    of :func:`_hamps_report`, after both refusals, so the odd-cycle cap
-    refuses before any path is counted."""
+    of :func:`_hamps_report`, on one order of the vertices, after both
+    refusals, so the odd-cycle cap refuses before any path is counted."""
     if not d.is_tournament():
         raise ValueError("input digraph is not a tournament")
     _check_cap(d.n, "vertices", ODD_CYCLE_CAP, "odd-cycle")
-    return _hamps_report(d)["mod4"]
+    preds = _run_order(d.ins)
+    return _mod4_report(d.n, _count_dp(preds), _odd_cycles(preds))
 
 
 def verify_berge(d: Digraph) -> dict:

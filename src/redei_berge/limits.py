@@ -17,16 +17,17 @@ from math import prod
 FACTORIAL_CAP = 9
 
 # The cycle-sum table (O(2^n n^2)) and the set-partition sum over it
-# (O(3^n)) behind every power-sum, definition and deformed route, and the
-# degree of the p-to-L bridge (2^(n-1) descent sets); at 14 vertices the
-# slowest of them, the deformed routes, take about 0.6 s and under 30 MB
-# (BENCH_30.json).
+# (O(3^n)) behind every power-sum, definition and deformed route and the
+# odd-cycle oracle, and the degree of the p-to-L bridge (2^(n-1) descent
+# sets); at 14 vertices the slowest of them, the deformed routes, take
+# about 0.6 s and under 30 MB (BENCH_30.json).
 CYCLE_SUM_CAP = 14
 
-# The exact count of the nontrivial odd cycles, one path table per root,
-# and the mod-4 report built on it.  Above 12 vertices it would cost more
-# than the exact path count of the same tournament, on every tournament
-# `hamps` checks (4.0 against 2.8 ms at 14 vertices, BENCH_26.json).
+# The mod-4 report of `hamps` and `verify mod4`, whose exact count of the
+# nontrivial odd cycles runs one path table per root.  Above 12 vertices
+# that count would cost more than the exact path count of the same
+# tournament, on every tournament `hamps` checks (4.0 against 2.8 ms at
+# 14 vertices, BENCH_26.json).
 ODD_CYCLE_CAP = 12
 
 # The two path engines.  The exact DP keeps one packed int of

@@ -3,8 +3,10 @@ independently testable identities: linear arc sets and path covers,
 signed inclusion-exclusion sums and the power-sum form rebuilt from
 them, level-respecting listings, the cycle-colouring sum, permutations
 filtered by their cycles, the literal per-cycle weight sum over all
-permutations, the literal listing sums of the definition routes, and
-Hamiltonian paths counted by backtracking.
+permutations, the literal listing sums of the definition routes,
+Hamiltonian paths counted by backtracking, and the nontrivial odd cycles
+counted on the cycle-sum table, an engine independent of the path table
+that the mod-4 report counts them on.
 
 A permutation sigma of 0..n-1 is its image tuple, ``sigma[v]`` being the
 image of v, as ``itertools.permutations(range(n))`` yields it.  A cycle is
@@ -23,9 +25,10 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .digraph import Digraph
-from .hamilton import count_hamiltonian_paths
+from .hamilton import _cycle_sums, _indicator, count_hamiltonian_paths
 from .kernel import DescentSet, _require_int, partition_of
 from .limits import (
+    CYCLE_SUM_CAP,
     DP_VERTEX_CAP,
     ENUMERATION_CAP,
     FACTORIAL_CAP,
@@ -439,6 +442,21 @@ def count_hamiltonian_paths_by_backtracking(d: Digraph) -> int:
     for start in range(n):
         extend(start, 1 << start)
     return total
+
+
+def count_nontrivial_odd_cycles(d: Digraph) -> int:
+    """Number of rotation classes of odd length > 1 all of whose cyclic
+    arcs are present: the cycle-sum table (one entry per vertex set, its
+    Hamiltonian cycles) summed over the vertex sets of odd size at least 3.
+    Loops play no part.  Refuses more than ``CYCLE_SUM_CAP`` vertices
+    before the table is built.
+
+    >>> count_nontrivial_odd_cycles(Digraph(3, [(0, 1), (1, 2), (2, 0), (0, 0)]))
+    1
+    """
+    _check_cap(d.n, "vertices", CYCLE_SUM_CAP, "cycle-sum")
+    sums = _cycle_sums(d.n, _indicator(d))
+    return sum(c for S, c in enumerate(sums) if (k := S.bit_count()) & 1 and k > 1)
 
 
 def redei_berge_by_listings(d: Digraph) -> FundamentalQSym:

@@ -12,10 +12,11 @@ written without the package.  ``packed_partition_sum`` is the package's
 set-partition sum on packed-field shape keys in place of list-indexed ones,
 the oracle of that sum, and ``inclusion_exclusion_partition_sum`` the same
 sum by inclusion--exclusion over vertex sets, written without the package.
-``cycle_sum_odd_cycles`` is the package's
-former odd-cycle count, the cycle-sum table summed over the odd vertex
-sets, the oracle of the count on the exact path table.  ``drawn_digraph`` and ``drawn_tournament`` draw
-arc by arc from a ``random.Random``, the draws that ``random_digraph``,
+``major_index_sum`` and ``principal_specialisation`` are the two sides of
+the stable principal specialisation of U_D, the listing sum of
+q^maj_D(w) by a subset DP and the image of a power-sum expansion, also
+written without the package.  ``drawn_digraph`` and ``drawn_tournament``
+draw arc by arc from a ``random.Random``, the draws that ``random_digraph``,
 ``random_tournament`` and the random sweeps must reproduce.
 """
 
@@ -26,7 +27,6 @@ from fractions import Fraction
 from operator import add, mul
 
 from redei_berge import Digraph
-from redei_berge.hamilton import _cycle_sums, _indicator
 
 THREE_LOOP = Digraph(3, [(0, 1), (1, 1), (2, 2)])
 
@@ -221,9 +221,62 @@ def inclusion_exclusion_partition_sum(n: int, block_weight) -> dict[tuple[int, .
     return terms
 
 
-def cycle_sum_odd_cycles(d: Digraph) -> int:
-    """Number of nontrivial odd cycles of d: the cycle-sum table (one entry
-    per vertex set, its Hamiltonian cycles) summed over the vertex sets of
-    odd size at least 3."""
-    sums = _cycle_sums(d.n, _indicator(d))
-    return sum(c for S, c in enumerate(sums) if (k := S.bit_count()) & 1 and k > 1)
+def major_index_sum(n: int, rows) -> list[int]:
+    """The coefficients of q^0 .. q^(n(n-1)/2) in the sum, over the listings
+    w of 0..n-1, of q^maj_D(w), where maj_D(w) sums the positions p at
+    which (w_p, w_(p+1)) is an arc (``rows[u]`` has bit v set iff (u, v)
+    is one).  ends[T][u] is one packed ``int`` over the listings of T
+    ending at u, field k counting those of maj k: a listing of T - u
+    ending at v, then u, whose last step, at position |T| - 1, adds to maj
+    when v -> u is an arc.  A field never counts more than n! listings,
+    so none carries into the next."""
+    if n == 0:
+        return [1]
+    width = math.factorial(n).bit_length()
+    ins = [sum(1 << v for v in range(n) if rows[v] >> u & 1) for u in range(n)]
+    members = [()]
+    for v in range(n):
+        members += [m + (v,) for m in members]
+    ends = [None] * (1 << n)
+    for T in range(1, 1 << n):
+        shift = (T.bit_count() - 1) * width
+        row = [0] * n
+        for u in members[T]:
+            S = T ^ 1 << u
+            prev = ends[S]
+            arcs, others = 0, 0 if S else 1  # the listing (u) alone
+            for v in members[S & ins[u]]:
+                arcs += prev[v]
+            for v in members[S & ~ins[u]]:
+                others += prev[v]
+            row[u] = others + (arcs << shift)
+        ends[T] = row
+        # T - j is read last here when j and every vertex above it are in T
+        j = n - 1
+        while j >= 0 and T >> j & 1:
+            ends[T ^ 1 << j] = None
+            j -= 1
+    total = sum(ends[-1])
+    field = (1 << width) - 1
+    return [total >> k * width & field for k in range(n * (n - 1) // 2 + 1)]
+
+
+def principal_specialisation(n: int, terms) -> list:
+    """The coefficients of q^0 .. q^(n(n-1)/2) of prod_(i=1..n) (1 - q^i)
+    times the image of sum_lambda c_lambda p_lambda under
+    p_k -> 1 / (1 - q^k), for ``terms`` {lambda: c_lambda} with every
+    lambda a partition of n.  Each lambda's product is a polynomial, so
+    the divisions by 1 - q^k, one recurrence each, are exact."""
+    top = [1]  # prod_(i=1..n) (1 - q^i)
+    for i in range(1, n + 1):
+        top = [c - (top[k - i] if k >= i else 0) for k, c in enumerate(top + [0] * i)]
+    degree = n * (n - 1) // 2
+    out = [0] * (degree + 1)
+    for shape, c in terms.items():
+        poly = list(top)
+        for part in shape:
+            for k in range(part, len(poly)):
+                poly[k] += poly[k - part]
+        assert not any(poly[degree + 1 :]), shape
+        out = [a + c * b for a, b in zip(out, poly)]
+    return out

@@ -18,7 +18,6 @@ from redei_berge import (
     Digraph,
     PowerSumPolynomial,
     count_hamiltonian_paths,
-    count_nontrivial_odd_cycles,
     deformed_powersum,
     enumerate_digraphs,
     enumerate_tournaments,
@@ -29,10 +28,12 @@ from redei_berge import (
     redei_berge_powersum,
     redei_berge_tournament,
     redei_berge_two_cycle_free,
+    verify_mod4,
 )
 from redei_berge.oracles import (
     count_friendly_listings,
     count_listings_containing,
+    count_nontrivial_odd_cycles,
     count_perms_containing,
     cycle_type,
     friendly_product,
@@ -121,9 +122,12 @@ def test_criterion_4_redei_and_mod4():
     instances += [random_tournament(8, seed=i) for i in range(50)]
     for d in instances:
         hamps = count_hamiltonian_paths(d)
+        mod4 = verify_mod4(d)
         if hamps % 2 != 1:
             failures.append(f"even path count: {sorted(d.arcs())}")
-        elif hamps % 4 != (1 + 2 * count_nontrivial_odd_cycles(d)) % 4:
+        elif mod4["odd_cycles"] != count_nontrivial_odd_cycles(d):
+            failures.append(f"odd-cycle count differs: {sorted(d.arcs())}")
+        elif hamps % 4 != (1 + 2 * mod4["odd_cycles"]) % 4:
             failures.append(f"mod-4 mismatch: {sorted(d.arcs())}")
     finish(4, "odd path counts and mod-4 refinement", 120, started, failures)
 

@@ -25,7 +25,6 @@ PUBLIC = [
     "FundamentalQSym",
     "PowerSumPolynomial",
     "count_hamiltonian_paths",
-    "count_nontrivial_odd_cycles",
     "deformed_by_definition",
     "deformed_powersum",
     "descent_set",
@@ -70,7 +69,6 @@ CLASS_NAMES = {
     "Digraph": [
         "arcs",
         "complement",
-        "from_rows",
         "has_arc",
         "ins",
         "is_tournament",

@@ -7,7 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIVE_TOURNAMENT, GESSEL, REMARK, THREE_LOOP, weighted_path_sum
+from conftest import (
+    FIVE_TOURNAMENT,
+    GESSEL,
+    REMARK,
+    THREE_LOOP,
+    major_index_sum,
+    principal_specialisation,
+    weighted_path_sum,
+)
 from redei_berge import (
     ArcWeights,
     CapExceededError,
@@ -39,6 +47,7 @@ from redei_berge.oracles import (
     deformed_by_listings,
     is_cycle,
     is_risky,
+    level_subdigraph,
     mixed_cycle_permutations,
     redei_berge_by_listings,
 )
@@ -764,11 +773,13 @@ class TestAtTheCycleSumCap:
 
     @pytest.mark.parametrize("n", [10, 11, 12, 13, 14])
     def test_tournament_form_matches_the_signed_form(self, n):
+        # and both against the listing sum of q^maj_D(w), as below
         for seed in range(2 if n <= 12 else 1):
             d = random_tournament(n, seed=200 * n + seed)
             f = redei_berge_powersum(d)
             assert redei_berge_tournament(d) == f
             assert in_doubled_odd_cone(f)
+            assert principal_specialisation(n, f.terms) == major_index_sum(n, d.rows)
 
     @pytest.mark.parametrize("n", [10, 11, 12, 13, 14])
     def test_power_sum_route_matches_definition_route(self, n):
@@ -776,11 +787,23 @@ class TestAtTheCycleSumCap:
         in the fundamental basis.  Both routes run on ``_cycle_sums`` and
         ``_partition_sum``, so this checks the two reductions to that
         engine; the engine itself is checked against an inclusion--exclusion
-        sum at these sizes in ``test_hamilton.py``, and the zeta test above
-        checks the power-sum route against the path DP."""
+        sum at these sizes in ``test_hamilton.py``.  Each route is also
+        checked as a whole against the sum of q^maj_D(w) over the listings,
+        which shares no code with the package, through the stable principal
+        specialisation: ps(L_S) = q^(sum of S) / prod_(i<=n) (1 - q^i) and
+        ps(p_k) = 1 / (1 - q^k) (Stanley, Enumerative Combinatorics 2,
+        7.19)."""
         d = random_digraph(n, 0.5, seed=300 * n)
         f = redei_berge_powersum(d)
-        assert f.to_fundamental() == redei_berge_by_definition(d)
+        g = redei_berge_by_definition(d)
+        assert f.to_fundamental() == g
+        listings = major_index_sum(n, d.rows)
+        assert sum(listings) == math.factorial(n)
+        assert principal_specialisation(n, f.terms) == listings
+        by_descents = [0] * len(listings)
+        for S, c in g.terms.items():
+            by_descents[sum(S.members)] += c
+        assert by_descents == listings
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_invariant_under_relabelling_reversal_and_loops(self, n):
@@ -809,3 +832,60 @@ class TestAtTheCycleSumCap:
         paths = weighted_path_sum(n, [[w.s(u, v) for v in range(n)] for u in range(n)])
         assert deformed_powersum(w).zeta() == paths
         assert deformed_by_definition(w).zeta() == paths
+
+
+def without_vertex(d: Digraph, v: int) -> Digraph:
+    """D - v, the subdigraph induced on the other vertices, relabelled in
+    increasing order: the level of the vertices other than v."""
+    return level_subdigraph(d, [1 + (u == v) for u in range(d.n)], 1)
+
+
+def weights_without_vertex(w: ArcWeights, v: int) -> ArcWeights:
+    keep = [u for u in range(w.n) if u != v]
+    pairs = itertools.product(enumerate(keep), repeat=2)
+    return ArcWeights(w.n - 1, {(i, j): w.t(a, b) for (i, a), (j, b) in pairs})
+
+
+def derivative_in_p1(f: PowerSumPolynomial) -> PowerSumPolynomial:
+    """df/dp_1: p_lambda with m parts 1 becomes m p_(lambda less one part 1)."""
+    terms: dict = {}
+    for shape, c in f.terms.items():
+        if shape and shape[-1] == 1:
+            terms[shape[:-1]] = terms.get(shape[:-1], 0) + shape.count(1) * c
+    return P(terms)
+
+
+class TestVertexDeletion:
+    """Split the variables of the defining sum into x and one more variable
+    t after them.  A listing splits where its indices reach t, and an arc
+    across the split is a descent the split makes anyway, so
+    U_D(x, t) = sum over T of t^|T| hamps(D^c[T]) U_(D - T)(x).  The
+    coefficient of t reads dU_D/dp_1 = sum over v of U_(D - v): each size
+    against the size below it, on other digraphs, with no oracle.  The
+    deformed function splits the same way, since the step across the split
+    is strict and carries no weight."""
+
+    @staticmethod
+    def holds(d: Digraph) -> bool:
+        parts = [redei_berge_powersum(without_vertex(d, v)) for v in range(d.n)]
+        return derivative_in_p1(redei_berge_powersum(d)) == sum(parts, P({}))
+
+    @staticmethod
+    def holds_deformed(w: ArcWeights) -> bool:
+        parts = [deformed_powersum(weights_without_vertex(w, v)) for v in range(w.n)]
+        return derivative_in_p1(deformed_powersum(w)) == sum(parts, P({}))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_through_n8(self, n):
+        for seed in range(3):
+            assert self.holds(random_digraph(n, 0.5, seed=seed))
+            assert self.holds(random_tournament(n, seed=seed))
+            assert self.holds(random_digraph(n, 0.2, seed=seed))
+            assert self.holds_deformed(ArcWeights.random(n, seed=seed))
+
+    def test_at_13_and_14(self):
+        # one input per size and route, about 3 s in all: the signed form
+        # on tournaments, its fastest inputs at these sizes
+        assert self.holds(random_tournament(13, seed=13))
+        assert self.holds(random_tournament(14, seed=14))
+        assert self.holds_deformed(ArcWeights.random(13, seed=13))

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     FIVE_TOURNAMENT,
     THREE_LOOP,
-    cycle_sum_odd_cycles,
     inclusion_exclusion_partition_sum,
     packed_partition_sum,
     transitive_tournament,
@@ -22,7 +21,6 @@ from redei_berge import (
     CapExceededError,
     Digraph,
     count_hamiltonian_paths,
-    count_nontrivial_odd_cycles,
     enumerate_digraphs,
     enumerate_tournaments,
     random_digraph,
@@ -32,7 +30,7 @@ from redei_berge import (
     verify_mod4,
     verify_redei,
 )
-from redei_berge import hamilton
+from redei_berge import hamilton, oracles
 from redei_berge.hamilton import (
     _count_dp,
     _cycle_sums,
@@ -47,8 +45,10 @@ from redei_berge.hamilton import (
     _run_order,
     _sweeps,
 )
+from redei_berge.limits import CYCLE_SUM_CAP
 from redei_berge.oracles import (
     count_hamiltonian_paths_by_backtracking,
+    count_nontrivial_odd_cycles,
     d_cycle_excess,
     is_cycle,
     mixed_cycle_permutations,
@@ -67,6 +67,12 @@ def brute_force_odd_cycles(d: Digraph) -> int:
                 if is_cycle(d, (first, *order)):
                     total += 1
     return total
+
+
+def odd_cycles(d: Digraph) -> int:
+    """The path-table count of the nontrivial odd cycles, on the vertex
+    order that the mod-4 report gives it."""
+    return _odd_cycles(_run_order(d.ins))
 
 
 class TestCounting:
@@ -276,7 +282,7 @@ class TestSweepBound:
         for n in (5, 9, 12):
             t = relabelled(transitive_tournament(n), rng)
             assert count_hamiltonian_paths(t) == 1
-            assert count_nontrivial_odd_cycles(t) == 0
+            assert odd_cycles(t) == 0
             assert sweeps and set(sweeps) == {1}
             sweeps.clear()
             # a run takes a source of the rest: the order is the acyclic one
@@ -351,7 +357,7 @@ class TestPathParity:
                         g = relabelled(random_digraph(n, p, seed=seed), rng)
                         assert parities(g) == {_count_dp(g.ins) % 2}
             assert parities(Digraph(n)) == {n <= 1}
-            complete = Digraph.from_rows(n, ((1 << n) - 1,) * n)  # loops too
+            complete = Digraph(n, itertools.product(range(n), repeat=2))  # loops too
             assert parities(complete) == {math.factorial(n) % 2}
 
     def test_matches_backtracking_through_n9(self):
@@ -465,43 +471,49 @@ class TestBeyondTheOracle:
 
 
 class TestOddCycleCounting:
+    """The path-table count behind the mod-4 report against the brute-force
+    class enumeration and the cycle-sum oracle."""
+
     def test_transitive_tournament(self):
-        assert count_nontrivial_odd_cycles(transitive_tournament(5)) == 0
+        assert odd_cycles(transitive_tournament(5)) == 0
 
     def test_three_cycle(self):
         d = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-        assert count_nontrivial_odd_cycles(d) == 1
+        assert odd_cycles(d) == 1
 
     def test_five_tournament_matches_brute_force(self):
-        assert count_nontrivial_odd_cycles(FIVE_TOURNAMENT) == brute_force_odd_cycles(
-            FIVE_TOURNAMENT
-        )
+        assert odd_cycles(FIVE_TOURNAMENT) == brute_force_odd_cycles(FIVE_TOURNAMENT)
 
     def test_loops_and_two_cycles_not_counted(self):
         d = Digraph(2, [(0, 0), (1, 1), (0, 1), (1, 0)])
-        assert count_nontrivial_odd_cycles(d) == 0
+        assert odd_cycles(d) == count_nontrivial_odd_cycles(d) == 0
 
     def test_matches_brute_force_random(self):
         rng = random.Random(43)
         for _ in range(100):
             n = rng.randint(0, 6)
             d = random_digraph(n, 0.5, seed=rng.getrandbits(32))
-            assert count_nontrivial_odd_cycles(d) == brute_force_odd_cycles(d)
+            expected = brute_force_odd_cycles(d)
+            assert odd_cycles(d) == count_nontrivial_odd_cycles(d) == expected
 
     def test_matches_brute_force_tournaments_n9(self):
         for n, seed in ((8, 1), (9, 2)):
             d = random_tournament(n, seed=seed)
-            assert count_nontrivial_odd_cycles(d) == brute_force_odd_cycles(d)
+            expected = brute_force_odd_cycles(d)
+            assert odd_cycles(d) == count_nontrivial_odd_cycles(d) == expected
 
-    def test_cap(self, monkeypatch):
-        def no_count(*args):
-            raise AssertionError("counted before the cap check")
+    def test_oracle_reaches_the_cycle_sum_cap_and_refuses_above_it(self, monkeypatch):
+        for n in (13, 14):
+            for d in (random_tournament(n, seed=n), random_digraph(n, 0.3, seed=n)):
+                assert count_nontrivial_odd_cycles(d) == odd_cycles(d)
 
-        monkeypatch.setattr(hamilton, "_count_dp", no_count)
-        monkeypatch.setattr(hamilton, "_odd_cycles", no_count)
-        refusal = "^13 vertices exceeds the odd-cycle cap of 12$"
+        def no_table(*args):
+            raise AssertionError("built a table before the cap check")
+
+        monkeypatch.setattr(oracles, "_cycle_sums", no_table)
+        refusal = "^15 vertices exceeds the cycle-sum cap of 14$"
         with pytest.raises(CapExceededError, match=refusal):
-            count_nontrivial_odd_cycles(random_tournament(13, seed=5))
+            count_nontrivial_odd_cycles(random_tournament(15, seed=5))
 
     def test_matches_the_cycle_sum_count_through_n12(self):
         # tournaments, and random digraphs at densities 0.2 to 0.8, whose
@@ -511,23 +523,23 @@ class TestOddCycleCounting:
                 t = random_tournament(n, seed=seed)
                 d = random_digraph(n, 0.6, seed=seed)
                 assert n < 2 or any(row >> v & 1 for v, row in enumerate(d.rows))
-                assert count_nontrivial_odd_cycles(t) == cycle_sum_odd_cycles(t)
-                assert count_nontrivial_odd_cycles(d) == cycle_sum_odd_cycles(d)
+                assert odd_cycles(t) == count_nontrivial_odd_cycles(t)
+                assert odd_cycles(d) == count_nontrivial_odd_cycles(d)
                 for p in (0.2, 0.5, 0.8):
                     d = random_digraph(n, p, seed=100 + seed)
-                    assert count_nontrivial_odd_cycles(d) == cycle_sum_odd_cycles(d)
+                    assert odd_cycles(d) == count_nontrivial_odd_cycles(d)
 
     def test_complete_digraph_through_n16(self):
         # the most cycles on n vertices, so the widest fields: C(n, k) sets
         # of each odd size k >= 3, with (k - 1)! cycles each
         for n in range(17):
-            complete = Digraph.from_rows(n, ((1 << n) - 1,) * n)  # loops too
+            complete = Digraph(n, itertools.product(range(n), repeat=2))  # loops too
             count = sum(
                 math.comb(n, k) * math.factorial(k - 1) for k in range(3, n + 1, 2)
             )
-            assert _odd_cycles(complete.ins) == count
-            if n <= 12:
-                assert cycle_sum_odd_cycles(complete) == count
+            assert odd_cycles(complete) == count
+            if n <= CYCLE_SUM_CAP:
+                assert count_nontrivial_odd_cycles(complete) == count
 
     def test_mod4_congruence_beyond_the_cap(self):
         for n in range(13, 17):
@@ -754,6 +766,30 @@ class TestMod4:
             verify_mod4(random_tournament(13, seed=5))
         with pytest.raises(ValueError, match="not a tournament"):
             verify_mod4(THREE_LOOP)
+
+    def test_builds_only_its_own_report(self, monkeypatch):
+        # the mod-4 report of hamps, with one tournament test and neither
+        # Berge's nor Redei's report
+        rng = random.Random(97)
+        tournaments = [random_tournament(n, seed=rng.getrandbits(32)) for n in range(13)]
+        expected = [hamilton._hamps_report(t)["mod4"] for t in tournaments]
+        calls = []
+        is_tournament = Digraph.is_tournament
+
+        def counted(d):
+            calls.append(d)
+            return is_tournament(d)
+
+        def no_report(*args):
+            raise AssertionError("built a report that verify_mod4 drops")
+
+        monkeypatch.setattr(Digraph, "is_tournament", counted)
+        monkeypatch.setattr(hamilton, "_berge_report", no_report)
+        monkeypatch.setattr(hamilton, "_redei_report", no_report)
+        for t, report in zip(tournaments, expected):
+            calls.clear()
+            assert verify_mod4(t) == report
+            assert calls == [t]
 
 
 class TestBerge:

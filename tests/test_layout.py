@@ -21,6 +21,7 @@ from redei_berge.oracles import (
     count_friendly_listings,
     count_hamiltonian_paths_by_backtracking,
     count_listings_containing,
+    count_nontrivial_odd_cycles,
     count_perms_containing,
     cycle_weight_sum,
     d_cycle_permutations,
@@ -168,10 +169,10 @@ def test_only_limits_constructs_the_cap_error(module):
     assert constructs_cap_error(tree) == (module == "limits.py")
 
 
-# the cycle-sum engine's routes and the p-to-L bridge, and their verify
-# targets; the odd-cycle count, its mod-4 report and its verify target
+# the cycle-sum engine's routes, the p-to-L bridge and the odd-cycle
+# oracle, and their verify targets; the mod-4 report and its verify target
 CAP_READERS = {
-    "CYCLE_SUM_CAP": {"cli.py", "core.py", "limits.py", "polynomials.py"},
+    "CYCLE_SUM_CAP": {"cli.py", "core.py", "limits.py", "oracles.py", "polynomials.py"},
     "ODD_CYCLE_CAP": {"cli.py", "hamilton.py", "limits.py"},
 }
 
@@ -215,6 +216,11 @@ REFUSALS = [
         count_hamiltonian_paths_by_backtracking,
         (Digraph(23),),
         "23 vertices exceeds the path-count cap of 22",
+    ),
+    (
+        count_nontrivial_odd_cycles,
+        (Digraph(15),),
+        "15 vertices exceeds the cycle-sum cap of 14",
     ),
 ]
 
