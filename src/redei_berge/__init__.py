@@ -9,8 +9,8 @@ arbitrary-precision rationals and counts are big integers.
 
 Only those routes, the digraph model and the two bases are exported here.
 The brute-force oracles, which take permutations as plain image tuples,
-are imported from :mod:`redei_berge.oracles` and the combinatorial helpers
-(compositions, partitions, descent sets) from :mod:`redei_berge.kernel`.
+are imported from :mod:`redei_berge.oracles` and the index sets of the two
+bases (partitions, descent sets) from :mod:`redei_berge.polynomials`.
 """
 
 from .core import (
@@ -40,9 +40,8 @@ from .hamilton import (
     verify_mod4,
     verify_redei,
 )
-from .kernel import DescentSet
 from .limits import CapExceededError
-from .polynomials import FundamentalQSym, PowerSumPolynomial
+from .polynomials import DescentSet, FundamentalQSym, PowerSumPolynomial
 
 __version__ = "0.1.0"
 

@@ -54,20 +54,6 @@ from .limits import (
     ODD_CYCLE_CAP,
     _check_cap,
 )
-from .oracles import (
-    count_friendly_listings,
-    count_listings_containing,
-    count_perms_containing,
-    cycle_type,
-    friendly_product,
-    is_arc_set_of_path_cover,
-    is_linear,
-    polya_sum,
-    redei_berge_by_signed_perms,
-    signed_linear_sum,
-    signed_subset_sum,
-)
-from .polynomials import PowerSumPolynomial
 
 
 # ---------------------------------------------------------------- input
@@ -143,6 +129,13 @@ def _report_check(verify: Callable[[Digraph], dict]) -> Callable:
 
 
 def _check_lemmas(d: Digraph) -> tuple[bool, dict]:
+    from .oracles import (
+        count_friendly_listings,
+        friendly_product,
+        redei_berge_by_signed_perms,
+        signed_linear_sum,
+    )
+
     failures = []
     hamps = count_hamiltonian_paths(d.complement())
     if signed_linear_sum(d) != hamps:
@@ -157,7 +150,20 @@ def _check_lemmas(d: Digraph) -> tuple[bool, dict]:
 
 
 def _lemma_preamble() -> list[str]:
-    """Instance-independent identity checks, run once per ``verify lemmas``."""
+    """Instance-independent identity checks, run once per ``verify lemmas``.
+    The oracles are imported here and in :func:`_check_lemmas`, so only
+    that target pays for them."""
+    from .oracles import (
+        count_listings_containing,
+        count_perms_containing,
+        cycle_type,
+        is_arc_set_of_path_cover,
+        is_linear,
+        polya_sum,
+        signed_subset_sum,
+    )
+    from .polynomials import PowerSumPolynomial
+
     failures = []
     for size in range(9):
         if signed_subset_sum(size) != (1 if size == 0 else 0):

@@ -46,9 +46,9 @@ from typing import Sequence
 
 from .digraph import Digraph
 from .hamilton import _cycle_sums, _indicator, _partition_sum
-from .kernel import DescentSet, _require_int
-from .limits import CYCLE_SUM_CAP, _check_cap
+from .limits import CYCLE_SUM_CAP, _check_cap, _require_int
 from .polynomials import (
+    DescentSet,
     FundamentalQSym,
     PowerSumPolynomial,
     Rational,

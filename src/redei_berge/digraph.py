@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
-from .kernel import _require_int
-from .limits import DP_VERTEX_CAP, ENUMERATION_CAP, _check_power
+from .limits import DP_VERTEX_CAP, ENUMERATION_CAP, _check_power, _require_int
 
 
 class DigraphFormatError(ValueError):

@@ -1,4 +1,5 @@
-"""Size caps, one per algorithm, and the one function that enforces them.
+"""Size caps, one per algorithm, the one function that enforces them, and
+the check that a size or label is a plain ``int``.
 
 Everything in this package is exact, so every entry point whose cost grows
 like n!, 2^n, 3^n or 2^(n^2) refuses inputs beyond its algorithm's cap
@@ -45,6 +46,12 @@ SUBSET_CAP = 24
 # tournaments or two-cycle-free digraphs on n vertices, random sweeps,
 # cycle colourings.
 ENUMERATION_CAP = 2**24
+
+
+def _require_int(value: object, what: str) -> None:
+    """Refuse anything but a plain ``int`` with a message naming it."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an integer")
 
 
 class CapExceededError(ValueError):

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .digraph import Digraph
 from .hamilton import _cycle_sums, _indicator, count_hamiltonian_paths
-from .kernel import DescentSet, _require_int, partition_of
 from .limits import (
     CYCLE_SUM_CAP,
     DP_VERTEX_CAP,
@@ -35,8 +34,9 @@ from .limits import (
     SUBSET_CAP,
     _check_cap,
     _check_power,
+    _require_int,
 )
-from .polynomials import FundamentalQSym, PowerSumPolynomial
+from .polynomials import DescentSet, FundamentalQSym, PowerSumPolynomial, partition_of
 
 if TYPE_CHECKING:
     from .core import ArcWeights

@@ -1,6 +1,6 @@
 """The public API is the paper's routes, the digraph model, the two bases
-and the cap error; oracles and kernel helpers are imported from their
-modules.  Its values are immutable and picklable."""
+and the cap error; the oracles and the index-set helpers are imported
+from their modules.  Its values are immutable and picklable."""
 
 import pickle
 from fractions import Fraction

@@ -884,12 +884,13 @@ class TestMain:
         assert "unrecognized arguments: --frobnicate" in together[1][2]
         assert len(built) == 1
 
-    def test_import_leaves_multiprocessing_to_the_sweeps(self):
-        # only a sweep at --jobs above 1 starts a pool, so a fresh process
-        # that imports the front end does not import multiprocessing
+    @staticmethod
+    def fresh_import_loads(module: str) -> bool:
+        """Whether a fresh process that imports the front end has
+        ``module`` in ``sys.modules``."""
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        probe = "import sys, redei_berge.cli; print('multiprocessing' in sys.modules)"
+        probe = f"import sys, redei_berge.cli; print({module!r} in sys.modules)"
         result = subprocess.run(
             [sys.executable, "-c", probe],
             capture_output=True,
@@ -897,4 +898,13 @@ class TestMain:
             check=True,
             env={**os.environ, "PYTHONPATH": path},
         )
-        assert result.stdout == "False\n"
+        return {"True\n": True, "False\n": False}[result.stdout]
+
+    def test_import_leaves_multiprocessing_to_the_sweeps(self):
+        # only a sweep at --jobs above 1 starts a pool
+        assert not self.fresh_import_loads("multiprocessing")
+
+    def test_import_leaves_the_oracles_to_verify_lemmas(self):
+        # only the lemma checks call an oracle
+        assert not self.fresh_import_loads("redei_berge.oracles")
+        assert self.fresh_import_loads("redei_berge.polynomials")

@@ -37,8 +37,6 @@ from redei_berge import (
     redei_berge_two_cycle_free,
 )
 from redei_berge import core
-from redei_berge.kernel import DescentSet, all_descent_sets, partition_of
-from redei_berge.polynomials import _cut_shapes
 from redei_berge.oracles import (
     cycle_type,
     cycles_of,
@@ -51,6 +49,7 @@ from redei_berge.oracles import (
     mixed_cycle_permutations,
     redei_berge_by_listings,
 )
+from redei_berge.polynomials import DescentSet, _cut_shapes, partition_of
 
 P = PowerSumPolynomial
 ENGINE_REFUSAL = "^15 vertices exceeds the cycle-sum cap of 14$"
@@ -276,7 +275,7 @@ class TestPowerSumRoutes:
             d = random_digraph(n, 0.5, seed=rng.getrandbits(32))
             f = redei_berge_by_listings(d)
             by_shape: dict[tuple[int, ...], set] = {}
-            for cut in all_descent_sets(n):
+            for cut in _cut_shapes(n)[0]:
                 m_coeff = sum(
                     c for s, c in f.terms.items() if s.members <= cut.members
                 )
@@ -793,17 +792,28 @@ class TestAtTheCycleSumCap:
         specialisation: ps(L_S) = q^(sum of S) / prod_(i<=n) (1 - q^i) and
         ps(p_k) = 1 / (1 - q^k) (Stanley, Enumerative Combinatorics 2,
         7.19)."""
-        d = random_digraph(n, 0.5, seed=300 * n)
-        f = redei_berge_powersum(d)
-        g = redei_berge_by_definition(d)
+        f, g = self.both_routes_specialise(random_digraph(n, 0.5, seed=300 * n))
         assert f.to_fundamental() == g
-        listings = major_index_sum(n, d.rows)
-        assert sum(listings) == math.factorial(n)
-        assert principal_specialisation(n, f.terms) == listings
+
+    @pytest.mark.parametrize("n", [10, 11, 12, 13, 14])
+    def test_sparse_digraph_specialises_to_the_listing_sum(self, n):
+        self.both_routes_specialise(random_digraph(n, 0.2, seed=400 * n))
+
+    @staticmethod
+    def both_routes_specialise(d: Digraph):
+        """Checks both routes against the listing sum of q^maj_D(w), and
+        returns their results: the power-sum route through its principal
+        specialisation, the definition route's coefficients summed by the
+        sum of their descent set."""
+        f, g = redei_berge_powersum(d), redei_berge_by_definition(d)
+        listings = major_index_sum(d.n, d.rows)
+        assert sum(listings) == math.factorial(d.n)
+        assert principal_specialisation(d.n, f.terms) == listings
         by_descents = [0] * len(listings)
         for S, c in g.terms.items():
             by_descents[sum(S.members)] += c
         assert by_descents == listings
+        return f, g
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_invariant_under_relabelling_reversal_and_loops(self, n):
@@ -834,24 +844,27 @@ class TestAtTheCycleSumCap:
         assert deformed_by_definition(w).zeta() == paths
 
 
-def without_vertex(d: Digraph, v: int) -> Digraph:
-    """D - v, the subdigraph induced on the other vertices, relabelled in
-    increasing order: the level of the vertices other than v."""
-    return level_subdigraph(d, [1 + (u == v) for u in range(d.n)], 1)
+def induced(d: Digraph, keep) -> Digraph:
+    """D[keep], relabelled in increasing order: the level of those vertices."""
+    return level_subdigraph(d, [1 + (u not in keep) for u in range(d.n)], 1)
 
 
-def weights_without_vertex(w: ArcWeights, v: int) -> ArcWeights:
-    keep = [u for u in range(w.n) if u != v]
-    pairs = itertools.product(enumerate(keep), repeat=2)
-    return ArcWeights(w.n - 1, {(i, j): w.t(a, b) for (i, a), (j, b) in pairs})
+def weights_on(w: ArcWeights, keep) -> ArcWeights:
+    pairs = itertools.product(enumerate(sorted(keep)), repeat=2)
+    return ArcWeights(len(keep), {(i, j): w.t(a, b) for (i, a), (j, b) in pairs})
 
 
-def derivative_in_p1(f: PowerSumPolynomial) -> PowerSumPolynomial:
-    """df/dp_1: p_lambda with m parts 1 becomes m p_(lambda less one part 1)."""
+def t_coefficient(f: PowerSumPolynomial, m: int) -> PowerSumPolynomial:
+    """[t^m] of f with each p_k replaced by p_k + t^k: for each p_lambda,
+    the p of the parts left after sending parts of sum m to t^m, once per
+    choice of those parts' positions.  At m = 1 this is df/dp_1."""
     terms: dict = {}
     for shape, c in f.terms.items():
-        if shape and shape[-1] == 1:
-            terms[shape[:-1]] = terms.get(shape[:-1], 0) + shape.count(1) * c
+        for r in range(len(shape) + 1):
+            for sent in itertools.combinations(range(len(shape)), r):
+                if sum(shape[i] for i in sent) == m:
+                    rest = tuple(p for i, p in enumerate(shape) if i not in sent)
+                    terms[rest] = terms.get(rest, 0) + c
     return P(terms)
 
 
@@ -859,33 +872,51 @@ class TestVertexDeletion:
     """Split the variables of the defining sum into x and one more variable
     t after them.  A listing splits where its indices reach t, and an arc
     across the split is a descent the split makes anyway, so
-    U_D(x, t) = sum over T of t^|T| hamps(D^c[T]) U_(D - T)(x).  The
-    coefficient of t reads dU_D/dp_1 = sum over v of U_(D - v): each size
-    against the size below it, on other digraphs, with no oracle.  The
-    deformed function splits the same way, since the step across the split
-    is strict and carries no weight."""
+    U_D(x, t) = sum over T of t^|T| hamps(D^c[T]) U_(D - T)(x), and with
+    p_k(x, t) = p_k(x) + t^k the coefficient of t^m is a sum over the
+    m-sets T.  At m = 1 it reads dU_D/dp_1 = sum over v of U_(D - v): each
+    size against the sizes below it, on other digraphs, with no oracle.
+    The deformed function splits the same way, since the step across the
+    split is strict and carries no weight; every step inside T stalls, so
+    hamps(D^c[T]) becomes T's s-weighted Hamiltonian-path sum."""
 
     @staticmethod
-    def holds(d: Digraph) -> bool:
-        parts = [redei_berge_powersum(without_vertex(d, v)) for v in range(d.n)]
-        return derivative_in_p1(redei_berge_powersum(d)) == sum(parts, P({}))
+    def holds(d: Digraph, m: int) -> bool:
+        parts = P({})
+        for T in itertools.combinations(range(d.n), m):
+            hamps = count_hamiltonian_paths(induced(d, T).complement())
+            rest = [v for v in range(d.n) if v not in T]
+            parts += redei_berge_powersum(induced(d, rest)).scale(hamps)
+        return t_coefficient(redei_berge_powersum(d), m) == parts
 
     @staticmethod
-    def holds_deformed(w: ArcWeights) -> bool:
-        parts = [deformed_powersum(weights_without_vertex(w, v)) for v in range(w.n)]
-        return derivative_in_p1(deformed_powersum(w)) == sum(parts, P({}))
+    def holds_deformed(w: ArcWeights, m: int) -> bool:
+        parts = P({})
+        for T in itertools.combinations(range(w.n), m):
+            paths = weighted_path_sum(m, [[w.s(u, v) for v in T] for u in T])
+            rest = [v for v in range(w.n) if v not in T]
+            parts += deformed_powersum(weights_on(w, rest)).scale(paths)
+        return t_coefficient(deformed_powersum(w), m) == parts
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_through_n8(self, n):
         for seed in range(3):
-            assert self.holds(random_digraph(n, 0.5, seed=seed))
-            assert self.holds(random_tournament(n, seed=seed))
-            assert self.holds(random_digraph(n, 0.2, seed=seed))
-            assert self.holds_deformed(ArcWeights.random(n, seed=seed))
+            assert self.holds(random_digraph(n, 0.5, seed=seed), 1)
+            assert self.holds(random_tournament(n, seed=seed), 1)
+            assert self.holds(random_digraph(n, 0.2, seed=seed), 1)
+            assert self.holds_deformed(ArcWeights.random(n, seed=seed), 1)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_every_m_through_n8(self, n):
+        for m in range(n + 1):
+            assert self.holds(random_digraph(n, 0.5, seed=n), m)
+            assert self.holds(random_tournament(n, seed=n), m)
+            assert self.holds(random_digraph(n, 0.2, seed=n), m)
+            assert self.holds_deformed(ArcWeights.random(n, seed=n), m)
 
     def test_at_13_and_14(self):
         # one input per size and route, about 3 s in all: the signed form
         # on tournaments, its fastest inputs at these sizes
-        assert self.holds(random_tournament(13, seed=13))
-        assert self.holds(random_tournament(14, seed=14))
-        assert self.holds_deformed(ArcWeights.random(13, seed=13))
+        assert self.holds(random_tournament(13, seed=13), 1)
+        assert self.holds(random_tournament(14, seed=14), 1)
+        assert self.holds_deformed(ArcWeights.random(13, seed=13), 1)

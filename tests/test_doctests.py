@@ -2,12 +2,10 @@ import doctest
 
 import pytest
 
-from redei_berge import core, digraph, hamilton, kernel, oracles, polynomials
+from redei_berge import core, digraph, hamilton, oracles, polynomials
 
 
-@pytest.mark.parametrize(
-    "module", [kernel, digraph, polynomials, core, hamilton, oracles]
-)
+@pytest.mark.parametrize("module", [digraph, polynomials, core, hamilton, oracles])
 def test_docstring_examples(module):
     result = doctest.testmod(module)
     assert result.failed == 0

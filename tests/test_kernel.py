@@ -1,6 +1,7 @@
-"""The combinatorial vocabulary of the package: compositions, partitions
-and descent sets from ``kernel``, and the plain tuples that the oracles use
-for permutations (image tuples) and their cycles."""
+"""The combinatorial vocabulary of the package: compositions, and the
+partitions and descent sets that index the two bases in ``polynomials``,
+and the plain tuples that the oracles use for permutations (image tuples)
+and their cycles."""
 
 import itertools
 import re
@@ -9,12 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from redei_berge import DescentSet, Digraph, random_digraph
-from redei_berge.kernel import (
-    all_descent_sets,
-    is_partition,
-    partition_of,
-)
 from redei_berge.oracles import cycle_type, cycles_of, is_cycle
+from redei_berge.polynomials import _cut_shapes, is_partition, partition_of
 
 
 class TestDescentSets:
@@ -32,14 +29,20 @@ class TestDescentSets:
 
     @pytest.mark.parametrize("n", range(11))
     def test_bijection_exhaustive(self, n):
+        # the bridge's table lists each descent set once, at the index
+        # whose bit k - 1 marks member k
+        keys, shapes = _cut_shapes(n)
+        assert len(keys) == 1 << max(n - 1, 0)
         seen = set()
-        for s in all_descent_sets(n):
+        for cuts, s in enumerate(keys):
+            assert sum(1 << k - 1 for k in s) == cuts
             alpha = s.composition()
             assert sum(alpha) == n
-            assert is_partition(tuple(sorted(alpha, reverse=True)))
+            assert shapes[cuts] == tuple(sorted(alpha, reverse=True))
+            assert is_partition(shapes[cuts])
             assert frozenset(itertools.accumulate(alpha[:-1])) == s.members
             seen.add(alpha)
-        assert len(seen) == (1 << max(n - 1, 0)) if n else 1
+        assert len(seen) == len(keys)
 
     def test_member_out_of_range_rejected(self):
         with pytest.raises(ValueError):

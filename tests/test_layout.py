@@ -38,7 +38,7 @@ from redei_berge.oracles import (
 
 MODULES = sorted(p.name for p in Path(redei_berge.__file__).parent.glob("*.py"))
 
-PRODUCTION = ["core.py", "digraph.py", "hamilton.py", "kernel.py", "polynomials.py"]
+PRODUCTION = ["core.py", "digraph.py", "hamilton.py", "polynomials.py"]
 ENUMERATORS = {"permutations"}
 
 
