@@ -9,31 +9,32 @@ Both extend paths by that AND-and-shift step, a few whole-``int``
 operations per vertex, so their loops run over vertices, never over the
 sets the fields stand for.
 
-- :func:`_path_table`, the exact engine, is the subset DP of Bellman and
+- :func:`_count_dp`, the exact engine, is the subset DP of Bellman and
   Held--Karp on a two-level table: one ``int`` per (high-half set,
-  vertex), one field per low-half set.  The low half is filled by
-  in-place sweeps, and it runs only 1 + min(#tails, #heads) of them, over
-  the back arcs u -> v, u > v, inside the low half: a simple path takes
-  each vertex as a tail once and as a head once.  So both callers first
-  relabel the digraph once by :func:`_run_order`, greedy acyclic runs,
-  which leaves a nearly acyclic low half: 1 to 3 sweeps on a random
-  14-vertex tournament where the natural order needs 4 to 7.  It serves
-  two counts, each at a field width that no count carries out of, so
-  both are exact:
+  vertex), one field per low-half set, at a field width that no count
+  carries out of.  The low half is filled by in-place sweeps, and it
+  runs only 1 + min(#tails, #heads) of them, over the back arcs
+  u -> v, u > v, inside the low half: a simple path takes each vertex as
+  a tail once and as a head once.  So every caller first relabels the
+  digraph once by :func:`_run_order`, greedy acyclic runs, which leaves
+  a nearly acyclic low half: 1 to 3 sweeps on a random 14-vertex
+  tournament where the natural order needs 4 to 7.  It counts hamps
+  alone, behind :func:`count_hamiltonian_paths` (the count ``hamps``
+  prints, the Berge report's ``hamps``, the ``zeta`` and ``lemmas``
+  checks) and :func:`verify_mod4`.
 
-  - :func:`_count_dp`, hamps, behind :func:`count_hamiltonian_paths`
-    (the count ``hamps`` prints, the Berge report's ``hamps``, the
-    ``zeta`` and ``lemmas`` checks) and :func:`verify_mod4`;
+- The flat layout, with every vertex low: one ``int`` per vertex, one
+  field per vertex set.  It serves two counts, each running
+  1 + min(#tails, #heads) rounds of the step over all the back arcs, on
+  the same order:
+
+  - :func:`_path_parity`, hamps mod 2, over GF(2) at one bit per set.
+    It serves the checks that need only a parity: :func:`verify_redei`,
+    and hamps(D^c) of a D that is not a tournament in Berge's report;
   - :func:`_odd_cycles`, the nontrivial odd cycles behind the mod-4
-    report: cycles closed at a root are paths, so each is counted at its
-    minimal vertex in the order of :func:`_run_order`, one table per
-    root, on a suffix of that order.
-
-- :func:`_path_parity`, hamps mod 2, is the same step over GF(2) at one
-  bit per set, with every vertex in the low half: it runs the same
-  1 + min(#tails, #heads) rounds, on the same order.  It serves the
-  checks that need only a parity: :func:`verify_redei`, and hamps(D^c) of
-  a D that is not a tournament in Berge's report.
+    report, over the integers: cycles closed at a root are paths, so
+    each is counted at its minimal vertex in the order of
+    :func:`_run_order`, one table per root, on the vertices above it.
 
 The public entry points refuse more than ``DP_VERTEX_CAP`` vertices
 before either engine builds anything.  Their brute-force check,
@@ -67,7 +68,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .digraph import Digraph
 from .limits import DP_VERTEX_CAP, ODD_CYCLE_CAP, _check_cap
@@ -77,7 +78,7 @@ def count_hamiltonian_paths(d: Digraph) -> int:
     """Number of directed paths visiting every vertex exactly once, by
     dynamic programming over vertex subsets.  With the first
     min(ceil(n/2), 7) vertices of the order of :func:`_run_order` as the
-    low half (:func:`_low_n`), one packed ``int`` per (high-half set H,
+    low half, one packed ``int`` per (high-half set H,
     vertex v) has one field per low-half set L, counting the paths that
     cover exactly H + L and end at v.  The fields are
     ``factorial(n - 1).bit_length()`` bits wide and none carries into the
@@ -92,29 +93,6 @@ def count_hamiltonian_paths(d: Digraph) -> int:
     return _count_dp(_run_order(d.ins))
 
 
-def _count_dp(preds: Sequence[int]) -> int:
-    """hamps of the digraph whose in-neighbour masks are ``preds`` (no
-    loops), exact, from the last entry of :func:`_path_table` with every
-    vertex a start, at ``factorial(n - 1).bit_length()`` bits per field.  A
-    field counts the paths that end at one vertex, at most (n - 1)!, or, in
-    a sweep's sum, the paths of a set S ending anywhere, at most |S|!.  That
-    exceeds (n - 1)! only for the full set, whose field is the top one and
-    contains the vertex it ends at: the cut clears it, and its carry leaves
-    the int above every field, where the cut clears it too.  So no field
-    carries into the next, and the count read from the top fields of the
-    full set is exact.
-    """
-    n = len(preds)
-    if not n:
-        return 1  # the empty path
-    width = factorial(n - 1).bit_length()
-    for ends in _path_table(preds, (1 << n) - 1, width):
-        pass  # only the last entry, the full high half, is read
-    # no int holds a bit above its top field, the full low-half set
-    top = ((1 << _low_n(n)) - 1) * width
-    return sum(end >> top for end in ends)
-
-
 def _run_order(ins: Sequence[int]) -> list[int]:
     """The in-neighbour masks ``ins`` relabelled in greedy acyclic runs, the
     one vertex order of a digraph's path tables.  A run takes, while any
@@ -123,7 +101,8 @@ def _run_order(ins: Sequence[int]) -> list[int]:
     no arc enters a vertex from a later one of its run.  The next run
     starts on the vertices not yet placed.  Each table's low half is a
     stretch of this order, so it holds few back arcs, and
-    :func:`_path_table` runs only the sweeps they need.
+    :func:`_count_dp` runs only the sweeps they need; the flat tables of
+    :func:`_path_parity` and :func:`_odd_cycles` run only the rounds.
 
     >>> _run_order([0b110, 0b000, 0b010])  # 1 -> 2 -> 0 and 1 -> 0
     [0, 1, 3]
@@ -157,20 +136,17 @@ def _run_order(ins: Sequence[int]) -> list[int]:
     return relabelled
 
 
-def _path_table(preds: Sequence[int], start: int, width: int) -> Iterator[list[int]]:
-    """The exact two-level path table on k = ``len(preds)`` vertices, one
-    entry at a time: ``preds[v]`` is the mask of v's in-neighbours (no
-    loops), and a path may begin only at a vertex of the mask ``start``.
-    The first min(ceil(k/2), 7) vertices form the low half
-    (:func:`_low_n`) and the others the high half.  For each high-half set
-    H, in increasing order, it yields one ``int`` per vertex v, whose field
-    L (a low-half set), of ``width`` bits, counts the paths from ``start``
-    that cover exactly H + L and end at v.
-    The caller picks ``width`` so that no field carries into the next.
+def _count_dp(preds: Sequence[int]) -> int:
+    """hamps of the digraph whose in-neighbour masks are ``preds`` (no
+    loops), exact, from the two-level path table on its n vertices.  The
+    first min(ceil(n/2), 7) vertices form the low half and the others the
+    high half.  For each high-half set H, in increasing order, the table
+    keeps one ``int`` per vertex v, whose field L (a low-half set), of
+    ``factorial(n - 1).bit_length()`` bits, counts the paths that cover
+    exactly H + L and end at v.
 
     - A high v in H: the sum of its predecessors' ints for H - v, plus the
-      path {v} itself when H = {v} and v is a start.  Whole-int adds, no
-      loop over L.
+      path {v} itself when H = {v}.  Whole-int adds, no loop over L.
     - The low vs: in-place sweeps over v = 0, 1, ..., each setting v's
       int to the sum of its predecessors' ints, cut to the fields without
       v and shifted by 2^v fields (L to L + v), the layout of
@@ -190,22 +166,32 @@ def _path_table(preds: Sequence[int], start: int, width: int) -> Iterator[list[i
     sweeps a worst-case order needs; on the order of :func:`_run_order` it
     is far smaller.
 
+    No field carries into the next.  A field counts the paths that end at
+    one vertex, at most (n - 1)!, or, in a sweep's sum, the paths of a set
+    S ending anywhere, at most |S|!.  That exceeds (n - 1)! only for the
+    full set, whose field is the top one and contains the vertex it ends
+    at: the cut clears it, and its carry leaves the int above every field,
+    where the cut clears it too.  So the count read from the top fields of
+    the full set is exact.
+
     The cap of 7 low vertices trades the low half's int arithmetic, about
     low_n^2 adds of 2^low_n-field ints per high set, against the
-    interpreter's work per high set, 2^(k - low_n) of them: above 14
-    vertices a low half of ceil(k/2) is slower.
+    interpreter's work per high set, 2^(n - low_n) of them: above 14
+    vertices a low half of ceil(n/2) is slower.
 
     The entry of H is read last by H plus the highest high vertex outside
     H, and freed there.  Every set that holds the top high vertex frees at
     least the set without it, so at most half the entries, plus the one
-    being built, are live at once: of the table's 2^k k width bits, about
-    0.45 at k = 14.
+    being built, are live at once: of the table's 2^n n width bits, about
+    0.45 at n = 14.
     """
-    k = len(preds)
-    low_n = _low_n(k)
+    n = len(preds)
+    if not n:
+        return 1  # the empty path
+    width = factorial(n - 1).bit_length()
+    low_n = min((n + 1) // 2, 7)
     low = (1 << low_n) - 1
-    high_start = start >> low_n
-    members = _members(max(low_n, k - low_n))  # both halves' sets
+    members = _members(max(low_n, n - low_n))  # both halves' sets
     # per high vertex: its low predecessors, and its high predecessors as
     # a high-half mask; per low vertex: its predecessors and its cut
     highs = [(members[p & low], p >> low_n) for p in preds[low_n:]]
@@ -213,22 +199,22 @@ def _path_table(preds: Sequence[int], start: int, width: int) -> Iterator[list[i
     lows = [(v, members[preds[v] & low], *cut) for v, cut in enumerate(cuts)]
     sweeps = _sweeps([p & low for p in preds[:low_n]])
     table = []
-    for high in range(1 << k - low_n):
-        ends = [0] * k
+    for high in range(1 << n - low_n):
+        ends = [0] * n
         for j in members[high]:
             low_preds, high_preds = highs[j]
             below = table[high ^ 1 << j]
-            total = high_start >> j & 1 if high == 1 << j else 0  # the path {v}
+            total = 1 if high == 1 << j else 0  # the path {v}
             for u in low_preds:
                 total += below[u]
             for i in members[high_preds & high]:
                 total += below[low_n + i]
             ends[low_n + j] = total
         # the paths that enter each low v from the high half; with H empty,
-        # the empty path, which a start v extends to the path {v}
+        # the empty path, which v extends to the path {v}
         entering = []
         for v in range(low_n):
-            total = 0 if high else start >> v & 1
+            total = 0 if high else 1
             for i in members[preds[v] >> low_n & high]:
                 total += ends[low_n + i]
             entering.append(total)
@@ -238,25 +224,23 @@ def _path_table(preds: Sequence[int], start: int, width: int) -> Iterator[list[i
                     total += ends[u]
                 ends[v] = (total & without) << shift
         table.append(ends)
-        yield ends
         # H - j is read last here when j and every high vertex above it
         # are in H: each later set that holds H - j holds j too
-        j = k - low_n - 1
+        j = n - low_n - 1
         while j >= 0 and high >> j & 1:
             table[high ^ 1 << j] = None
             j -= 1
-
-
-def _low_n(k: int) -> int:
-    """The size of the low half of a k-vertex path table: ceil(k/2), but
-    at most 7 (see :func:`_path_table`)."""
-    return min((k + 1) // 2, 7)
+    # ends is the full high half's entry; no int holds a bit above its top
+    # field, the full low-half set
+    return sum(end >> low * width for end in ends)
 
 
 def _sweeps(low_preds: Sequence[int]) -> int:
-    """The in-place sweeps that fill :func:`_path_table`'s low half, whose
+    """The in-place sweeps that fill :func:`_count_dp`'s low half, whose
     vertices' in-neighbours inside it are ``low_preds``: 1 + the smaller
     of the numbers of tails and of heads of its back arcs u -> v, u > v.
+    The rounds of a flat table are the sweeps of a low half that holds
+    every vertex.
 
     >>> _sweeps([0b110, 0b000, 0b000])  # 1 -> 0 and 2 -> 0: one per path
     2
@@ -280,7 +264,7 @@ def _path_parity(preds: Sequence[int]) -> int:
     path and its predecessors' ints as they stand, cut to the sets without
     v and shifted left by 2^v (S to S + {v}): the layout of :func:`_cuts`
     at one bit per set.  A round is the same linear recomputation as a
-    low-half sweep of :func:`_path_table`, with every vertex low, so after
+    low-half sweep of :func:`_count_dp`, with every vertex low, so after
     r rounds the table holds every path with fewer than r back arcs u -> v,
     u > v, over GF(2) as over the integers, and it runs the
     :func:`_sweeps` of ``preds``, 1 + min(#tails, #heads) <= n rounds.  The
@@ -310,15 +294,72 @@ def _path_parity(preds: Sequence[int]) -> int:
     return sum(end >> top for end in ends) & 1
 
 
+def _odd_cycles(preds: Sequence[int]) -> int:
+    """The number of nontrivial odd cycles, rotation classes of odd length
+    > 1 all of whose cyclic arcs are present, of the digraph whose
+    in-neighbour masks are ``preds`` (no loops), uncapped: callers gate it
+    by ``ODD_CYCLE_CAP``.  Each cycle is counted at its minimal vertex s,
+    as a path through vertices above s from an out-neighbour of s to an
+    in-neighbour of s.  Per root, a flat table on the k = n - 1 - s
+    vertices above s, the layout of :func:`_cuts`: one ``int`` per vertex
+    v, whose field S counts the paths from an out-neighbour of s that cover
+    exactly S and end at v.  It runs :func:`_path_parity`'s rounds over the
+    integers, with the empty path seeded only at the out-neighbours of s,
+    and as many of them, the :func:`_sweeps` of the vertices above s: a
+    round extends paths the same way whatever they start from.  The ends
+    of the in-neighbours of s are summed, cut to the fields S of even size
+    (so the cycle's set has 1 + |S| vertices, odd and at least 3: every
+    path has a vertex), and the fields are folded into one: an ``int``
+    read in base 2^width - 1 has the sum of its fields as its residue.
+
+    The fields are ``(3 * factorial(k)).bit_length()`` bits wide.  A field
+    of the table, or of a round's sum, counts paths of one set S, at most
+    |S|! <= k!, and the fold's total is the number of the root's cycles, at
+    most the sum over the sets S above s of |S|!, below e k! < 2^width - 1.
+    So no field carries into the next, and the residue is the total.
+    """
+    n = len(preds)
+    total = 0
+    for s in range(n - 2):  # an odd cycle through s has two more vertices
+        above = s + 1
+        rest = preds[above:]
+        back = preds[s] >> above  # the in-neighbours of s above it
+        if not back or not any(p >> s & 1 for p in rest):
+            continue
+        k = n - above
+        ins = [p >> above for p in rest]
+        width = (3 * factorial(k)).bit_length()
+        cuts = _cuts(k, width)
+        steps = [
+            (p >> s & 1, [u for u in range(k) if q >> u & 1], *cut)
+            for p, q, cut in zip(rest, ins, cuts)
+        ]
+        ends = [0] * k
+        for _ in range(_sweeps(ins)):
+            for v, (seed, us, without, shift) in enumerate(steps):
+                paths = seed  # the empty path, from an out-neighbour of s
+                for u in us:
+                    paths += ends[u]
+                ends[v] = (paths & without) << shift
+        even, odd = (1 << width) - 1, 0  # the fields of even and odd sets
+        for _, shift in cuts:
+            even, odd = even | odd << shift, odd | even << shift
+        closing = sum(ends[v] for v in range(k) if back >> v & 1)
+        total += (closing & even) % ((1 << width) - 1)
+    return total
+
+
 @cache
 def _cuts(k: int, width: int) -> tuple[tuple[int, int], ...]:
-    """The one layout of both path engines: an ``int`` of 2^k fields of
+    """The one layout of every path table: an ``int`` of 2^k fields of
     ``width`` bits, field L for the set L of vertices below k.  For each
     v < k, the mask of the fields of the sets without v (2^v fields set,
     2^v clear, repeated) and the shift of 2^v fields, which takes L to
-    L + v.  Cached: each root of :func:`_odd_cycles` and every table of a
-    sweep reuse it.  The largest, the parity's ``_cuts(22, 1)``, is 22
-    masks of 2^22 bits, about 11 MB."""
+    L + v.  It lays out the low half of :func:`_count_dp` and the flat
+    tables: :func:`_path_parity`'s at one bit per set, and each root's of
+    :func:`_odd_cycles` at the width of its k.  Cached: every table of a
+    sweep, and every root with the same k, reuses it.  The largest, the
+    parity's ``_cuts(22, 1)``, is 22 masks of 2^22 bits, about 11 MB."""
     cuts = []
     for v in range(k):
         without = (1 << (width << v)) - 1
@@ -459,67 +500,6 @@ def _partition_sum(n: int, block_weight: Sequence[int]) -> dict[tuple[int, ...],
 
 def _indicator(d: Digraph) -> list[list[int]]:
     return [[row >> v & 1 for v in range(d.n)] for row in d.rows]
-
-
-def _odd_cycles(preds: Sequence[int]) -> int:
-    """The number of nontrivial odd cycles, rotation classes of odd length
-    > 1 all of whose cyclic arcs are present, of the digraph whose
-    in-neighbour masks are ``preds`` (no loops), uncapped: callers gate it
-    by ``ODD_CYCLE_CAP``.  Each cycle is counted at its minimal vertex s,
-    as a path through vertices above s from an out-neighbour of s to an
-    in-neighbour of s: per root,
-    :func:`_path_table` on the k = n - 1 - s vertices above s, started at
-    the out-neighbours of s.  For each H the ends of the in-neighbours of s
-    are summed into one of two accumulators, by the parity of |H|; at the
-    end each is cut to the fields L with |H| + |L| even (so the cycle's set
-    has 1 + |H| + |L| vertices, odd and at least 3: every path has a
-    vertex), and the fields are folded into one once.
-
-    The fields are ``(factorial(k) << k).bit_length()`` bits wide.  A field
-    of the table counts paths of one set, at most k!; an accumulated field
-    sums them over the sets H, at most 2^k k!; and a fold adds fields of
-    one cut sum, whose total is the number of the root's cycles, at most
-    the sum over the subsets S above s of |S|!, below 2^k k!.  So neither
-    the accumulation nor the fold carries into the next field.
-    """
-    n = len(preds)
-    total = 0
-    for s in range(n - 2):  # an odd cycle through s has two more vertices
-        above = s + 1
-        out = sum(1 << i for i, p in enumerate(preds[above:]) if p >> s & 1)
-        back = preds[s] >> above
-        if not out or not back:
-            continue
-        k = n - above
-        width, even, odd = _odd_layout(k)
-        closing = [v for v in range(k) if back >> v & 1]
-        sums = [0, 0]  # per parity of |H|
-        table = _path_table([p >> above for p in preds[above:]], out, width)
-        for high, ends in enumerate(table):
-            parity = high.bit_count() & 1
-            for v in closing:
-                sums[parity] += ends[v]
-        folded = (sums[0] & even) + (sums[1] & odd)
-        bits = width << _low_n(k)
-        while bits > width:
-            bits >>= 1
-            folded = (folded & (1 << bits) - 1) + (folded >> bits)
-        total += folded
-    return total
-
-
-@cache
-def _odd_layout(k: int) -> tuple[int, int, int]:
-    """The field width of :func:`_odd_cycles` for a root with k vertices
-    above it, and the masks of the fields L of even and of odd size on the
-    low half of :func:`_low_n`, built by doubling.  Every production caller
-    is capped, so k <= ``ODD_CYCLE_CAP`` - 1."""
-    width = (factorial(k) << k).bit_length()
-    even, odd = (1 << width) - 1, 0
-    for v in range(_low_n(k)):
-        shift = width << v
-        even, odd = even | odd << shift, odd | even << shift
-    return width, even, odd
 
 
 def _redei_report(n: int, hamps_mod2: int) -> dict:

@@ -25,10 +25,11 @@ FACTORIAL_CAP = 9
 CYCLE_SUM_CAP = 14
 
 # The mod-4 report of `hamps` and `verify mod4`, whose exact count of the
-# nontrivial odd cycles runs one path table per root.  Above 12 vertices
-# that count would cost more than the exact path count of the same
-# tournament, on every tournament `hamps` checks (4.0 against 2.8 ms at
-# 14 vertices, BENCH_26.json).
+# nontrivial odd cycles runs one flat path table per root, of 2^k fields
+# for the k vertices above it.  Above 12 vertices that count would cost
+# more than the exact path count of the same tournament, on every
+# tournament `hamps` checks: 8.3 against 1.7 ms at 14 vertices (medians
+# over 30 random tournaments, BENCH_33.json).
 ODD_CYCLE_CAP = 12
 
 # The two path engines.  The exact DP keeps one packed int of
