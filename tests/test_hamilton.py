@@ -154,6 +154,33 @@ class TestCounting:
             tracemalloc.stop()
         assert peak < 5 * 2**n * n * width // 64  # 0.625 of the bits
 
+    @staticmethod
+    def _started_at(preds, v):
+        # a new last vertex n, a source with the one arc n -> v: the paths
+        # of the n + 1 vertices are those of the n that start at v
+        n = len(preds)
+        return [p | (1 << n if u == v else 0) for u, p in enumerate(preds)] + [0]
+
+    def test_single_starts_sum_to_the_count_through_n9(self):
+        # every path starts somewhere, so the counts started at each v in
+        # turn, low half and high half, sum to hamps
+        for n in range(1, 10):
+            for d in (random_digraph(n, 0.5, seed=n), random_tournament(n, seed=n)):
+                preds = d.ins
+                starts = [_count_dp(self._started_at(preds, v)) for v in range(n)]
+                assert sum(starts) == count_hamiltonian_paths(d)
+
+    def test_single_start_in_either_half(self):
+        # a relabelled directed path has one Hamiltonian path, from its
+        # first vertex: a low-half start, then a high-half one
+        n = 9
+        for first in (2, 7):
+            order = [first] + [v for v in range(n) if v != first]
+            d = Digraph(n, list(zip(order, order[1:])))
+            preds = d.ins
+            for v in range(n):
+                assert _count_dp(self._started_at(preds, v)) == (v == first)
+
     def test_member_tables(self):
         for k in range(11):
             members = _members(k)
