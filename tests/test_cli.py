@@ -666,6 +666,30 @@ class TestVerify:
         assert payload["checked"] == payload["instances"] == 16
         assert payload["failures"] == []
 
+    @pytest.mark.parametrize(
+        "target, argv, mode",
+        [
+            ("lemmas", "--random 3 --max-n 3 --seed 2", ["count", "max_n", "seed"]),
+            ("thm1", "--exhaustive 2", ["n"]),
+        ],
+        ids=["lemmas", "thm1"],
+    )
+    def test_json_report_keys_in_order(self, capsys, target, argv, mode):
+        # every target reports the same fields, in this order
+        argv = [*argv.split(), "--jobs", "1", "--format", "json"]
+        code, out, _ = run(capsys, "verify", target, *argv)
+        assert code == 0
+        assert list(json.loads(out)) == [
+            "target",
+            "mode",
+            *mode,
+            "instances",
+            "checked",
+            "passed",
+            "failures",
+            "pass",
+        ]
+
     def test_failure_echoes_counterexample(self, capsys, monkeypatch):
         # fault injection: a check that rejects any digraph with an arc
         def broken(d):
@@ -764,7 +788,6 @@ class TestVerify:
 
         kind, _, cap = cli._CHECKS[target]
         monkeypatch.setitem(cli._CHECKS, target, (kind, no_work, cap))
-        monkeypatch.setattr(cli, "_lemma_preamble", no_work)
         monkeypatch.setattr(cli, "_stream", no_work)
         code, out, err = run(capsys, "verify", target, *argv.split(), "--jobs", "1")
         assert code == 2

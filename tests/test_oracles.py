@@ -4,6 +4,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import THREE_LOOP
 from redei_berge import (
@@ -30,6 +31,7 @@ from redei_berge.oracles import (
     count_perms_containing,
     cycle_type,
     cycle_weight_sum,
+    cycles_of,
     d_cycle_excess,
     deformed_by_listings,
     friendly_product,
@@ -47,7 +49,7 @@ from redei_berge.oracles import (
     signed_subset_sum,
     signed_sum_per_perm,
 )
-from redei_berge.polynomials import _cut_shapes
+from redei_berge.polynomials import _cut_shapes, partition_of
 
 # the 8-vertex example: a 4-path cover {(0,3,2), (1,7), (4), (6,5)}
 COVER_EXAMPLE = Digraph(8, [(0, 3), (3, 2), (1, 7), (6, 5)])
@@ -62,6 +64,88 @@ def random_linear_set(rng: random.Random, n: int) -> Digraph:
         block, verts = verts[:size], verts[size:]
         arcs.extend(zip(block, block[1:]))
     return Digraph(n, arcs)
+
+
+class TestCycleClass:
+    """A cycle is a tuple of distinct vertices, each mapped to the next and
+    the last to the first."""
+
+    def test_canonical_rotation(self):
+        # 3 -> 1 -> 4 -> 3 is reported from its minimal vertex
+        assert cycles_of((0, 4, 2, 1, 3)) == ((0,), (1, 4, 3), (2,))
+
+    def test_carcs(self):
+        d = Digraph(8, [(3, 1), (1, 4), (4, 3), (7, 7)])
+        assert is_cycle(d, (3, 1, 4)) and is_cycle(d, (1, 4, 3))
+        assert not is_cycle(d, (3, 4, 1))
+        assert is_cycle(d, (7,)) and not is_cycle(d, (5,))  # the loop (v, v)
+        for missing in [(3, 1), (1, 4), (4, 3)]:
+            arcs = [(3, 1), (1, 4), (4, 3)]
+            arcs.remove(missing)
+            assert not is_cycle(Digraph(8, arcs), (3, 1, 4))
+
+    @given(st.integers(1, 5), st.integers(0, 2**32))
+    def test_reversal(self, n, seed):
+        # the reversed cycle lies in d iff the cycle lies in d's transpose
+        d = random_digraph(n, 0.7, seed=seed)
+        transpose = Digraph(n, [(v, u) for u, v in d.arcs()])
+        for k in range(1, n + 1):
+            for cycle in itertools.permutations(range(n), k):
+                assert is_cycle(d, cycle[::-1]) == is_cycle(transpose, cycle)
+
+
+class TestPermutation:
+    """A permutation of 0..n-1 is its image tuple."""
+
+    def test_reversing_permutation_on_seven(self):
+        w0 = tuple(6 - i for i in range(7))
+        assert cycles_of(w0) == ((0, 6), (1, 5), (2, 4), (3,))
+        assert cycle_type(w0) == (2, 2, 2, 1)
+
+    def test_identity_cycles(self):
+        assert cycles_of(range(5)) == ((0,), (1,), (2,), (3,), (4,))
+        assert cycle_type(range(5)) == (1, 1, 1, 1, 1)
+
+    def test_three_cycle_example(self):
+        # images of 0..5 are 1, 2, 0, 4, 3, 5
+        assert cycles_of([1, 2, 0, 4, 3, 5]) == ((0, 1, 2), (3, 4), (5,))
+
+    def test_single_cycle_type(self):
+        assert cycle_type((1, 2, 3, 4, 5, 0)) == (6,)
+        assert cycles_of(()) == () and cycle_type(()) == ()
+
+    def test_rejects_non_bijection(self):
+        message = re.escape("not a bijection on 0..2: (0, 0, 1)")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cycles_of([0, 0, 1])
+        with pytest.raises(ValueError, match="not a bijection"):
+            cycle_type((1, 2))
+
+    @pytest.mark.parametrize("image", [1.0, True])
+    def test_rejects_non_integer_image(self, image):
+        # [1.0, 0] and [True, 0] sort equal to [0, 1]
+        with pytest.raises(ValueError, match=f"^image {image!r} is not an integer$"):
+            cycles_of([image, 0])
+
+    def test_cycle_structure_exhaustive_through_eight(self):
+        for n in range(9):
+            for sigma in itertools.permutations(range(n)):
+                cycles = cycles_of(sigma)
+                assert sum(len(c) for c in cycles) == n
+                assert [c[0] for c in cycles] == sorted(min(c) for c in cycles)
+                assert cycle_type(sigma) == partition_of(map(len, cycles))
+                for gamma in cycles:
+                    # the cycle really traces sigma
+                    for i, u in enumerate(gamma):
+                        assert sigma[u] == gamma[(i + 1) % len(gamma)]
+
+    @given(st.integers(1, 7).flatmap(lambda n: st.permutations(range(n))))
+    def test_cycles_rebuild_the_permutation(self, images):
+        rebuilt = [None] * len(images)
+        for cycle in cycles_of(images):
+            for i, v in enumerate(cycle):
+                rebuilt[v] = cycle[(i + 1) % len(cycle)]
+        assert rebuilt == list(images)
 
 
 class TestLinearity:
@@ -91,6 +175,14 @@ class TestLinearity:
             )
             arc_set = Digraph(n, pairs)
             assert is_linear(arc_set) == is_arc_set_of_path_cover(arc_set)
+
+    def test_criteria_agree_on_small_subsets_of_a_looped_four_cycle(self):
+        sample = [(0, 1), (1, 2), (2, 3), (3, 0), (1, 1)]
+        subsets = [s for r in range(4) for s in itertools.combinations(sample, r)]
+        assert len(subsets) == 26
+        for subset in subsets:
+            arc_set = Digraph(4, subset)
+            assert is_linear(arc_set) == is_arc_set_of_path_cover(arc_set), subset
 
     def test_subsets_of_linear_sets_are_linear(self):
         rng = random.Random(67)

@@ -19,6 +19,7 @@ from redei_berge.polynomials import (
     _cut_shapes,
     _monomials,
     _partition_sort_key,
+    is_partition,
     partition_of,
 )
 
@@ -60,6 +61,73 @@ def z(lam: tuple[int, ...]) -> int:
 
 def L(n: int, *members: int) -> FundamentalQSym:
     return F(n, {D(n, members): 1})
+
+
+class TestDescentSets:
+    def test_composition_of_cut_set(self):
+        assert DescentSet(6, {2, 3, 5}).composition() == (2, 1, 2, 1)
+
+    def test_empty_cut_set_gives_one_part(self):
+        assert DescentSet(5, ()).composition() == (5,)
+
+    def test_all_cut_points_give_all_ones(self):
+        assert DescentSet(4, {1, 2, 3}).composition() == (1, 1, 1, 1)
+
+    def test_empty_composition(self):
+        assert DescentSet(0, ()).composition() == ()
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_bijection_exhaustive(self, n):
+        # the bridge's table lists each descent set once, at the index
+        # whose bit k - 1 marks member k
+        keys, shapes = _cut_shapes(n)
+        assert len(keys) == 1 << max(n - 1, 0)
+        seen = set()
+        for cuts, s in enumerate(keys):
+            assert sum(1 << k - 1 for k in s) == cuts
+            alpha = s.composition()
+            assert sum(alpha) == n
+            assert shapes[cuts] == tuple(sorted(alpha, reverse=True))
+            assert is_partition(shapes[cuts])
+            assert frozenset(itertools.accumulate(alpha[:-1])) == s.members
+            seen.add(alpha)
+        assert len(seen) == len(keys)
+
+    def test_member_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            DescentSet(3, {3})
+        with pytest.raises(ValueError):
+            DescentSet(3, {0})
+
+    def test_bad_parts_rejected(self):
+        # a bool or a float part would pass a plain ``p >= 1`` check; each
+        # tuple decreases, so only its parts can refuse it
+        for parts in [(2, 1, 0), (2, True), (2, 1.0), (2, 1.5), (-1,)]:
+            assert not is_partition(parts)
+
+    @pytest.mark.parametrize(
+        "n, members, bad",
+        [
+            (3, {1.0}, "member 1.0"),  # passes the range check, then floats the parts
+            (3, {True}, "member True"),
+            (True, (), "length True"),
+            (2.5, (), "length 2.5"),
+        ],
+    )
+    def test_rejects_non_integers(self, n, members, bad):
+        with pytest.raises(ValueError, match=f"^{bad} is not an integer$"):
+            DescentSet(n, members)
+
+
+class TestPartitions:
+    def test_partition_of_sorts(self):
+        assert partition_of([1, 3, 2, 2]) == (3, 2, 2, 1)
+
+    def test_is_partition(self):
+        assert is_partition((3, 2, 2, 1))
+        assert is_partition(())
+        assert not is_partition((2, 3))
+        assert not is_partition((2, 0))
 
 
 class TestExpandFundamental:
